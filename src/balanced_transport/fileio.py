@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -124,24 +124,39 @@ def read_matrix_csv(path: Union[str, Path]) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+_TRACE_HEADER = "iter,eta,criterion,wall_time"
+_LEGACY_TRACE_HEADER = "iter,eta,criterion"
+
+
 def write_trace_csv(trace: ConvergenceTrace, path: Union[str, Path]) -> None:
-    """Columns iter,eta,criterion; one line per recorded iteration."""
-    lines = ["iter,eta,criterion"]
-    for k, eta, crit in trace.rows():
-        lines.append(f"{k},{_fmt(eta)},{_fmt(crit)}")
+    """Columns iter,eta,criterion,wall_time; one line per recorded iteration.
+
+    ``wall_time`` is seconds since the run started.
+    """
+    lines = [_TRACE_HEADER]
+    for k, eta, crit, wall in trace.rows():
+        lines.append(f"{k},{_fmt(eta)},{_fmt(crit)},{_fmt(wall)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_trace_csv(path: Union[str, Path]) -> List[Tuple[int, float, float]]:
+def read_trace_csv(path: Union[str, Path]) -> List[Tuple[int, float, float, Optional[float]]]:
+    """Rows (iter, eta, criterion, wall_time) of a trace file.
+
+    Files in the older three-column form, without wall times, are still
+    read; their rows carry ``None`` as the wall time.
+    """
     lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != "iter,eta,criterion":
-        raise ProblemFileError(f"trace file {path} lacks the iter,eta,criterion header", line=1)
+    header = lines[0].strip() if lines else ""
+    if header not in (_TRACE_HEADER, _LEGACY_TRACE_HEADER):
+        raise ProblemFileError(f"trace file {path} lacks the {_TRACE_HEADER} header", line=1)
+    width = header.count(",") + 1
     out = []
     for k, line in enumerate(lines[1:], start=2):
         parts = line.strip().split(",")
-        if len(parts) != 3:
+        if len(parts) != width:
             raise ProblemFileError(f"trace file {path} has a malformed row", line=k)
-        out.append((int(parts[0]), float(parts[1]), float(parts[2])))
+        wall = float(parts[3]) if width == 4 else None
+        out.append((int(parts[0]), float(parts[1]), float(parts[2]), wall))
     return out
 
 

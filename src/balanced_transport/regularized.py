@@ -11,7 +11,12 @@ z_ij = alpha_i b_ij / beta_j, from which the plan is x = z^(1/eta):
 
 All 1/eta-norms are evaluated in max-factored form, so no intermediate
 quantity leaves the z-domain; this is what keeps the iteration usable at
-temperatures where x itself would overflow.  After each full step the
+temperatures where x itself would overflow.  Each norm skips the terms
+(v/max v)^(1/eta) at or below 2^-(54 + ceil(log2 n)) for a length-n
+reduction: together they add less than a quarter ulp to a sum that is at
+least 1, so dropping them is exact to within the sum's own rounding, and
+at small eta they are the subnormal terms that make pow slow (Schmitzer's
+truncation, in dense form; see ``power_norm``).  After each full step the
 quantity (1/eta) * log(max_j s_j / min_j s_j) equals the Hilbert distance
 between the plan's column sums and c, giving a stopping criterion for
 free.
@@ -59,13 +64,28 @@ DEFAULT_MAX_ITERS = 100_000
 def power_norm(values: np.ndarray, eta: float, axis: Optional[int] = None) -> np.ndarray:
     """The 1/eta-norm, evaluated as M * (sum((v/M)^(1/eta)))^eta, M = max v.
 
-    Factoring out the maximum keeps every intermediate in [0, len(v)], so
-    the norm neither overflows nor underflows even for very small eta.
-    Entries must be strictly positive.
+    Factoring out the maximum keeps every intermediate in [0, n], with n
+    the length along ``axis`` (``v.size`` when ``axis`` is None), so the
+    norm neither overflows nor underflows even for very small eta.
+
+    Terms are truncated, not approximated: the maximum contributes exactly
+    1, so the sum is at least 1, and the n - 1 other terms, if each is at
+    most 2^-(54 + ceil(log2 n)), add less than 2^-54, a quarter ulp of 1.
+    Dropping them cannot move the sum by more than the rounding the sum
+    incurs anyway.  In the ratio domain the cutoff is
+    ratio <= 2^(-(54 + ceil(log2 n)) * eta), and pow is evaluated only
+    above it.  At small eta this skips the terms that would underflow into
+    subnormals or to zero, which are the slow path of pow, so no power
+    underflows.  A NaN ratio is not below the cutoff, so it still
+    propagates.  Entries must be strictly positive.
     """
     v = np.asarray(values, dtype=float)
     vmax = np.max(v, axis=axis, keepdims=True)
-    total = np.sum((v / vmax) ** (1.0 / eta), axis=axis, keepdims=True)
+    ratio = v / vmax
+    n = v.size if axis is None else v.shape[axis]
+    cutoff = 2.0 ** (-(54 + (n - 1).bit_length()) * eta)  # (n - 1).bit_length() == ceil(log2 n)
+    terms = np.power(ratio, 1.0 / eta, out=np.zeros(ratio.shape), where=~(ratio <= cutoff))
+    total = np.sum(terms, axis=axis, keepdims=True)
     out = vmax * total**eta
     if axis is None:
         return float(out.squeeze())
@@ -201,8 +221,8 @@ class ConvergenceTrace:
     def __len__(self) -> int:
         return len(self.iterations)
 
-    def rows(self) -> List[Tuple[int, float, float]]:
-        return list(zip(self.iterations, self.etas, self.criteria))
+    def rows(self) -> List[Tuple[int, float, float, float]]:
+        return list(zip(self.iterations, self.etas, self.criteria, self.wall_times))
 
 
 @dataclass(frozen=True)
@@ -312,6 +332,10 @@ def criterion(multipliers, eta: float) -> float:
     s = multipliers.s if isinstance(multipliers, StepMultipliers) else np.asarray(multipliers, dtype=float)
     if not np.all(s > 0):
         raise NonPositiveEntry("column multipliers must be strictly positive")
+    return _log_spread(s, eta)
+
+
+def _log_spread(s: np.ndarray, eta: float) -> float:
     return float((1.0 / eta) * np.log(np.max(s) / np.min(s)))
 
 
@@ -354,9 +378,10 @@ def solve(
         # computed after a full step measures the post-step plan and, if
         # the stage continues, drives the next column fit.
         s = c**eta / power_norm(z, eta, axis=0)
+        crit = _log_spread(s, eta)
         iters = 0
         while True:
-            z_before = z
+            z_before, crit_before = z, crit
             z = z * s[None, :]
             beta = beta / s
             t = r**eta / power_norm(z, eta, axis=1)
@@ -367,13 +392,15 @@ def solve(
             iters += 1
             k_global += 1
             s = c**eta / power_norm(z, eta, axis=0)
-            crit = float((1.0 / eta) * np.log(np.max(s) / np.min(s)))
+            crit = _log_spread(s, eta)
             trace.record(k_global, eta, crit, time.perf_counter() - t0)
             if opts.snapshot_stride and k_global % opts.snapshot_stride == 0:
                 trace.snapshots.append((k_global, z ** (1.0 / eta)))
             if crit < tol:
                 break
-            if np.array_equal(z, z_before):
+            # An unmoved z recomputes the same s, hence the same criterion,
+            # so the full comparison runs only when the criterion repeats.
+            if crit == crit_before and np.array_equal(z, z_before):
                 raise NumericalDegeneracy(
                     f"updates no longer move z at eta={eta} while the criterion is {crit:.3g};"
                     " the temperature is below usable resolution"

@@ -70,7 +70,7 @@ class TestSolve:
         rows = read_trace_csv(trace_path)
         assert len(rows) == report["iterations_total"]
         # the running minimum of the criterion column never increases
-        criteria = [c for _, _, c in rows]
+        criteria = [c for _, _, c, _ in rows]
         running = np.minimum.accumulate(criteria)
         assert np.all(np.diff(running) <= 0.0 + 1e-18)
 

@@ -106,9 +106,24 @@ class TestTraceCSV:
         path = tmp_path / "trace.csv"
         write_trace_csv(result.trace, path)
         rows = read_trace_csv(path)
-        assert [k for k, _, _ in rows] == result.trace.iterations
-        assert [c for _, _, c in rows] == result.trace.criteria
-        assert path.read_text().splitlines()[0] == "iter,eta,criterion"
+        assert [k for k, _, _, _ in rows] == result.trace.iterations
+        assert [c for _, _, c, _ in rows] == result.trace.criteria
+        assert [w for _, _, _, w in rows] == result.trace.wall_times
+        assert path.read_text().splitlines()[0] == "iter,eta,criterion,wall_time"
+
+    def test_three_column_form_still_reads(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iter,eta,criterion\n1,0.01,0.5\n2,0.01,0.25\n")
+        assert read_trace_csv(path) == [(1, 0.01, 0.5, None), (2, 0.01, 0.25, None)]
+
+    def test_row_width_must_match_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iter,eta,criterion,wall_time\n1,0.01,0.5\n")
+        with pytest.raises(ProblemFileError):
+            read_trace_csv(path)
+        path.write_text("iter,eta,criterion\n1,0.01,0.5,0.1\n")
+        with pytest.raises(ProblemFileError):
+            read_trace_csv(path)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -1,18 +1,26 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balanced_transport import (
+    ETA_FLOOR,
     AnnealingSchedule,
+    GridSpec,
     MINIMIZE,
     MaxItersExceeded,
     NonPositiveEntry,
     OTProblem,
     RegParams,
+    NumericalDegeneracy,
     SolveOptions,
     StepMultipliers,
     ValidationError,
     ZState,
     criterion,
+    generate_grid,
     hilbert_distance,
     isoelastic_utility,
     make_schedule,
@@ -49,6 +57,60 @@ class TestPowerNorm:
 
     def test_ties_in_the_maximum_are_fine(self):
         assert power_norm(np.array([3.0, 3.0]), 1.0) == pytest.approx(6.0, rel=1e-15)
+
+    @staticmethod
+    def _fsum_norm(v: np.ndarray, eta: float) -> float:
+        """Untruncated, exactly summed reference: M * fsum((v/M)^(1/eta))^eta."""
+        vmax = float(np.max(v))
+        return vmax * math.fsum((float(x) / vmax) ** (1.0 / eta) for x in v) ** eta
+
+    @given(
+        st.floats(min_value=-8.0, max_value=0.0),
+        st.integers(min_value=1, max_value=2048),
+        st.sampled_from([None, 0, 1]),
+        st.floats(min_value=0.0, max_value=1500.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_matches_exact_sum(self, log_eta, n, axis, depth, seed):
+        # Terms (v/M)^(1/eta) spread from 1 down to exp(-depth): live,
+        # near the cutoff, subnormal and zero, at every temperature.
+        eta = 10.0**log_eta
+        rng = np.random.default_rng(seed)
+        width = 1 if axis is None else int(rng.integers(1, 4))
+        shape = (n, width) if axis == 0 else (width, n)
+        log_v = np.maximum(eta * rng.uniform(-depth, 0.0, size=shape), -600.0)  # v stays normal
+        v = np.exp(log_v + rng.uniform(-50.0, 50.0))
+        if axis is None:
+            v = v.ravel()
+        got = np.atleast_1d(power_norm(v, eta, axis=axis))
+        # The same reduction without truncation: dropping terms alone may
+        # not move the result by more than 4 ulp.
+        vmax = np.max(v, axis=axis, keepdims=True)
+        with np.errstate(under="ignore"):
+            total = np.sum((v / vmax) ** (1.0 / eta), axis=axis, keepdims=True)
+        full = np.atleast_1d(np.squeeze(vmax * total**eta))
+        lines = [v] if axis is None else list(np.moveaxis(v, axis, -1))
+        for out, untruncated, line in zip(got, full, lines):
+            assert abs(out - untruncated) <= 4 * math.ulp(untruncated)
+            ref = self._fsum_norm(line, eta)
+            # 4 ulp, plus the worst-case error of summing n terms in floating
+            # point (the untruncated sum has it too: sequential summation
+            # along axis 0 reaches tens of ulp at eta near 1), scaled by eta
+            # through the outer power.
+            summation = eta * (n - 1) * 2.0**-53 * ref
+            assert abs(out - ref) <= 4 * math.ulp(ref) + summation
+
+    @pytest.mark.parametrize("eta", [0.5, 1e-2, 1e-4, 1e-6, ETA_FLOOR])
+    def test_no_floating_point_exception_down_to_the_floor(self, eta):
+        # Term exponents reach -1000 while the entries stay normal: without
+        # truncation most terms would underflow to subnormals or zero.
+        rng = np.random.default_rng(6)
+        mat = np.exp(eta * rng.uniform(-1000.0, 0.0, size=(40, 30)))
+        with np.errstate(all="raise"):
+            power_norm(mat, eta)
+            power_norm(mat, eta, axis=0)
+            power_norm(mat, eta, axis=1)
 
 
 class TestRowEquilibrate:
@@ -305,6 +367,51 @@ class TestSolve:
         result = solve(small_problem, make_schedule(1e-3, 2, 4.0, 1e-2))
         etas = sorted(set(result.trace.etas), reverse=True)
         assert etas == [4e-3, 1e-3]
+
+    def test_degeneracy_matches_comparing_z_every_step(self):
+        # Reference: the same iteration through z_step, comparing the whole
+        # of z with its predecessor after every step.  At tol 1e-300 only an
+        # exactly uniform s converges, so some runs freeze one rounding short.
+        degenerate = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, m = (int(k) for k in rng.integers(1, 4, size=2))
+            prob = random_problem(rng, n, m)
+            for eta in (1.0, 0.5):
+                state = ZState(row_equilibrate(np.exp(prob.weights))[0], eta=eta)
+                outcome = "max_iters"
+                for k in range(1, 301):
+                    before = state.z
+                    state, _ = z_step(state, prob.row_marginals, prob.col_marginals)
+                    s = prob.col_marginals**eta / power_norm(state.z, eta, axis=0)
+                    if criterion(s, eta) < 1e-300:
+                        outcome = "converged"
+                        break
+                    if np.array_equal(state.z, before):
+                        outcome = "degenerate"
+                        break
+                sched = AnnealingSchedule(((eta, 1e-300),))
+                if outcome == "degenerate":
+                    degenerate += 1
+                    with pytest.raises(NumericalDegeneracy):
+                        solve(prob, sched, SolveOptions(max_iters=300))
+                else:
+                    result = solve(prob, sched, SolveOptions(max_iters=300))
+                    assert result.iterations == k
+                    assert result.converged == (outcome == "converged")
+        assert degenerate > 0
+
+
+class TestIterationCounts:
+    """Iteration counts are deterministic: they are the regression signal."""
+
+    def test_grid64_single_stage(self):
+        result = solve(generate_grid(GridSpec(64)), AnnealingSchedule(((1e-3, 1e-2),)))
+        assert result.stage_iterations == (2426,)
+
+    def test_grid64_annealed(self):
+        result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
+        assert result.stage_iterations == (315, 28, 42, 38, 43, 35, 36, 31, 38, 50, 47, 46)
 
 
 class TestIsoelasticUtility:
