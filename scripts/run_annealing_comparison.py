@@ -12,14 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from balanced_transport import (
-    GridSpec,
-    SolveOptions,
-    generate_grid,
-    make_schedule,
-    run_single_stage,
-    solve,
-)
+from balanced_transport import GridSpec, generate_grid, make_schedule, run_single_stage, solve
 
 
 def main() -> int:
@@ -36,7 +29,7 @@ def main() -> int:
     schedule = make_schedule(args.final_eta, args.stages, args.factor, args.tol)
 
     t0 = time.perf_counter()
-    annealed = solve(problem, schedule, SolveOptions(max_iters=args.max_iters))
+    annealed = solve(problem, schedule, max_iters=args.max_iters)
     t_annealed = time.perf_counter() - t0
     print(
         f"annealed ({args.stages} stages, factor {args.factor}): "

@@ -61,11 +61,8 @@ from .regularized import (
     ETA_FLOOR,
     AnnealingSchedule,
     ConvergenceTrace,
-    RegParams,
-    SolveOptions,
     SolveResult,
-    StepMultipliers,
-    ZState,
+    column_multipliers,
     criterion,
     isoelastic_utility,
     make_schedule,

@@ -34,7 +34,7 @@ from .model import (
     moma_to_ot,
     require_valid,
 )
-from .regularized import AnnealingSchedule, SolveOptions, make_schedule, solve
+from .regularized import AnnealingSchedule, make_schedule, solve
 from .verify import recover_duals, verify_balanced
 
 EXIT_OK = 0
@@ -81,7 +81,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         schedule = _parse_schedule_flag(args.schedule, args.tol)
     else:
         raise ValidationError("one of --eta or --schedule is required")
-    result = solve(problem, schedule, SolveOptions(max_iters=args.max_iters))
+    result = solve(problem, schedule, max_iters=args.max_iters)
 
     outputs = {}
     if args.out_plan:

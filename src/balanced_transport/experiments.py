@@ -17,13 +17,7 @@ import numpy as np
 
 from .errors import ValidationError, ZeroMarginal
 from .model import MAXIMIZE, OTProblem
-from .regularized import (
-    AnnealingSchedule,
-    SolveOptions,
-    SolveResult,
-    make_schedule,
-    solve,
-)
+from .regularized import AnnealingSchedule, SolveResult, make_schedule, solve
 
 GRID_WEIGHT_FUNCTIONS = ("paper-sine",)
 GRID_MARGINAL_FUNCTIONS = ("abs-centered",)
@@ -156,7 +150,7 @@ class SuiteConfig:
 def run_single_stage(problem: OTProblem, eta: float, tol: float, max_iters: int = 100_000,
                      snapshot_stride: Optional[int] = None) -> SolveResult:
     schedule = AnnealingSchedule(((eta, tol),))
-    return solve(problem, schedule, SolveOptions(max_iters=max_iters, snapshot_stride=snapshot_stride))
+    return solve(problem, schedule, max_iters=max_iters, snapshot_stride=snapshot_stride)
 
 
 def trajectory_study(
@@ -213,7 +207,7 @@ def run_suite(config: SuiteConfig) -> ExperimentResult:
         result.plans[label] = run.plan
     schedule = make_schedule(config.schedule_final_eta, config.schedule_stages, config.schedule_factor, config.tol)
     t0 = time.perf_counter()
-    annealed = solve(grid, schedule, SolveOptions(max_iters=config.max_iters))
+    annealed = solve(grid, schedule, max_iters=config.max_iters)
     wall = time.perf_counter() - t0
     result.runs.append(
         RunRecord(

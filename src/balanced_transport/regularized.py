@@ -21,6 +21,15 @@ quantity (1/eta) * log(max_j s_j / min_j s_j) equals the Hilbert distance
 between the plan's column sums and c, giving a stopping criterion for
 free.
 
+The iteration is one kernel, and ``solve`` runs exactly this loop::
+
+    s = column_multipliers(z, c, eta)           # at each stage start
+    z, t, s = z_step(z, s, r, c, eta)           # per iteration
+
+``z_step`` returns the column multipliers of the new z alongside it, so
+each norm is computed once per step: ``s`` is both the stopping
+measurement of the step just taken and the column fit of the next one.
+
 Annealing runs the iteration over a decreasing temperature ladder.  The
 z matrix is carried unchanged between stages: z encodes the dual
 potentials (z_ij = exp(a_ij - lambda_i - mu_j)), so keeping it fixed
@@ -37,7 +46,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import (
-    MaxItersExceeded,
     NonFiniteEntry,
     NonPositiveEntry,
     NumericalDegeneracy,
@@ -101,62 +109,9 @@ def isoelastic_utility(x, eta: float):
     return np.asarray(x, dtype=float) ** (1.0 - eta) / (1.0 - eta)
 
 
-@dataclass(frozen=True)
-class RegParams:
-    """Temperature, stopping threshold, and iteration budget for one stage."""
-
-    eta: float
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-
-    def __post_init__(self):
-        if not (self.eta >= ETA_FLOOR and np.isfinite(self.eta)):
-            raise ValidationError(f"eta must be >= {ETA_FLOOR} (the eta floor), got {self.eta}")
-        if not (self.tol > 0):
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if not (self.max_iters >= 1):
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-
-
-@dataclass(frozen=True)
-class ZState:
-    """Stabilized iteration state: positive matrix z with x = z^(1/eta)."""
-
-    z: np.ndarray
-    eta: float
-    iteration_index: int = 0
-
-    def __post_init__(self):
-        z = np.array(self.z, dtype=float)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteEntry("z contains non-finite entries")
-        if not np.all(z > 0):
-            raise NonPositiveEntry("z must be strictly positive")
-        if not (self.eta >= ETA_FLOOR):
-            raise ValidationError(f"eta must be >= {ETA_FLOOR}, got {self.eta}")
-
-    def plan_values(self) -> np.ndarray:
-        return self.z ** (1.0 / self.eta)
-
-
-@dataclass(frozen=True)
-class StepMultipliers:
-    """Incremental column multipliers s and row multipliers t of one step."""
-
-    s: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        s = np.array(self.s, dtype=float)
-        t = np.array(self.t, dtype=float)
-        if not (np.all(s > 0) and np.all(t > 0)):
-            raise NonPositiveEntry("step multipliers must be strictly positive")
-        s.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+def _check_eta(eta: float) -> None:
+    if not (eta >= ETA_FLOOR and np.isfinite(eta)):
+        raise ValidationError(f"eta must be >= {ETA_FLOOR} (the eta floor), got {eta}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +126,9 @@ class AnnealingSchedule:
         if not stages:
             raise ValidationError("schedule must contain at least one stage")
         for eta, tol in stages:
-            RegParams(eta, tol)  # reuses the bounds checks
+            _check_eta(eta)
+            if not (tol > 0):
+                raise ValidationError(f"tol must be positive, got {tol}")
         etas = [e for e, _ in stages]
         if any(e2 >= e1 for e1, e2 in zip(etas, etas[1:])):
             raise ValidationError(f"stage temperatures must be strictly decreasing, got {etas}")
@@ -184,13 +141,13 @@ class AnnealingSchedule:
 def make_schedule(eta_final: float, stages: int, factor: float, tol: float = DEFAULT_TOL) -> AnnealingSchedule:
     """Geometric ladder: stage k of K has eta = eta_final * factor^(K-1-k).
 
-    The last stage equals ``eta_final`` exactly.
+    The last stage equals ``eta_final`` exactly.  ``AnnealingSchedule``
+    checks every stage's eta and tol.
     """
     if stages < 1:
         raise ValidationError(f"stages must be >= 1, got {stages}")
     if not (factor > 1):
         raise ValidationError(f"factor must be > 1, got {factor}")
-    RegParams(eta_final, tol)
     etas = [eta_final * factor ** (stages - 1 - k) for k in range(stages)]
     etas[-1] = eta_final
     return AnnealingSchedule(tuple((e, tol) for e in etas))
@@ -247,21 +204,6 @@ class SolveResult:
         return int(sum(self.stage_iterations))
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """Knobs for solve that are not part of the schedule itself."""
-
-    max_iters: int = DEFAULT_MAX_ITERS  # per stage
-    snapshot_stride: Optional[int] = None
-    raise_on_max_iters: bool = False
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise ValidationError("snapshot_stride must be >= 1 when given")
-
-
 def row_equilibrate(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Scale each row minimally so it touches one of its column maxima.
 
@@ -292,8 +234,7 @@ def phi_eta_step(alpha: np.ndarray, problem: MOMAProblem, eta: float) -> Tuple[n
     alpha = np.asarray(alpha, dtype=float)
     if not np.all(alpha > 0):
         raise NonPositiveEntry("alpha must be strictly positive")
-    if eta < ETA_FLOOR:
-        raise ValidationError(f"eta must be >= {ETA_FLOOR}, got {eta}")
+    _check_eta(eta)
     b = problem.coefficients
     beta = power_norm(alpha[:, None] * b, eta, axis=0) / problem.col_marginals**eta
     alpha_hat = problem.row_marginals**eta / power_norm(b / beta[None, :], eta, axis=1)
@@ -302,34 +243,40 @@ def phi_eta_step(alpha: np.ndarray, problem: MOMAProblem, eta: float) -> Tuple[n
     return alpha_hat, beta
 
 
-def z_step(state: ZState, r: np.ndarray, c: np.ndarray) -> Tuple[ZState, StepMultipliers]:
-    """One full column-then-row fit of the z matrix.
+def column_multipliers(z: np.ndarray, c: np.ndarray, eta: float) -> np.ndarray:
+    """Column fit of z: s_j = c_j^eta / ||z_:j||_{1/eta}."""
+    return c**eta / power_norm(z, eta, axis=0)
 
-    s_j = c_j^eta / ||z_:j||_{1/eta} rescales the columns; t_i is then
-    computed from the half-updated matrix and rescales the rows.  After
-    the full step the extracted plan's row sums equal r (row fits are
-    exact up to z-domain rounding, which the extraction amplifies by a
-    factor 1/eta).
+
+def z_step(
+    z: np.ndarray, s: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One full column-then-row fit of z, given its column multipliers s.
+
+    s (from ``column_multipliers(z, c, eta)``) rescales the columns; the
+    row multipliers t are then computed from the half-updated matrix and
+    rescale the rows.  Returns (z_next, t, s_next), with s_next the column
+    multipliers of z_next.  After the step the extracted plan's row sums
+    equal r (row fits are exact up to z-domain rounding, which the
+    extraction amplifies by a factor 1/eta).  z, s, r and c are float
+    arrays, and z is strictly positive.
     """
-    eta = state.eta
-    r = np.asarray(r, dtype=float)
-    c = np.asarray(c, dtype=float)
-    s = c**eta / power_norm(state.z, eta, axis=0)
-    z_half = state.z * s[None, :]
+    z_half = z * s[None, :]
     t = r**eta / power_norm(z_half, eta, axis=1)
     z_next = z_half * t[:, None]
     if not np.all(np.isfinite(z_next)):
         raise NonFiniteEntry("z update overflowed")
-    return ZState(z_next, eta, state.iteration_index + 1), StepMultipliers(s, t)
+    return z_next, t, column_multipliers(z_next, c, eta)
 
 
-def criterion(multipliers, eta: float) -> float:
+def criterion(s: np.ndarray, eta: float) -> float:
     """Stopping criterion (1/eta) * log(max_j s_j / min_j s_j).
 
-    Equals the Hilbert distance between the column sums of the plan the
-    multipliers were computed from and the prescribed column sums.
+    Equals the Hilbert distance between the column sums of the plan
+    z^(1/eta) and the prescribed column sums, for s the column multipliers
+    of z.
     """
-    s = multipliers.s if isinstance(multipliers, StepMultipliers) else np.asarray(multipliers, dtype=float)
+    s = np.asarray(s, dtype=float)
     if not np.all(s > 0):
         raise NonPositiveEntry("column multipliers must be strictly positive")
     return _log_spread(s, eta)
@@ -342,25 +289,32 @@ def _log_spread(s: np.ndarray, eta: float) -> float:
 def solve(
     problem: OTProblem,
     schedule: AnnealingSchedule,
-    options: Optional[SolveOptions] = None,
+    *,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    snapshot_stride: Optional[int] = None,
 ) -> SolveResult:
     """Run the annealed scaling iteration on an additive-form problem.
 
     Steps: form b = exp(a) (negating a first for minimization), apply the
     preliminary row equilibration, initialize z = bhat, then per stage
-    iterate full z steps until the criterion measured on the post-step
-    plan drops below the stage tolerance.  z carries over to the next
-    stage unchanged.  The returned scalings are the cumulative products
-    of the step multipliers together with the equilibration, and satisfy
+    iterate ``z_step`` until the criterion measured on the post-step plan
+    drops below the stage tolerance.  z carries over to the next stage
+    unchanged.  The returned scalings are the cumulative products of the
+    step multipliers together with the equilibration, and satisfy
     x_ij = (alpha_i b_ij / beta_j)^(1/eta_final) with b the internal
     (sense-adjusted) coefficients.
 
-    On an exhausted iteration budget the best iterate is returned with
-    ``converged=False`` (or MaxItersExceeded is raised when
-    ``options.raise_on_max_iters`` is set).
+    ``max_iters`` bounds each stage; on an exhausted budget the iterate
+    reached is returned with ``converged=False``.  ``snapshot_stride``
+    records the plan every that many iterations in ``trace.snapshots``.
+    An overflow, division by zero or invalid operation while iterating
+    raises NonFiniteEntry.
     """
     require_valid(problem)
-    opts = options or SolveOptions()
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
+    if snapshot_stride is not None and snapshot_stride < 1:
+        raise ValidationError("snapshot_stride must be >= 1 when given")
     moma = ot_to_moma(problem if problem.sense == MAXIMIZE else OTProblem(
         -problem.weights, problem.row_marginals, problem.col_marginals, MAXIMIZE))
     r = moma.row_marginals
@@ -373,48 +327,44 @@ def solve(
     crit = np.inf
     k_global = 0
     t0 = time.perf_counter()
-    for eta, tol in schedule.stages:
-        # The column multipliers double as the stopping measurement: the s
-        # computed after a full step measures the post-step plan and, if
-        # the stage continues, drives the next column fit.
-        s = c**eta / power_norm(z, eta, axis=0)
-        crit = _log_spread(s, eta)
-        iters = 0
-        while True:
-            z_before, crit_before = z, crit
-            z = z * s[None, :]
-            beta = beta / s
-            t = r**eta / power_norm(z, eta, axis=1)
-            z = z * t[:, None]
-            alpha = alpha * t
-            if not np.all(np.isfinite(z)):
-                raise NonFiniteEntry("z update overflowed")
-            iters += 1
-            k_global += 1
-            s = c**eta / power_norm(z, eta, axis=0)
-            crit = _log_spread(s, eta)
-            trace.record(k_global, eta, crit, time.perf_counter() - t0)
-            if opts.snapshot_stride and k_global % opts.snapshot_stride == 0:
-                trace.snapshots.append((k_global, z ** (1.0 / eta)))
-            if crit < tol:
-                break
-            # An unmoved z recomputes the same s, hence the same criterion,
-            # so the full comparison runs only when the criterion repeats.
-            if crit == crit_before and np.array_equal(z, z_before):
-                raise NumericalDegeneracy(
-                    f"updates no longer move z at eta={eta} while the criterion is {crit:.3g};"
-                    " the temperature is below usable resolution"
-                )
-            if iters >= opts.max_iters:
-                converged = False
-                break
-        stage_iterations.append(iters)
-        if not converged:
-            break
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for eta, tol in schedule.stages:
+                iters = 0
+                s = column_multipliers(z, c, eta)
+                crit = _log_spread(s, eta)
+                while True:
+                    z_before, crit_before = z, crit
+                    beta = beta / s
+                    z, t, s = z_step(z, s, r, c, eta)
+                    alpha = alpha * t
+                    iters += 1
+                    k_global += 1
+                    crit = _log_spread(s, eta)
+                    trace.record(k_global, eta, crit, time.perf_counter() - t0)
+                    if snapshot_stride and k_global % snapshot_stride == 0:
+                        trace.snapshots.append((k_global, z ** (1.0 / eta)))
+                    if crit < tol:
+                        break
+                    # An unmoved z recomputes the same s, hence the same criterion,
+                    # so the full comparison runs only when the criterion repeats.
+                    if crit == crit_before and np.array_equal(z, z_before):
+                        raise NumericalDegeneracy(
+                            f"updates no longer move z at eta={eta} while the criterion is {crit:.3g};"
+                            " the temperature is below usable resolution"
+                        )
+                    if iters >= max_iters:
+                        converged = False
+                        break
+                stage_iterations.append(iters)
+                if not converged:
+                    break
+    except FloatingPointError as exc:
+        raise NonFiniteEntry(f"{exc} at eta={eta} in iteration {k_global + 1}") from exc
     eta_final = schedule.stages[len(stage_iterations) - 1][0]
     x = z ** (1.0 / eta_final)
     plan = TransportPlan.against(x, problem.row_marginals, problem.col_marginals)
-    result = SolveResult(
+    return SolveResult(
         plan=plan,
         scalings=Scalings(alpha, beta),
         trace=trace,
@@ -423,9 +373,3 @@ def solve(
         final_criterion=float(crit),
         final_z=z,
     )
-    if not converged and opts.raise_on_max_iters:
-        raise MaxItersExceeded(
-            f"stage at eta={eta_final} did not reach tol within {opts.max_iters} iterations",
-            partial=result,
-        )
-    return result

@@ -12,7 +12,7 @@ from balanced_transport import (
     AnnealingSchedule,
     GridSpec,
     OTProblem,
-    ZState,
+    column_multipliers,
     criterion,
     generate_grid,
     greedy_northwest,
@@ -33,7 +33,7 @@ from balanced_transport import (
     verify_balanced,
     z_step,
 )
-from conftest import random_problem, supermodular_problem
+from problems import random_problem, supermodular_problem
 
 
 def passline(number: int, label: str) -> None:
@@ -79,15 +79,16 @@ def test_03_formulation_equivalence():
     rng = np.random.default_rng(100)
     for trial in range(20):
         prob = random_problem(rng, 5, 7)
+        r, c = prob.row_marginals, prob.col_marginals
         b = np.exp(prob.weights)
         for eta in (0.5, 0.1):
-            state = ZState(b, eta=eta)
+            z, s = b, column_multipliers(b, c, eta)
             x_ipfp = b ** (1.0 / eta)
             for _ in range(15):
-                state, _ = z_step(state, prob.row_marginals, prob.col_marginals)
-                x_ipfp = x_ipfp * (prob.col_marginals / x_ipfp.sum(axis=0))[None, :]
-                x_ipfp = x_ipfp * (prob.row_marginals / x_ipfp.sum(axis=1))[:, None]
-                assert np.allclose(state.plan_values(), x_ipfp, rtol=1e-8)
+                z, _, s = z_step(z, s, r, c, eta)
+                x_ipfp = x_ipfp * (c / x_ipfp.sum(axis=0))[None, :]
+                x_ipfp = x_ipfp * (r / x_ipfp.sum(axis=1))[:, None]
+                assert np.allclose(z ** (1.0 / eta), x_ipfp, rtol=1e-8)
         seq = ipfp_vector(b, np.ones(5), prob.row_marginals, prob.col_marginals, iters=20)
         mat = ipfp_matrix(b, prob.row_marginals, prob.col_marginals, max_iters=20, tol=0.0,
                           keep_history=True)
@@ -97,14 +98,15 @@ def test_03_formulation_equivalence():
 
 
 def test_04_criterion_identity(small_problem):
-    state = ZState(np.exp(small_problem.weights), eta=1e-2)
+    r, c = small_problem.row_marginals, small_problem.col_marginals
+    z = np.exp(small_problem.weights)
+    s = column_multipliers(z, c, 1e-2)
     iterations = 0
     while True:
-        pre_plan = state.plan_values()
-        state, mult = z_step(state, small_problem.row_marginals, small_problem.col_marginals)
-        crit = criterion(mult, eta=1e-2)
-        hd = hilbert_distance(pre_plan.sum(axis=0), small_problem.col_marginals)
+        crit = criterion(s, eta=1e-2)
+        hd = hilbert_distance((z ** (1.0 / 1e-2)).sum(axis=0), c)
         assert abs(crit - hd) <= 1e-9
+        z, _, s = z_step(z, s, r, c, 1e-2)
         iterations += 1
         if crit < 1e-2 or iterations > 10_000:
             break
@@ -228,14 +230,15 @@ def test_12_stagnation_path(small_problem):
 
 
 def test_13_marginal_conservation(small_problem):
+    r, c = small_problem.row_marginals, small_problem.col_marginals
     for eta in (1e-2, 1e-3):
-        b_hat, _ = row_equilibrate(np.exp(small_problem.weights))
-        state = ZState(b_hat, eta=eta)
+        z, _ = row_equilibrate(np.exp(small_problem.weights))
+        s = column_multipliers(z, c, eta)
         while True:
-            state, mult = z_step(state, small_problem.row_marginals, small_problem.col_marginals)
-            rows = state.plan_values().sum(axis=1)
-            assert np.max(np.abs(rows / small_problem.row_marginals - 1.0)) <= 1e-12
-            if criterion(mult, eta=eta) < 1e-2:
+            z, _, s = z_step(z, s, r, c, eta)
+            rows = (z ** (1.0 / eta)).sum(axis=1)
+            assert np.max(np.abs(rows / r - 1.0)) <= 1e-12
+            if criterion(s, eta=eta) < 1e-2:
                 break
     result = solve(small_problem, AnnealingSchedule(((1e-3, 1e-2),)))
     terminal = hilbert_distance(result.plan.values.sum(axis=0), small_problem.col_marginals)

@@ -31,7 +31,7 @@ from balanced_transport import (
     unweight,
     validate_problem,
 )
-from conftest import random_problem
+from problems import random_problem
 
 
 class TestValidation:

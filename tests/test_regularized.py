@@ -10,15 +10,12 @@ from balanced_transport import (
     AnnealingSchedule,
     GridSpec,
     MINIMIZE,
-    MaxItersExceeded,
+    NonFiniteEntry,
     NonPositiveEntry,
     OTProblem,
-    RegParams,
     NumericalDegeneracy,
-    SolveOptions,
-    StepMultipliers,
     ValidationError,
-    ZState,
+    column_multipliers,
     criterion,
     generate_grid,
     hilbert_distance,
@@ -27,12 +24,13 @@ from balanced_transport import (
     ot_to_moma,
     phi_eta_step,
     power_norm,
+    regularized,
     row_equilibrate,
     small_example,
     solve,
     z_step,
 )
-from conftest import random_problem
+from problems import random_problem
 
 
 class TestPowerNorm:
@@ -196,45 +194,44 @@ class TestZStep:
     def test_eta_one_is_plain_ipfp_on_z(self):
         rng = np.random.default_rng(4)
         prob = random_problem(rng, 4, 6)
+        r, c = prob.row_marginals, prob.col_marginals
         z0 = np.exp(prob.weights)
-        state, mult = z_step(ZState(z0, eta=1.0), prob.row_marginals, prob.col_marginals)
-        manual = z0 * (prob.col_marginals / z0.sum(axis=0))[None, :]
-        manual = manual * (prob.row_marginals / manual.sum(axis=1))[:, None]
-        assert np.allclose(state.z, manual, rtol=1e-14)
+        z, _, _ = z_step(z0, column_multipliers(z0, c, 1.0), r, c, 1.0)
+        manual = z0 * (c / z0.sum(axis=0))[None, :]
+        manual = manual * (r / manual.sum(axis=1))[:, None]
+        assert np.allclose(z, manual, rtol=1e-14)
 
     def test_product_coupling_is_a_fixed_point_at_eta_one(self):
         r = np.array([0.25, 0.75])
         c = np.array([0.4, 0.35, 0.25])
         z0 = np.outer(r, c)
-        state, mult = z_step(ZState(z0, eta=1.0), r, c)
-        assert np.allclose(mult.s, 1.0, atol=1e-14)
-        assert np.allclose(mult.t, 1.0, atol=1e-14)
+        s = column_multipliers(z0, c, 1.0)
+        _, t, s_next = z_step(z0, s, r, c, 1.0)
+        for multipliers in (s, t, s_next):
+            assert np.allclose(multipliers, 1.0, atol=1e-14)
 
     @pytest.mark.parametrize("eta", [0.5, 0.1])
     def test_matches_ipfp_on_powered_matrix(self, eta):
         rng = np.random.default_rng(5)
         prob = random_problem(rng, 5, 7)
-        b = np.exp(prob.weights)
-        state = ZState(b, eta=eta)
-        x_ipfp = b ** (1.0 / eta)
+        r, c = prob.row_marginals, prob.col_marginals
+        z = np.exp(prob.weights)
+        s = column_multipliers(z, c, eta)
+        x_ipfp = z ** (1.0 / eta)
         for _ in range(20):
-            state, _ = z_step(state, prob.row_marginals, prob.col_marginals)
-            x_ipfp = x_ipfp * (prob.col_marginals / x_ipfp.sum(axis=0))[None, :]
-            x_ipfp = x_ipfp * (prob.row_marginals / x_ipfp.sum(axis=1))[:, None]
-            assert np.allclose(state.plan_values(), x_ipfp, rtol=1e-8)
+            z, _, s = z_step(z, s, r, c, eta)
+            x_ipfp = x_ipfp * (c / x_ipfp.sum(axis=0))[None, :]
+            x_ipfp = x_ipfp * (r / x_ipfp.sum(axis=1))[:, None]
+            assert np.allclose(z ** (1.0 / eta), x_ipfp, rtol=1e-8)
 
     def test_row_sums_after_full_step(self, small_problem):
-        b = np.exp(small_problem.weights)
-        state = ZState(b, eta=1e-2)
+        r, c = small_problem.row_marginals, small_problem.col_marginals
+        z = np.exp(small_problem.weights)
+        s = column_multipliers(z, c, 1e-2)
         for _ in range(50):
-            state, _ = z_step(state, small_problem.row_marginals, small_problem.col_marginals)
-            rows = state.plan_values().sum(axis=1)
-            assert np.allclose(rows, small_problem.row_marginals, rtol=1e-12)
-
-    def test_iteration_index_advances(self, small_problem):
-        state = ZState(np.exp(small_problem.weights), eta=0.5)
-        nxt, _ = z_step(state, small_problem.row_marginals, small_problem.col_marginals)
-        assert nxt.iteration_index == 1
+            z, _, s = z_step(z, s, r, c, 1e-2)
+            rows = (z ** (1.0 / 1e-2)).sum(axis=1)
+            assert np.allclose(rows, r, rtol=1e-12)
 
 
 class TestCriterion:
@@ -245,19 +242,19 @@ class TestCriterion:
         assert criterion(np.array([2.0, 1.0]), eta=0.5) == pytest.approx(2.0 * np.log(2.0), rel=1e-14)
 
     def test_identity_with_hilbert_distance_mid_run(self, small_problem):
-        state = ZState(np.exp(small_problem.weights), eta=1e-2)
+        r, c = small_problem.row_marginals, small_problem.col_marginals
+        z = np.exp(small_problem.weights)
+        s = column_multipliers(z, c, 1e-2)
         for _ in range(40):
-            pre_plan = state.plan_values()
-            state, mult = z_step(state, small_problem.row_marginals, small_problem.col_marginals)
-            crit = criterion(mult, eta=1e-2)
-            hd = hilbert_distance(pre_plan.sum(axis=0), small_problem.col_marginals)
-            assert crit == pytest.approx(hd, abs=1e-9)
+            hd = hilbert_distance((z ** (1.0 / 1e-2)).sum(axis=0), c)
+            assert criterion(s, eta=1e-2) == pytest.approx(hd, abs=1e-9)
+            z, _, s = z_step(z, s, r, c, 1e-2)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveEntry):
             criterion(np.array([1.0, 0.0]), eta=0.5)
         with pytest.raises(NonPositiveEntry):
-            StepMultipliers(np.array([1.0, -1.0]), np.array([1.0]))
+            criterion(np.array([1.0, -1.0]), eta=0.5)
 
 
 class TestSchedule:
@@ -285,7 +282,9 @@ class TestSchedule:
         with pytest.raises(ValidationError):
             make_schedule(1e-9, 3, 1.5)  # below the eta floor
         with pytest.raises(ValidationError):
-            RegParams(eta=1e-2, tol=0.0)
+            make_schedule(1e-2, 3, 1.5, tol=0.0)
+        with pytest.raises(ValidationError):
+            AnnealingSchedule(((1e-2, 0.0),))
         with pytest.raises(ValidationError):
             AnnealingSchedule(((1e-3, 1e-2), (1e-3, 1e-2)))  # not decreasing
 
@@ -317,17 +316,26 @@ class TestSolve:
         mask = result.plan.values > 1e-12
         assert np.allclose(rebuilt[mask], result.plan.values[mask], rtol=1e-8)
 
-    def test_solve_matches_manual_z_steps(self, small_problem):
-        result = solve(small_problem, AnnealingSchedule(((1e-2, 1e-2),)))
-        b_hat, _ = row_equilibrate(np.exp(small_problem.weights))
-        state = ZState(b_hat, eta=1e-2)
+    @pytest.mark.parametrize(
+        "schedule",
+        [AnnealingSchedule(((1e-2, 1e-2),)), make_schedule(1e-2, 3, 2.0, 1e-2)],
+        ids=["1-stage", "3-stage"],
+    )
+    def test_solve_matches_manual_z_steps(self, small_problem, schedule):
+        # z carries across stages; s is recomputed at each stage start.
+        result = solve(small_problem, schedule)
+        assert len(result.stage_iterations) == len(schedule.stages)
+        r, c = small_problem.row_marginals, small_problem.col_marginals
+        z, _ = row_equilibrate(np.exp(small_problem.weights))
         crits = []
-        for _ in range(result.iterations):
-            state, _ = z_step(state, small_problem.row_marginals, small_problem.col_marginals)
-            s_next = small_problem.col_marginals**1e-2 / power_norm(state.z, 1e-2, axis=0)
-            crits.append(criterion(s_next, eta=1e-2))
+        for (eta, _), iterations in zip(schedule.stages, result.stage_iterations):
+            s = column_multipliers(z, c, eta)
+            for _ in range(iterations):
+                z, _, s = z_step(z, s, r, c, eta)
+                crits.append(criterion(s, eta))
         assert np.array_equal(np.array(crits), np.array(result.trace.criteria))
-        assert np.array_equal(state.plan_values(), result.plan.values)
+        assert np.array_equal(z, result.final_z)
+        assert np.array_equal(z ** (1.0 / schedule.eta_final), result.plan.values)
 
     def test_minimize_sense(self, small_problem, known_plan):
         negated = OTProblem(-small_problem.weights, small_problem.row_marginals,
@@ -342,20 +350,32 @@ class TestSolve:
         assert result.final_criterion == pytest.approx(hd, abs=1e-9)
 
     def test_max_iters_flagged(self, small_problem):
-        result = solve(small_problem, AnnealingSchedule(((1e-3, 1e-2),)), SolveOptions(max_iters=3))
+        schedule = AnnealingSchedule(((1e-3, 1e-2),))
+        result = solve(small_problem, schedule, max_iters=3)
         assert not result.converged
         assert result.stage_iterations == (3,)
+        with pytest.raises(ValidationError):
+            solve(small_problem, schedule, max_iters=0)
+        with pytest.raises(ValidationError):
+            solve(small_problem, schedule, snapshot_stride=0)
 
-    def test_max_iters_raise_mode(self, small_problem):
-        with pytest.raises(MaxItersExceeded) as err:
-            solve(small_problem, AnnealingSchedule(((1e-3, 1e-2),)),
-                  SolveOptions(max_iters=3, raise_on_max_iters=True))
-        assert err.value.partial is not None
-        assert not err.value.partial.converged
+    @pytest.mark.parametrize("shift", [-700.0, -720.0, -745.0])
+    def test_shifted_weights_converge_or_raise_a_typed_error(self, small_problem, known_plan, shift):
+        # exp(a - 720) is subnormal, and the stage-start column fit divides by
+        # its norm: that overflow must surface as NonFiniteEntry, not as a
+        # numpy warning.
+        shifted = OTProblem(small_problem.weights + shift, small_problem.row_marginals,
+                            small_problem.col_marginals)
+        schedule = AnnealingSchedule(((1e-3, 1e-2),))
+        if shift > -709.0:
+            result = solve(shifted, schedule)
+            assert np.max(np.abs(result.plan.values - known_plan)) < 0.01
+        else:
+            with pytest.raises(NonFiniteEntry, match=r"eta=0\.001 in iteration 1"):
+                solve(shifted, schedule)
 
     def test_trace_is_well_formed(self, small_problem):
-        result = solve(small_problem, make_schedule(1e-3, 3, 2.0, 1e-2),
-                       SolveOptions(snapshot_stride=5))
+        result = solve(small_problem, make_schedule(1e-3, 3, 2.0, 1e-2), snapshot_stride=5)
         ks = result.trace.iterations
         assert all(k2 == k1 + 1 for k1, k2 in zip(ks, ks[1:]))
         assert all(c >= 0 for c in result.trace.criteria)
@@ -377,26 +397,27 @@ class TestSolve:
             rng = np.random.default_rng(seed)
             n, m = (int(k) for k in rng.integers(1, 4, size=2))
             prob = random_problem(rng, n, m)
+            r, c = prob.row_marginals, prob.col_marginals
             for eta in (1.0, 0.5):
-                state = ZState(row_equilibrate(np.exp(prob.weights))[0], eta=eta)
+                z = row_equilibrate(np.exp(prob.weights))[0]
+                s = column_multipliers(z, c, eta)
                 outcome = "max_iters"
                 for k in range(1, 301):
-                    before = state.z
-                    state, _ = z_step(state, prob.row_marginals, prob.col_marginals)
-                    s = prob.col_marginals**eta / power_norm(state.z, eta, axis=0)
+                    before = z
+                    z, _, s = z_step(z, s, r, c, eta)
                     if criterion(s, eta) < 1e-300:
                         outcome = "converged"
                         break
-                    if np.array_equal(state.z, before):
+                    if np.array_equal(z, before):
                         outcome = "degenerate"
                         break
                 sched = AnnealingSchedule(((eta, 1e-300),))
                 if outcome == "degenerate":
                     degenerate += 1
                     with pytest.raises(NumericalDegeneracy):
-                        solve(prob, sched, SolveOptions(max_iters=300))
+                        solve(prob, sched, max_iters=300)
                 else:
-                    result = solve(prob, sched, SolveOptions(max_iters=300))
+                    result = solve(prob, sched, max_iters=300)
                     assert result.iterations == k
                     assert result.converged == (outcome == "converged")
         assert degenerate > 0
@@ -412,6 +433,21 @@ class TestIterationCounts:
     def test_grid64_annealed(self):
         result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
         assert result.stage_iterations == (315, 28, 42, 38, 43, 35, 36, 31, 38, 50, 47, 46)
+
+    def test_grid64_annealed_norm_traffic(self, monkeypatch):
+        # One column norm per stage start plus one column and one row norm
+        # per iteration, all through the module attribute that callers
+        # (and the benchmark tracer) resolve.
+        calls = {0: 0, 1: 0}
+        norm = regularized.power_norm
+
+        def counting(values, eta, axis=None):
+            calls[axis] += 1
+            return norm(values, eta, axis)
+
+        monkeypatch.setattr(regularized, "power_norm", counting)
+        result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
+        assert calls == {0: result.iterations + 12, 1: result.iterations}
 
 
 class TestIsoelasticUtility:

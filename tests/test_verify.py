@@ -22,7 +22,7 @@ from balanced_transport import (
     support_mask,
     verify_balanced,
 )
-from conftest import random_problem, supermodular_problem
+from problems import random_problem, supermodular_problem
 
 positive_vectors = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=8)
 
