@@ -260,12 +260,14 @@ def z_step(
     equal r (row fits are exact up to z-domain rounding, which the
     extraction amplifies by a factor 1/eta).  z, s, r and c are float
     arrays, and z is strictly positive.
+
+    The step makes no finiteness check of its own: ``solve`` runs it under
+    ``np.errstate(over/divide/invalid="raise")``, so an overflow raises
+    there.  Other callers get numpy's floating-point handling in effect.
     """
     z_half = z * s[None, :]
     t = r**eta / power_norm(z_half, eta, axis=1)
     z_next = z_half * t[:, None]
-    if not np.all(np.isfinite(z_next)):
-        raise NonFiniteEntry("z update overflowed")
     return z_next, t, column_multipliers(z_next, c, eta)
 
 

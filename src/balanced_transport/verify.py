@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,8 +83,9 @@ def _support_tree(values: np.ndarray, mask: np.ndarray):
     lightest inconsistent cells.
     """
     n, m = values.shape
-    cells = [(i, j) for i in range(n) for j in range(m) if mask[i, j]]
-    cells.sort(key=lambda ij: (-values[ij], ij))
+    rows, cols = np.nonzero(mask)  # row-major, so the stable sort breaks ties by (i, j)
+    order = np.argsort(-values[mask], kind="stable")
+    cells = zip(rows[order].tolist(), cols[order].tolist())
     parent = list(range(n + m))
 
     def find(u: int) -> int:
@@ -324,93 +325,111 @@ def lp_oracle(problem: Problem) -> OracleResult:
     cost = -a if problem.sense == MAXIMIZE else a
 
     x, basis_list = _northwest_basis(r, c)
-    basis = set(basis_list)
+    # The basis tree lives across pivots, rooted at row 0: a cell mask;
+    # per node (rows 0..n-1, columns n..n+m-1) a map from each tree
+    # neighbour to the cost of the connecting cell; and each node's
+    # parent, depth and dual.  A pivot swaps one edge and re-hangs only the
+    # subtree that the leaving edge cut off.  A dual is fixed by the
+    # node's unique path from the root, so the duals are those a fresh
+    # traversal would give, bit for bit.  The loops run on Python floats,
+    # whose arithmetic is numpy's IEEE double arithmetic.
+    flows = x.tolist()
+    cost_rows = cost.tolist()
+    basic = np.zeros((n, m), dtype=bool)
+    links: List[Dict[int, float]] = [{} for _ in range(n + m)]
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    duals: List[Optional[float]] = [None] * (n + m)
+
+    def link(i: int, j: int) -> None:
+        basic[i, j] = True
+        links[i][n + j] = links[n + j][i] = cost_rows[i][j]
+
+    def hang(top: int, above: int, top_dual: float) -> None:
+        """Set parent, depth and dual on the subtree reached from above via top."""
+        parent[top] = above
+        depth[top] = depth[above] + 1 if above >= 0 else 0
+        duals[top] = top_dual
+        stack = [top]
+        budget = n + m
+        while stack:
+            budget -= 1
+            if budget < 0:
+                raise ValidationError("basis graph is not a spanning tree")  # internal invariant
+            node = stack.pop()
+            up, below, known = parent[node], depth[node] + 1, duals[node]
+            for other, edge_cost in links[node].items():
+                if other != up:
+                    parent[other] = node
+                    depth[other] = below
+                    duals[other] = edge_cost - known  # u_i + v_j = cost_ij
+                    stack.append(other)
+
+    for i, j in basis_list:
+        link(i, j)
+    hang(0, -1, 0.0)
+    if None in duals:
+        raise ValidationError("basis graph is not a spanning tree")  # internal invariant
     max_pivots = 10 * (n + m) * n * m + 1000  # Bland terminates well before this
     pivots = 0
-    u = np.zeros(n)
-    v = np.zeros(m)
     while True:
-        # Duals from the basis tree: u_i + v_j = cost_ij on basic cells.
-        rows_of: List[List[int]] = [[] for _ in range(n)]
-        cols_of: List[List[int]] = [[] for _ in range(m)]
-        for bi, bj in basis:
-            rows_of[bi].append(bj)
-            cols_of[bj].append(bi)
-        u.fill(np.nan)
-        v.fill(np.nan)
-        u[0] = 0.0
-        stack = [("r", 0)]
-        while stack:
-            kind, k = stack.pop()
-            if kind == "r":
-                for j in rows_of[k]:
-                    if np.isnan(v[j]):
-                        v[j] = cost[k, j] - u[k]
-                        stack.append(("c", j))
-            else:
-                for i in cols_of[k]:
-                    if np.isnan(u[i]):
-                        u[i] = cost[i, k] - v[k]
-                        stack.append(("r", i))
-        if np.any(np.isnan(u)) or np.any(np.isnan(v)):
-            raise ValidationError("basis graph is not a spanning tree")  # internal invariant
-
+        u = np.array(duals[:n])
+        v = np.array(duals[n:])
         reduced = cost - u[:, None] - v[None, :]
-        entering = None
-        for i in range(n):  # Bland: smallest (i, j) with negative reduced cost
-            row = reduced[i]
-            for j in range(m):
-                if row[j] < -ORACLE_OPT_TOL and (i, j) not in basis:
-                    entering = (i, j)
-                    break
-            if entering:
-                break
-        if entering is None:
+        # Bland: the smallest (i, j) with negative reduced cost, i.e. the
+        # first candidate in row-major order.
+        candidates = reduced < -ORACLE_OPT_TOL
+        candidates &= ~basic
+        flat = int(np.argmax(candidates))
+        if not candidates.flat[flat]:
             break
+        ei, ej = divmod(flat, m)
 
-        # The unique cycle: path between the entering cell's row and column
-        # through the basis tree, alternating row and column nodes.
-        target = n + entering[1]
-        parent_edge = {entering[0]: None}
-        stack = [entering[0]]
-        adjacency: List[List[Tuple[int, Tuple[int, int]]]] = [[] for _ in range(n + m)]
-        for bi, bj in basis:
-            adjacency[bi].append((n + bj, (bi, bj)))
-            adjacency[n + bj].append((bi, (bi, bj)))
-        while stack:
-            node = stack.pop()
-            if node == target:
-                break
-            for other, edge in adjacency[node]:
-                if other not in parent_edge:
-                    parent_edge[other] = (node, edge)
-                    stack.append(other)
-        if target not in parent_edge:
-            raise ValidationError("entering cell closes no cycle")  # internal invariant
-        path_cells: List[Tuple[int, int]] = []
-        node = target
-        while parent_edge[node] is not None:
-            node, edge = parent_edge[node]
-            path_cells.append(edge)
-        # Orientation: entering gets +, then alternate along the path
-        # starting from the column side of the entering cell.
-        cycle = [entering] + path_cells[::-1]
-        minus_cells = cycle[1::2]
-        theta = min(x[cell] for cell in minus_cells)
-        leaving = min(cell for cell in minus_cells if x[cell] == theta)
-        for k, cell in enumerate(cycle):
-            x[cell] = x[cell] + theta if k % 2 == 0 else x[cell] - theta
-        x[leaving] = 0.0
-        basis.remove(leaving)
-        basis.add(entering)
+        # The unique cycle: climb from the entering cell's column and row to
+        # their common ancestor, then list the tree path from the column
+        # down to the row as cells.
+        row_side, col_side = ei, n + ej
+        from_row: List[int] = []
+        from_col: List[int] = []
+        while row_side != col_side:
+            if row_side < 0 or col_side < 0:
+                raise ValidationError("entering cell closes no cycle")  # internal invariant
+            if depth[row_side] >= depth[col_side]:
+                from_row.append(row_side)
+                row_side = parent[row_side]
+            else:
+                from_col.append(col_side)
+                col_side = parent[col_side]
+        nodes = from_col + [row_side] + from_row[::-1]
+        path = [(p, q - n) if p < n else (q, p - n) for p, q in zip(nodes, nodes[1:])]
+        # The path has odd length; its cells alternate -, +, ..., - around
+        # the entering cell's +.
+        minus_cells = path[0::2]
+        theta = min(flows[i][j] for i, j in minus_cells)
+        leaving = min(cell for cell in minus_cells if flows[cell[0]][cell[1]] == theta)
+        flows[ei][ej] += theta
+        for i, j in minus_cells:
+            flows[i][j] -= theta
+        for i, j in path[1::2]:
+            flows[i][j] += theta
+        li, lj = leaving
+        flows[li][lj] = 0.0
+        basic[li, lj] = False
+        del links[li][n + lj], links[n + lj][li]
+        link(ei, ej)
+        # Re-hang the cut-off subtree from the entering cell's endpoint in it.
+        cut = li if parent[li] == n + lj else n + lj
+        if cut in from_col:
+            hang(n + ej, ei, cost_rows[ei][ej] - duals[ei])
+        else:
+            hang(ei, n + ej, cost_rows[ei][ej] - duals[n + ej])
         pivots += 1
         if pivots > max_pivots:
             raise ValidationError("pivot budget exhausted; this should be unreachable with Bland's rule")
 
+    x = np.array(flows)
     np.clip(x, 0.0, None, out=x)
-    off_mask = np.ones((n, m), dtype=bool)
-    for cell in basis:
-        off_mask[cell] = False
+    off_mask = ~basic
     min_off = float(np.min(reduced[off_mask])) if np.any(off_mask) else np.inf
     if problem.sense == MAXIMIZE:
         lam, mu = -u, -v

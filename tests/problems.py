@@ -5,9 +5,15 @@ import numpy as np
 from balanced_transport import MAXIMIZE, OTProblem
 
 
-def random_problem(rng: np.random.Generator, n: int, m: int, sense: str = MAXIMIZE) -> OTProblem:
-    """Random positive-weight problem with matched marginal totals."""
-    a = rng.uniform(0.0, 1.0, size=(n, m))
+def random_problem(
+    rng: np.random.Generator, n: int, m: int, sense: str = MAXIMIZE, gaussian: bool = False
+) -> OTProblem:
+    """Random problem with matched marginal totals.
+
+    Weights are uniform(0, 1), or standard normal with ``gaussian``;
+    marginals are uniform(0.5, 1.5), the columns scaled to the row total.
+    """
+    a = rng.standard_normal((n, m)) if gaussian else rng.uniform(0.0, 1.0, size=(n, m))
     r = rng.uniform(0.5, 1.5, size=n)
     c = rng.uniform(0.5, 1.5, size=m)
     c *= r.sum() / c.sum()

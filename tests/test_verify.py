@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from balanced_transport import (
     InconsistentSupport,
     LengthMismatch,
+    MAXIMIZE,
     MINIMIZE,
     MOMAProblem,
     NonPositiveEntry,
@@ -22,6 +23,7 @@ from balanced_transport import (
     support_mask,
     verify_balanced,
 )
+from balanced_transport.verify import ORACLE_OPT_TOL, _support_tree
 from problems import random_problem, supermodular_problem
 
 positive_vectors = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=8)
@@ -101,6 +103,33 @@ class TestRecoverDuals:
         mask = support_mask(values)
         assert mask.tolist() == [[True, False], [True, False]]
 
+    def test_support_tree_orders_cells_by_mass_then_index(self):
+        # Reference: Kruskal over the support sorted by (-value, i, j).
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            n, m = rng.integers(1, 9, size=2)
+            values = rng.integers(0, 4, size=(n, m)) * 0.25  # many ties, some zeros
+            mask = support_mask(values)
+            cells = sorted((-values[i, j], i, j) for i in range(n) for j in range(m) if mask[i, j])
+            component = list(range(n + m))
+
+            def find(u):
+                while component[u] != u:
+                    u = component[u]
+                return u
+
+            adjacency = [[] for _ in range(n + m)]
+            non_tree = []
+            for _, i, j in cells:
+                ru, rv = find(i), find(n + j)
+                if ru == rv:
+                    non_tree.append((i, j))
+                else:
+                    component[ru] = rv
+                    adjacency[i].append((n + j, i, j))
+                    adjacency[n + j].append((i, i, j))
+            assert _support_tree(values, mask) == (adjacency, non_tree)
+
 
 class TestVerifyBalanced:
     def test_known_plan_is_balanced(self, small_problem, known_plan):
@@ -178,29 +207,51 @@ class TestLPOracle:
             assert abs(report.duality_gap) <= 1e-9
 
     def test_against_independent_lp_solver(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(14)
         for _ in range(10):
             n, m = rng.integers(2, 7, size=2)
             prob = random_problem(rng, int(n), int(m))
             mine = lp_oracle(prob)
-            a_eq = []
-            b_eq = []
-            for i in range(prob.n):
-                row = np.zeros((prob.n, prob.m))
-                row[i, :] = 1.0
-                a_eq.append(row.ravel())
-                b_eq.append(prob.row_marginals[i])
-            for j in range(prob.m):
-                col = np.zeros((prob.n, prob.m))
-                col[:, j] = 1.0
-                a_eq.append(col.ravel())
-                b_eq.append(prob.col_marginals[j])
-            res = linprog(-prob.weights.ravel(), A_eq=np.array(a_eq), b_eq=np.array(b_eq), method="highs")
-            assert res.status == 0
-            assert mine.objective == pytest.approx(-res.fun, abs=1e-9)
+            value, plan = highs_optimum(prob)
+            assert mine.objective == pytest.approx(value, abs=1e-9)
             if mine.is_unique(1e-7):
-                assert np.allclose(mine.plan.values, res.x.reshape(prob.n, prob.m), atol=1e-7)
+                assert np.allclose(mine.plan.values, plan, atol=1e-7)
+
+    def test_against_independent_lp_solver_at_desk_size(self):
+        rng = np.random.default_rng(17)
+        desk = random_problem(rng, 24, 40, gaussian=True)
+        # Assignment with integer weights in {0, 1, 2}: unit marginals make
+        # every basis degenerate and the ties leave many optimal plans.
+        assignment = OTProblem(rng.integers(0, 3, size=(12, 12)).astype(float),
+                               np.ones(12), np.ones(12), MINIMIZE)
+        for prob in (desk, assignment):
+            mine = lp_oracle(prob)
+            value, _ = highs_optimum(prob)
+            assert mine.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
+            assert verify_balanced(prob, mine.plan, duals=mine.duals).is_balanced
+        # A basic plan of an assignment problem is a permutation matrix.
+        values = mine.plan.values
+        assert np.array_equal(np.sort(values, axis=1)[:, -1], np.ones(12))
+        assert np.count_nonzero(values) == 12
+
+    def test_pinned_pivot_counts_on_desk_problems(self):
+        # Bland's rule fixes the pivot sequence from the northwest start, so
+        # these counts move only if the start, entering or leaving rule does.
+        rng = np.random.default_rng(1)
+        pivots = []
+        for n, m, sense in ((24, 40, MAXIMIZE), (32, 32, MINIMIZE), (48, 36, MAXIMIZE)):
+            prob = random_problem(rng, n, m, sense, gaussian=True)
+            oracle = lp_oracle(prob)
+            pivots.append(oracle.pivots)
+            assert verify_balanced(prob, oracle.plan, duals=oracle.duals).is_balanced
+            assert oracle.min_offbasis_reduced_cost >= -ORACLE_OPT_TOL
+            # The final basis is nondegenerate, hence the plan's support, so a
+            # fresh traversal of it from row 0 gives the same duals bit for bit.
+            assert np.count_nonzero(support_mask(oracle.plan.values)) == n + m - 1
+            fresh = recover_duals(prob, oracle.plan)
+            assert np.array_equal(oracle.duals.lam, fresh.lam)
+            assert np.array_equal(oracle.duals.mu, fresh.mu)
+        assert pivots == [1484, 1037, 3136]
 
     def test_minimize_sense(self, small_problem, known_plan):
         negated = OTProblem(-small_problem.weights, small_problem.row_marginals,
@@ -245,6 +296,19 @@ class TestLPOracle:
         result = lp_oracle(prob)
         report = verify_balanced(prob, result.plan, duals=result.duals)
         assert report.is_balanced
+
+
+def highs_optimum(prob):
+    """Optimal value (in the problem's sense) and plan from scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n, m = prob.n, prob.m
+    rows = np.kron(np.eye(n), np.ones(m))  # sums of x.ravel() over each row
+    cols = np.kron(np.ones(n), np.eye(m))  # and over each column
+    sign = -1.0 if prob.sense == MAXIMIZE else 1.0
+    res = linprog(sign * prob.weights.ravel(), A_eq=np.vstack([rows, cols]),
+                  b_eq=np.concatenate([prob.row_marginals, prob.col_marginals]), method="highs")
+    assert res.status == 0
+    return sign * res.fun, res.x.reshape(n, m)
 
 
 class TestGreedyNorthwest:
