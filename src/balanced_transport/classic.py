@@ -244,12 +244,17 @@ class ConcaveFamily:
         return out
 
 
+#: Bisection stops once a root's bracket is at most this wide.
+ROOT_TOL = 1e-12
+
+#: Bracket doublings allowed per root before RootBracketFailure.
+MAX_BRACKET_EXPANSIONS = 200
+
+
 @dataclass(frozen=True)
 class ConcaveIterationParams:
     tol: float = 1e-10
     max_sweeps: int = 10_000
-    root_tol: float = 1e-12
-    max_bracket_expansions: int = 200
 
 
 @dataclass
@@ -261,38 +266,48 @@ class ConcaveIterationResult:
     plans: List[np.ndarray] = field(default_factory=list)
 
 
-def _solve_monotone(g: Callable[[float], float], start: float, params: ConcaveIterationParams) -> float:
-    """Root of a strictly decreasing scalar g by bracket expansion + bisection."""
-    lo = hi = start
-    glo = g(lo)
+def _line_sums(values: np.ndarray) -> np.ndarray:
+    """Row sums, each rounded as ``values[k].sum()`` alone (pairwise, unlike
+    ``values.T.sum(axis=0)``, which adds rows one after another)."""
+    return np.ascontiguousarray(values).sum(axis=1)
+
+
+def _line_roots(g: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> np.ndarray:
+    """Roots of independent strictly decreasing g_k, one ``g`` call per step.
+
+    ``g`` maps probe points t to the values g_k(t_k).  Each entry brackets
+    from ``start`` (step 1, doubling) and bisects with the arithmetic and
+    stopping tests it would have alone; a stopped entry is probed again at
+    its last point.  A NaN value ends the expansion and counts as negative.
+    """
+    lo = hi = t = start
+    g0 = g(t)
+    down = g0 < 0  # need g(lo) >= 0: move lo left
+    up = g0 > 0  # need g(hi) <= 0: move hi right
     step = 1.0
-    expansions = 0
-    while glo < 0:  # need g(lo) >= 0: move left
-        lo -= step
-        step *= 2.0
-        glo = g(lo)
-        expansions += 1
-        if expansions > params.max_bracket_expansions:
-            raise RootBracketFailure("could not bracket the root from below")
-    step = 1.0
-    ghi = g(hi)
-    expansions = 0
-    while ghi > 0:  # need g(hi) <= 0: move right
-        hi += step
-        step *= 2.0
-        ghi = g(hi)
-        expansions += 1
-        if expansions > params.max_bracket_expansions:
-            raise RootBracketFailure("could not bracket the root from above")
-    while hi - lo > params.root_tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    for _ in range(MAX_BRACKET_EXPANSIONS):
+        if not (down.any() or up.any()):
             break
-        if g(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        lo = np.where(down, lo - step, lo)
+        hi = np.where(up, hi + step, hi)
+        t = np.where(down, lo, np.where(up, hi, t))
+        step *= 2.0
+        gt = g(t)
+        down &= gt < 0
+        up &= gt > 0
+    stuck = down | up
+    if stuck.any():
+        side = "below" if down[np.argmax(stuck)] else "above"
+        raise RootBracketFailure(f"could not bracket the root from {side}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > ROOT_TOL) & (mid != lo) & (mid != hi)
+        if not live.any():
+            return mid
+        t = np.where(live, mid, t)
+        above = g(t) >= 0
+        lo = np.where(live & above, mid, lo)
+        hi = np.where(live & ~above, mid, hi)
 
 
 def concave_iteration(
@@ -307,7 +322,8 @@ def concave_iteration(
 
     Given lambda, each mu_j solves sum_i F_ij(lambda_i + mu_j) = c_j (a
     scalar strictly monotone root problem); given mu, each lambda_i
-    solves sum_j F_ij(lambda_i + mu_j) = r_i.  The plan at any stage is
+    solves sum_j F_ij(lambda_i + mu_j) = r_i.  The independent roots of a
+    half-sweep are solved together.  The plan at any stage is
     x_ij = F_ij(lambda_i + mu_j).  Stops when the worst relative column
     residual of the post-sweep plan falls below ``params.tol``.
     """
@@ -315,25 +331,15 @@ def concave_iteration(
     r = np.asarray(r, dtype=float)
     c = np.asarray(c, dtype=float)
     lam = np.asarray(lambda0, dtype=float).copy()
+    for name, vec, size in (("r", r, family.n), ("c", c, family.m), ("lambda0", lam, family.n)):
+        if vec.shape != (size,):
+            raise LengthMismatch(f"{name} has shape {vec.shape}, expected ({size},) for family {family.label!r}")
     mu = np.zeros(family.m)
     residuals: List[float] = []
     plans: List[np.ndarray] = []
-
-    def column_value(j: int, mu_j: float) -> float:
-        T = lam[:, None] + mu[None, :]
-        T[:, j] = lam + mu_j
-        return float(family.evaluate(T)[:, j].sum()) - c[j]
-
-    def row_value(i: int, lam_i: float) -> float:
-        T = lam[:, None] + mu[None, :]
-        T[i, :] = lam_i + mu
-        return float(family.evaluate(T)[i, :].sum()) - r[i]
-
     for sweep in range(1, params.max_sweeps + 1):
-        for j in range(family.m):
-            mu[j] = _solve_monotone(lambda t: column_value(j, t), mu[j], params)
-        for i in range(family.n):
-            lam[i] = _solve_monotone(lambda t: row_value(i, t), lam[i], params)
+        mu = _line_roots(lambda t: _line_sums(family.evaluate(lam[:, None] + t[None, :]).T) - c, mu)
+        lam = _line_roots(lambda t: _line_sums(family.evaluate(t[:, None] + mu[None, :])) - r, lam)
         plan = family.evaluate(lam[:, None] + mu[None, :])
         resid = float(np.max(np.abs(plan.sum(axis=0) / c - 1.0)))
         residuals.append(resid)

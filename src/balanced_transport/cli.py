@@ -158,8 +158,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"max_dual_infeasibility: {report.max_dual_infeasibility:.6g}")
     print(f"row_residual: {report.marginal_residuals[0]:.6g}")
     print(f"col_residual: {report.marginal_residuals[1]:.6g}")
-    print(f"objective: {report.objectives.total_ot_value:.12g}")
-    print(f"dual_value: {report.objectives.dual_value:.12g}")
+    print(f"objective: {report.objective:.12g}")
+    print(f"dual_value: {report.dual_value:.12g}")
     print(f"duality_gap: {report.duality_gap:.6g}")
     if report.is_balanced:
         return EXIT_OK

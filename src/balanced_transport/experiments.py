@@ -19,10 +19,6 @@ from .errors import ValidationError, ZeroMarginal
 from .model import MAXIMIZE, OTProblem
 from .regularized import AnnealingSchedule, SolveResult, make_schedule, solve
 
-GRID_WEIGHT_FUNCTIONS = ("paper-sine",)
-GRID_MARGINAL_FUNCTIONS = ("abs-centered",)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Square grid problem: radial sine weights, tent-shaped marginals.
@@ -32,16 +28,10 @@ class GridSpec:
     """
 
     size: int
-    weight_function: str = "paper-sine"
-    marginal_function: str = "abs-centered"
 
     def __post_init__(self):
         if self.size < 2:
             raise ValidationError(f"grid size must be >= 2, got {self.size}")
-        if self.weight_function not in GRID_WEIGHT_FUNCTIONS:
-            raise ValidationError(f"unknown weight function {self.weight_function!r}")
-        if self.marginal_function not in GRID_MARGINAL_FUNCTIONS:
-            raise ValidationError(f"unknown marginal function {self.marginal_function!r}")
 
 
 def generate_grid(spec: GridSpec) -> OTProblem:

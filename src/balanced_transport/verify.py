@@ -30,11 +30,9 @@ from .model import (
     MAXIMIZE,
     MINIMIZE,
     DualPotentials,
-    ObjectiveReport,
     Problem,
     TransportPlan,
     additive_weights,
-    objective_report,
     require_valid,
 )
 
@@ -182,7 +180,8 @@ class KKTReport:
     max_slackness_violation: float
     max_dual_infeasibility: float
     marginal_residuals: Tuple[float, float]
-    objectives: ObjectiveReport
+    objective: float
+    dual_value: float
     duality_gap: float
 
 
@@ -220,9 +219,8 @@ def verify_balanced(
     infeas = float(np.max(np.clip(np.expm1(gap_matrix[off]), 0.0, None))) if np.any(off) else 0.0
     row_res = float(np.max(np.abs(plan.values.sum(axis=1) / problem.row_marginals - 1.0)))
     col_res = float(np.max(np.abs(plan.values.sum(axis=0) / problem.col_marginals - 1.0)))
-    objectives = objective_report(problem, plan, duals)
-    primal = objectives.total_ot_value
-    dual_value = objectives.dual_value
+    primal = plan.objective(problem)
+    dual_value = duals.value(problem.row_marginals, problem.col_marginals)
     gap = dual_value - primal if problem.sense == MAXIMIZE else primal - dual_value
     balanced = slack <= rtol and infeas <= rtol and row_res <= rtol and col_res <= rtol
     return KKTReport(
@@ -230,7 +228,8 @@ def verify_balanced(
         max_slackness_violation=slack,
         max_dual_infeasibility=infeas,
         marginal_residuals=(row_res, col_res),
-        objectives=objectives,
+        objective=primal,
+        dual_value=dual_value,
         duality_gap=float(gap),
     )
 

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from balanced_transport import (
     ConcaveFamily,
     ConcaveIterationParams,
+    LengthMismatch,
     MaxItersExceeded,
     NonPositiveEntry,
     RootBracketFailure,
@@ -23,6 +26,7 @@ from balanced_transport import (
     small_example_stagnation_matrices,
     z_step,
 )
+from balanced_transport.classic import MAX_BRACKET_EXPANSIONS, ROOT_TOL, _line_sums
 from problems import random_problem
 
 # Quotient/product chains in IEEE arithmetic wobble by an ulp or two, so
@@ -170,7 +174,138 @@ class TestIPFPMatrix:
             ipfp_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2), np.ones(2))
 
 
+def per_line_concave_iteration(family, r, c, lambda0, params):
+    """Reference: one scalar bracket-and-bisect per line, in line order,
+    each probe evaluating the whole matrix and keeping one line of it.
+    Returns (sweeps, lam, mu, plan, residuals)."""
+
+    def root(g, start):
+        lo = hi = start
+        glo = g(lo)
+        step, expansions = 1.0, 0
+        while glo < 0:
+            lo -= step
+            step *= 2.0
+            glo = g(lo)
+            expansions += 1
+            if expansions > MAX_BRACKET_EXPANSIONS:
+                raise RootBracketFailure("could not bracket the root from below")
+        ghi = g(hi)
+        step, expansions = 1.0, 0
+        while ghi > 0:
+            hi += step
+            step *= 2.0
+            ghi = g(hi)
+            expansions += 1
+            if expansions > MAX_BRACKET_EXPANSIONS:
+                raise RootBracketFailure("could not bracket the root from above")
+        while hi - lo > ROOT_TOL:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if g(mid) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def column(j, t):
+        T = lam[:, None] + mu[None, :]
+        T[:, j] = lam + t
+        return float(family.evaluate(T)[:, j].sum()) - c[j]
+
+    def row(i, t):
+        T = lam[:, None] + mu[None, :]
+        T[i, :] = t + mu
+        return float(family.evaluate(T)[i, :].sum()) - r[i]
+
+    lam = np.array(lambda0, dtype=float)
+    mu = np.zeros(family.m)
+    residuals = []
+    for sweep in range(1, params.max_sweeps + 1):
+        for j in range(family.m):
+            mu[j] = root(lambda t: column(j, t), mu[j])
+        for i in range(family.n):
+            lam[i] = root(lambda t: row(i, t), lam[i])
+        plan = family.evaluate(lam[:, None] + mu[None, :])
+        residuals.append(float(np.max(np.abs(plan.sum(axis=0) / c - 1.0))))
+        if residuals[-1] <= params.tol:
+            return sweep, lam, mu, plan, residuals
+    raise MaxItersExceeded("the per-line reference did not converge")
+
+
+def assert_matches_the_per_line_reference(family, r, c, params):
+    args = (family, r, c, np.zeros(family.n), params)
+    sweeps, lam, mu, plan, residuals = per_line_concave_iteration(*args)
+    out = concave_iteration(*args)
+    assert (out.sweeps, out.residuals) == (sweeps, residuals)
+    assert np.array_equal(out.duals.lam, lam)
+    assert np.array_equal(out.duals.mu, mu)
+    assert np.array_equal(out.plan, plan)
+
+
+def counting_family(family, calls):
+    """The family with an inverse_marginal that appends each call's shape
+    to ``calls``; the constructor's probes are dropped."""
+    inner = family.inverse_marginal
+
+    def inverse_marginal(T):
+        calls.append(T.shape)
+        return inner(T)
+
+    counted = dataclasses.replace(family, inverse_marginal=inverse_marginal)
+    calls.clear()
+    return counted
+
+
 class TestConcaveIteration:
+    @pytest.mark.parametrize("seed, n, m, gaussian, eta", [
+        (1, 6, 6, False, 0.1),
+        (2, 12, 7, False, 0.1),
+        (3, 10, 4, True, 0.3),
+        (5, 9, 9, True, 0.5),
+        (6, 4, 9, False, 0.2),
+    ])
+    def test_matches_the_per_line_reference_bit_for_bit(self, seed, n, m, gaussian, eta):
+        prob = random_problem(np.random.default_rng(seed), n, m, gaussian=gaussian)
+        assert_matches_the_per_line_reference(entropic_family(prob.weights, eta), prob.row_marginals,
+                                              prob.col_marginals, ConcaveIterationParams(tol=1e-8))
+
+    def test_isoelastic_family_matches_the_per_line_reference_bit_for_bit(self, small_problem):
+        assert_matches_the_per_line_reference(
+            isoelastic_family(ot_to_moma(small_problem).coefficients, 0.5), small_problem.row_marginals,
+            small_problem.col_marginals, ConcaveIterationParams(tol=1e-11, max_sweeps=500),
+        )
+
+    def test_line_sums_add_each_line_as_it_is_summed_alone(self):
+        # numpy sums a lone line of 9 or more entries pairwise, but
+        # sum(axis=0) adds rows one after another and rounds differently.
+        values = np.random.default_rng(3).uniform(size=(40, 7))
+        for v in (values, values.T):
+            assert np.array_equal(_line_sums(v), [line.sum() for line in v])
+
+    def test_one_evaluation_per_step_of_a_half_sweep(self):
+        # Solving each line on its own took 25828 evaluations here.
+        prob = random_problem(np.random.default_rng(12), 12, 12)
+        calls = []
+        family = counting_family(entropic_family(prob.weights, 0.1), calls)
+        out = concave_iteration(family, prob.row_marginals, prob.col_marginals, np.zeros(12),
+                                ConcaveIterationParams(tol=1e-8))
+        assert out.sweeps == 25
+        assert len(calls) == 2128
+        assert set(calls) == {(12, 12)}
+
+    @pytest.mark.parametrize("r, c, lambda0", [
+        ([0.25, 0.25, 0.5, 7.0], [0.2, 0.6, 0.2], [0.0, 0.0, 0.0]),
+        ([0.25, 0.25], [0.2, 0.6, 0.2], [0.0, 0.0, 0.0]),
+        ([0.25, 0.25, 0.5], [0.2, 0.6, 0.2, 7.0], [0.0, 0.0, 0.0]),
+        ([0.25, 0.25, 0.5], [0.2, 0.6, 0.2], [0.0, 0.0, 0.0, 0.0]),
+    ], ids=["long-r", "short-r", "long-c", "long-lambda0"])
+    def test_lengths_must_match_the_family(self, small_problem, r, c, lambda0):
+        family = entropic_family(small_problem.weights, 0.5)
+        with pytest.raises(LengthMismatch):
+            concave_iteration(family, np.array(r), np.array(c), np.array(lambda0))
+
     def test_scalar_problem(self):
         family = entropic_family(np.array([[0.4]]), eta=0.5)
         out = concave_iteration(family, np.array([2.0]), np.array([2.0]), np.zeros(1))

@@ -52,8 +52,6 @@ class TestGridGeneration:
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             GridSpec(1)
-        with pytest.raises(ValidationError):
-            GridSpec(4, weight_function="unknown")
 
 
 class TestSmallExample:

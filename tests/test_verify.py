@@ -137,7 +137,18 @@ class TestVerifyBalanced:
         report = verify_balanced(small_problem, plan)
         assert report.is_balanced
         assert abs(report.duality_gap) <= 1e-9
-        assert report.objectives.total_ot_value == pytest.approx(0.545, abs=1e-12)
+        assert report.objective == pytest.approx(0.545, abs=1e-12)
+
+    def test_oracle_plan_certifies_beyond_the_exp_range(self, small_problem):
+        # exp(720 + a) overflows; every checked field is additive, so the
+        # certificate must not form the multiplicative weights.
+        shifted = OTProblem(small_problem.weights + 720.0, small_problem.row_marginals,
+                            small_problem.col_marginals)
+        oracle = lp_oracle(shifted)
+        report = verify_balanced(shifted, oracle.plan)
+        assert report.is_balanced
+        assert report.objective == pytest.approx(720.0 + 0.545, abs=1e-9)
+        assert abs(report.duality_gap) <= 1e-9
 
     def test_constant_coefficients_accept_the_product_plan(self):
         moma = MOMAProblem(np.full((2, 3), 2.0), [0.5, 0.5], [0.3, 0.4, 0.3])
