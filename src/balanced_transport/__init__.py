@@ -39,23 +39,19 @@ from .model import (
     DualPotentials,
     MOMAProblem,
     MongeCheckResult,
-    ObjectiveReport,
     OTProblem,
     Scalings,
     TransformSpec,
     TransportPlan,
-    ValidationResult,
     additive_weights,
     conjugate_linear,
     map_plan_from_unweighted,
     moma_to_ot,
     monge_check,
-    objective_report,
     ot_to_moma,
     rescale,
     require_valid,
     unweight,
-    validate_problem,
 )
 from .regularized import (
     ETA_FLOOR,
@@ -97,14 +93,10 @@ from .verify import (
     verify_balanced,
 )
 from .experiments import (
-    ExperimentResult,
     GridSpec,
-    RunRecord,
-    SuiteConfig,
     TrajectoryVisit,
     generate_grid,
     run_single_stage,
-    run_suite,
     small_example,
     small_example_solution,
     small_example_stagnation_matrices,

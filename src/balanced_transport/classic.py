@@ -26,7 +26,7 @@ from .errors import (
 )
 from .model import DualPotentials
 
-#: Default relative fixed-point tolerance for eigenvalue reports.
+#: Relative fixed-point tolerance of eigenvalue reports.
 FIXED_POINT_RTOL = 1e-6
 
 #: Cycle detection: no 10% improvement of the running-minimum column error
@@ -75,19 +75,20 @@ class FixedPointReport:
         object.__setattr__(self, "component_ratios", ratios)
 
 
-def fixed_point_report(alpha: np.ndarray, alpha_hat: np.ndarray, rtol: float = FIXED_POINT_RTOL) -> FixedPointReport:
+def fixed_point_report(alpha: np.ndarray, alpha_hat: np.ndarray) -> FixedPointReport:
     """Compare an iterate with its update: ratios alpha_hat / alpha.
 
     ``theta`` is the largest componentwise ratio; the state counts as a
-    fixed point when every ratio is within ``rtol`` of 1 (at a true
-    fixed point the eigenvalue is forced to 1 by global feasibility).
+    fixed point when every ratio is within ``FIXED_POINT_RTOL`` of 1 (at
+    a true fixed point the eigenvalue is forced to 1 by global
+    feasibility).
     """
     alpha = np.asarray(alpha, dtype=float)
     alpha_hat = np.asarray(alpha_hat, dtype=float)
     ratios = alpha_hat / alpha
     return FixedPointReport(
         theta=float(np.max(ratios)),
-        is_fixed_point=bool(np.max(np.abs(ratios - 1.0)) <= rtol),
+        is_fixed_point=bool(np.max(np.abs(ratios - 1.0)) <= FIXED_POINT_RTOL),
         component_ratios=ratios,
     )
 
@@ -211,28 +212,23 @@ class ConcaveFamily:
 
     ``inverse_marginal`` maps an (n, m) matrix T of multiplier sums
     lambda_i + mu_j to the elementwise values F_ij(T_ij); each F_ij must
-    be strictly decreasing and positive on the real line.  ``bracket_lo``
-    and ``bracket_hi`` seed the root brackets.
+    be strictly decreasing and positive on the real line.  Construction
+    spot-checks both properties at t = -1, 0 and 1; the iteration's root
+    brackets start from the previous multipliers.
     """
 
     label: str
     n: int
     m: int
     inverse_marginal: Callable[[np.ndarray], np.ndarray]
-    bracket_lo: float = -1.0
-    bracket_hi: float = 1.0
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValidationError("family dimensions must be >= 1")
-        if not self.bracket_lo < self.bracket_hi:
-            raise ValidationError("bracket_lo must be below bracket_hi")
-        # Spot-check decrease and positivity at three probe points.
-        probes = np.linspace(self.bracket_lo, self.bracket_hi, 3)
-        vals = [self.evaluate(np.full((self.n, self.m), t)) for t in probes]
+        vals = [self.evaluate(np.full((self.n, self.m), t)) for t in (-1.0, 0.0, 1.0)]
         for v in vals:
             if not np.all(v > 0):
-                raise ValidationError(f"family {self.label!r} is not positive on its bracket")
+                raise ValidationError(f"family {self.label!r} is not positive on [-1, 1]")
         for lo, hi in zip(vals, vals[1:]):
             if not np.all(hi < lo):
                 raise ValidationError(f"family {self.label!r} is not strictly decreasing")

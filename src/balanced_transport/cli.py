@@ -73,14 +73,10 @@ def _load_ot_problem(path: str) -> OTProblem:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = _load_ot_problem(args.problem)
-    if args.eta is not None and args.schedule is not None:
-        raise ValidationError("give either --eta or --schedule, not both")
     if args.eta is not None:
         schedule = AnnealingSchedule(((args.eta, args.tol),))
-    elif args.schedule is not None:
-        schedule = _parse_schedule_flag(args.schedule, args.tol)
     else:
-        raise ValidationError("one of --eta or --schedule is required")
+        schedule = _parse_schedule_flag(args.schedule, args.tol)
     result = solve(problem, schedule, max_iters=args.max_iters)
 
     outputs = {}
@@ -132,12 +128,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.preset == "small-example":
         problem = small_example()
-    elif args.preset == "paper-grid":
+    else:
         if args.size is None:
             raise ValidationError("--size is required for the paper-grid preset")
         problem = generate_grid(GridSpec(args.size))
-    else:
-        raise ValidationError(f"unknown preset {args.preset!r}")
     write_problem(problem, args.out)
     print(f"wrote {args.preset} problem ({problem.n} x {problem.m}) to {args.out}")
     return EXIT_OK
@@ -187,8 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the annealed scaling solver on a problem file")
     p_solve.add_argument("problem", help="problem file (JSON)")
-    p_solve.add_argument("--eta", type=float, default=None, help="single-stage temperature")
-    p_solve.add_argument(
+    ladder = p_solve.add_mutually_exclusive_group(required=True)
+    ladder.add_argument("--eta", type=float, default=None, help="single-stage temperature")
+    ladder.add_argument(
         "--schedule", default=None, help="annealing ladder, e.g. stages=12,factor=1.5,final=1e-4"
     )
     p_solve.add_argument("--tol", type=float, default=1e-2, help="stopping tolerance per stage (default 0.01)")

@@ -1,23 +1,20 @@
-"""Built-in test problems and the reproduction suite.
+"""Built-in test problems and the single-run helpers the scripts share.
 
 Provides the radial-sine grid family, the 3x3 worked example with its
 known optimum and the row-balanced matrices near which the solution path
-stalls, plus runners for the temperature sweep, the annealing
-comparison, and the stagnation-trajectory study.
+stalls, a single-temperature run, and the stagnation-trajectory study.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError, ZeroMarginal
 from .model import MAXIMIZE, OTProblem
-from .regularized import AnnealingSchedule, SolveResult, make_schedule, solve
+from .regularized import AnnealingSchedule, SolveResult, solve
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -79,40 +76,6 @@ def small_example_stagnation_matrices() -> List[np.ndarray]:
     ]
 
 
-def problem_digest(problem: OTProblem) -> str:
-    """Stable hex digest of the problem data, for result bookkeeping."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(problem.weights).tobytes())
-    h.update(np.ascontiguousarray(problem.row_marginals).tobytes())
-    h.update(np.ascontiguousarray(problem.col_marginals).tobytes())
-    h.update(problem.sense.encode())
-    return h.hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One solver run: configuration plus outcome counters."""
-
-    label: str
-    eta: float
-    tol: float
-    iterations: int
-    final_criterion: float
-    wall_time: float
-    converged: bool
-
-
-@dataclass
-class ExperimentResult:
-    """All runs of one suite invocation on one problem."""
-
-    digest: str
-    runs: List[RunRecord] = field(default_factory=list)
-    traces: dict = field(default_factory=dict)
-    plans: dict = field(default_factory=dict)
-    trajectory_visits: Optional[List["TrajectoryVisit"]] = None
-
-
 @dataclass(frozen=True)
 class TrajectoryVisit:
     """Closest approach of the solution path to one target matrix."""
@@ -120,21 +83,6 @@ class TrajectoryVisit:
     target_index: int
     min_distance: float
     at_iteration: int
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Configuration of run_suite."""
-
-    grid_size: int = 64
-    single_etas: Tuple[float, ...] = (1e-2, 1e-3)
-    schedule_stages: int = 12
-    schedule_factor: float = 1.5
-    schedule_final_eta: float = 1e-4
-    tol: float = 1e-2
-    max_iters: int = 100_000
-    trajectory_eta: float = 1e-3
-    include_trajectory: bool = True
 
 
 def run_single_stage(problem: OTProblem, eta: float, tol: float, max_iters: int = 100_000,
@@ -170,64 +118,3 @@ def trajectory_study(
             )
         )
     return visits, result
-
-
-def visited_targets(visits: Sequence[TrajectoryVisit], threshold: float) -> List[int]:
-    """Indices of targets approached within the threshold."""
-    return [v.target_index for v in visits if v.min_distance <= threshold]
-
-
-def run_suite(config: SuiteConfig) -> ExperimentResult:
-    """Temperature sweep, annealed run, and the small-example trajectory study.
-
-    Partial results are kept: each finished run is recorded even if a
-    later one fails to converge within its budget.
-    """
-    grid = generate_grid(GridSpec(config.grid_size))
-    result = ExperimentResult(digest=problem_digest(grid))
-    for eta in config.single_etas:
-        t0 = time.perf_counter()
-        run = run_single_stage(grid, eta, config.tol, config.max_iters)
-        wall = time.perf_counter() - t0
-        label = f"single_eta_{eta:g}"
-        result.runs.append(
-            RunRecord(label, eta, config.tol, run.iterations, run.final_criterion, wall, run.converged)
-        )
-        result.traces[label] = run.trace
-        result.plans[label] = run.plan
-    schedule = make_schedule(config.schedule_final_eta, config.schedule_stages, config.schedule_factor, config.tol)
-    t0 = time.perf_counter()
-    annealed = solve(grid, schedule, max_iters=config.max_iters)
-    wall = time.perf_counter() - t0
-    result.runs.append(
-        RunRecord(
-            "annealed",
-            config.schedule_final_eta,
-            config.tol,
-            annealed.iterations,
-            annealed.final_criterion,
-            wall,
-            annealed.converged,
-        )
-    )
-    result.traces["annealed"] = annealed.trace
-    result.plans["annealed"] = annealed.plan
-    if config.include_trajectory:
-        visits, study = trajectory_study(
-            small_example(), small_example_stagnation_matrices(), config.trajectory_eta, config.tol, config.max_iters
-        )
-        result.traces["trajectory"] = study.trace
-        result.plans["trajectory"] = study.plan
-        result.runs.append(
-            RunRecord(
-                "trajectory",
-                config.trajectory_eta,
-                config.tol,
-                study.iterations,
-                study.final_criterion,
-                float("nan"),
-                study.converged,
-            )
-        )
-        result.trajectory_visits = visits
-    return result

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +60,19 @@ def write_problem(problem: Problem, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _number_list(doc: dict, key: str, length: int, expected: str, path) -> np.ndarray:
+    """Field ``key`` of a problem document as a float vector of ``length`` entries."""
+    try:
+        values = np.array(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"problem file {path}: {key} is not a list of numbers ({exc})") from exc
+    if values.ndim != 1:
+        raise ProblemFileError(f"problem file {path}: {key} is not a flat list of numbers")
+    if values.shape[0] != length:
+        raise ProblemFileError(f"{key} has {values.shape[0]} entries, expected {expected}")
+    return values
+
+
 def read_problem(path: Union[str, Path]) -> Problem:
     """Parse a problem file, checking lengths against the declared shape."""
     text = Path(path).read_text()
@@ -67,25 +80,23 @@ def read_problem(path: Union[str, Path]) -> Problem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"invalid problem file {path}: {exc.msg}", exc.lineno, exc.colno) from exc
+    if not isinstance(doc, dict):
+        raise ProblemFileError(f"problem file {path} is not a JSON object")
     for key in ("n", "m", "sense", "form", "weights", "r", "c"):
         if key not in doc:
             raise ProblemFileError(f"problem file {path} is missing field {key!r}")
-    n, m = int(doc["n"]), int(doc["m"])
+    try:
+        n, m = int(doc["n"]), int(doc["m"])
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"problem file {path}: n and m must be integers ({exc})") from exc
     if n < 1 or m < 1:
         raise ProblemFileError(f"problem file {path} declares invalid shape ({n}, {m})")
-    weights = doc["weights"]
-    if len(weights) != n * m:
-        raise ProblemFileError(f"weights array has {len(weights)} entries, expected n*m = {n * m}")
-    if len(doc["r"]) != n:
-        raise ProblemFileError(f"r has {len(doc['r'])} entries, expected n = {n}")
-    if len(doc["c"]) != m:
-        raise ProblemFileError(f"c has {len(doc['c'])} entries, expected m = {m}")
+    matrix = _number_list(doc, "weights", n * m, f"n*m = {n * m}", path).reshape(n, m)
+    r = _number_list(doc, "r", n, f"n = {n}", path)
+    c = _number_list(doc, "c", m, f"m = {m}", path)
     sense = doc["sense"]
     if sense not in (MAXIMIZE, MINIMIZE):
         raise ProblemFileError(f"unknown sense {sense!r}")
-    matrix = np.array(weights, dtype=float).reshape(n, m)
-    r = np.array(doc["r"], dtype=float)
-    c = np.array(doc["c"], dtype=float)
     if doc["form"] == FORM_ADDITIVE:
         return OTProblem(matrix, r, c, sense)
     if doc["form"] == FORM_MULTIPLICATIVE:
@@ -125,7 +136,6 @@ def read_matrix_csv(path: Union[str, Path]) -> np.ndarray:
 
 
 _TRACE_HEADER = "iter,eta,criterion,wall_time"
-_LEGACY_TRACE_HEADER = "iter,eta,criterion"
 
 
 def write_trace_csv(trace: ConvergenceTrace, path: Union[str, Path]) -> None:
@@ -139,24 +149,17 @@ def write_trace_csv(trace: ConvergenceTrace, path: Union[str, Path]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_trace_csv(path: Union[str, Path]) -> List[Tuple[int, float, float, Optional[float]]]:
-    """Rows (iter, eta, criterion, wall_time) of a trace file.
-
-    Files in the older three-column form, without wall times, are still
-    read; their rows carry ``None`` as the wall time.
-    """
+def read_trace_csv(path: Union[str, Path]) -> List[Tuple[int, float, float, float]]:
+    """Rows (iter, eta, criterion, wall_time) of a trace file."""
     lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].strip() if lines else ""
-    if header not in (_TRACE_HEADER, _LEGACY_TRACE_HEADER):
+    if not lines or lines[0].strip() != _TRACE_HEADER:
         raise ProblemFileError(f"trace file {path} lacks the {_TRACE_HEADER} header", line=1)
-    width = header.count(",") + 1
     out = []
     for k, line in enumerate(lines[1:], start=2):
         parts = line.strip().split(",")
-        if len(parts) != width:
+        if len(parts) != 4:
             raise ProblemFileError(f"trace file {path} has a malformed row", line=k)
-        wall = float(parts[3]) if width == 4 else None
-        out.append((int(parts[0]), float(parts[1]), float(parts[2]), wall))
+        out.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
     return out
 
 

@@ -153,6 +153,9 @@ class TransportPlan:
             raise DimensionMismatch(
                 f"plan shape {arr.shape} does not match marginals ({r.shape[0]}, {c.shape[0]})"
             )
+        if not np.all(np.isfinite(arr)):
+            i, j = np.unravel_index(int(np.argmax(~np.isfinite(arr))), arr.shape)
+            raise NonFiniteEntry(f"plan entry [{i + 1}, {j + 1}] = {arr[i, j]} is not finite")
         if np.any(arr < 0):
             i, j = np.unravel_index(int(np.argmax(arr < 0)), arr.shape)
             raise ValidationError(f"plan entry [{i + 1}, {j + 1}] = {arr[i, j]} is negative")
@@ -216,11 +219,10 @@ class DualPotentials:
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Row weights p, column weights q, and a scale s, all positive."""
+    """Row weights p and column weights q, all positive."""
 
     row_weights: np.ndarray
     col_weights: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "row_weights", _frozen_array(self.row_weights, 1, "row_weights"))
@@ -229,79 +231,38 @@ class TransformSpec:
             raise NonPositiveWeight("row weights must be positive and finite")
         if not (np.all(self.col_weights > 0) and np.all(np.isfinite(self.col_weights))):
             raise NonPositiveWeight("column weights must be positive and finite")
-        if not (self.scale > 0 and np.isfinite(self.scale)):
-            raise NonPositiveScale(f"scale must be positive, got {self.scale}")
 
     def reciprocal(self) -> "TransformSpec":
-        return TransformSpec(1.0 / self.row_weights, 1.0 / self.col_weights, 1.0 / self.scale)
+        return TransformSpec(1.0 / self.row_weights, 1.0 / self.col_weights)
 
 
-@dataclass(frozen=True)
-class ObjectiveReport:
-    """Per-row objective values plus total additive and dual values."""
+def require_valid(problem: Problem) -> Problem:
+    """Check all type invariants and return the problem.
 
-    per_row_values: np.ndarray
-    total_ot_value: float
-    dual_value: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_row_values", _frozen_array(self.per_row_values, 1, "per_row_values"))
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of validate_problem: ok, or the first violated invariant."""
-
-    ok: bool
-    error: Optional[ValidationError] = None
-
-    def raise_if_invalid(self) -> None:
-        if not self.ok:
-            raise self.error
-
-
-def validate_problem(problem: Problem) -> ValidationResult:
-    """Check all type invariants, reporting the first violation found.
-
-    Checks run in a fixed order: finiteness of every array, positivity of
-    the marginals, positivity of multiplicative coefficients, and the
-    global feasibility condition sum(r) == sum(c) up to a relative slack
-    of ``FEASIBILITY_RTOL``.
+    Checks run in a fixed order and the first violation is raised:
+    finiteness of every array, positivity of the marginals, positivity of
+    multiplicative coefficients, and the global feasibility condition
+    sum(r) == sum(c) up to a relative slack of ``FEASIBILITY_RTOL``.
     """
     if isinstance(problem, MOMAProblem):
         mat, mat_name = problem.coefficients, "coefficients"
     else:
         mat, mat_name = problem.weights, "weights"
     if not np.all(np.isfinite(mat)):
-        return ValidationResult(False, NonFiniteEntry(f"{mat_name} contains non-finite entries"))
+        raise NonFiniteEntry(f"{mat_name} contains non-finite entries")
     for name, vec in (("row_marginals", problem.row_marginals), ("col_marginals", problem.col_marginals)):
         if not np.all(np.isfinite(vec)):
-            return ValidationResult(False, NonFiniteEntry(f"{name} contains non-finite entries"))
+            raise NonFiniteEntry(f"{name} contains non-finite entries")
         if not np.all(vec > 0):
             k = int(np.argmax(~(vec > 0)))
-            return ValidationResult(
-                False, NonPositiveMarginal(f"{name}[{k + 1}] = {vec[k]} is not positive")
-            )
+            raise NonPositiveMarginal(f"{name}[{k + 1}] = {vec[k]} is not positive")
     if isinstance(problem, MOMAProblem) and not np.all(mat > 0):
         i, j = np.unravel_index(int(np.argmax(~(mat > 0))), mat.shape)
-        return ValidationResult(
-            False, NonPositiveCoefficient(f"coefficients[{i + 1}, {j + 1}] = {mat[i, j]} is not positive")
-        )
+        raise NonPositiveCoefficient(f"coefficients[{i + 1}, {j + 1}] = {mat[i, j]} is not positive")
     total_r = float(np.sum(problem.row_marginals))
     total_c = float(np.sum(problem.col_marginals))
     if abs(total_r - total_c) > FEASIBILITY_RTOL * max(total_r, total_c):
-        return ValidationResult(
-            False,
-            GlobalFeasibilityViolation(
-                f"total row mass {total_r!r} != total column mass {total_c!r}"
-            ),
-        )
-    return ValidationResult(True, None)
-
-
-def require_valid(problem: Problem) -> Problem:
-    """Validate and return the problem, raising on the first violation."""
-    validate_problem(problem).raise_if_invalid()
+        raise GlobalFeasibilityViolation(f"total row mass {total_r!r} != total column mass {total_c!r}")
     return problem
 
 
@@ -422,22 +383,3 @@ def monge_check(problem: Problem) -> MongeCheckResult:
                     if a[i1, j1] + a[i2, j2] < a[i1, j2] + a[i2, j1]:
                         return MongeCheckResult(False, (i1 + 1, i2 + 1, j1 + 1, j2 + 1))
     return MongeCheckResult(True, None)
-
-
-def objective_report(
-    problem: Problem, plan: TransportPlan, duals: Optional[DualPotentials] = None
-) -> ObjectiveReport:
-    """Per-row objective values and totals for a plan (and optional duals)."""
-    if isinstance(problem, MOMAProblem):
-        b = problem.coefficients
-    else:
-        with np.errstate(over="ignore"):
-            b = np.exp(problem.weights)
-        if not np.all(np.isfinite(b)):
-            raise Overflow("weights too large to form multiplicative objectives")
-    per_row = (b * plan.values).sum(axis=1)
-    total = plan.objective(problem)
-    dual_value = None
-    if duals is not None:
-        dual_value = duals.value(problem.row_marginals, problem.col_marginals)
-    return ObjectiveReport(per_row, total, dual_value)

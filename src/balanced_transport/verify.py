@@ -12,7 +12,6 @@ violations are relative (multiplicative) deviations.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -45,8 +44,7 @@ KKT_RTOL = 1e-8
 #: Reduced-cost optimality tolerance of the exact oracle.
 ORACLE_OPT_TOL = 1e-11
 
-#: Default cell-count guard of the exact oracle; the environment variable
-#: BT_MAX_ORACLE_CELLS overrides it.
+#: Largest cell count n*m the exact oracle accepts.
 ORACLE_CELL_GUARD = 10_000
 
 
@@ -66,10 +64,10 @@ def hilbert_distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.log(np.max(ratios) / np.min(ratios)))
 
 
-def support_mask(plan_values: np.ndarray, rtol: float = SUPPORT_RTOL) -> np.ndarray:
-    """Entries larger than rtol times the largest entry."""
+def support_mask(plan_values: np.ndarray) -> np.ndarray:
+    """Entries larger than SUPPORT_RTOL times the largest entry."""
     values = np.asarray(plan_values, dtype=float)
-    return values > rtol * np.max(values) if np.max(values) > 0 else np.zeros_like(values, dtype=bool)
+    return values > SUPPORT_RTOL * np.max(values) if np.max(values) > 0 else np.zeros_like(values, dtype=bool)
 
 
 def _support_tree(values: np.ndarray, mask: np.ndarray):
@@ -109,7 +107,6 @@ def recover_duals(
     problem: Problem,
     plan: TransportPlan,
     strict: bool = True,
-    rtol: float = KKT_RTOL,
 ) -> DualPotentials:
     """Potentials with lambda_i + mu_j = a_ij across the plan's support.
 
@@ -117,7 +114,7 @@ def recover_duals(
     anchoring lambda = 0 at the lowest-indexed row of each component.
     Rows or columns without support get the tightest dual-feasible value.
     With ``strict`` set, a support cell whose potentials disagree with
-    its weight beyond ``rtol`` raises InconsistentSupport, certifying
+    its weight beyond ``KKT_RTOL`` raises InconsistentSupport, certifying
     that the plan is not optimal.
     """
     require_valid(problem)
@@ -163,7 +160,7 @@ def recover_duals(
         scale = max(1.0, float(np.max(np.abs(a))))
         for i, j in non_tree:
             gap = a[i, j] - lam[i] - mu[j]
-            if abs(gap) > rtol * scale:
+            if abs(gap) > KKT_RTOL * scale:
                 raise InconsistentSupport(
                     f"support entry ({i + 1}, {j + 1}) forces contradictory potentials"
                     f" (residual {gap:.3e}); the plan is not optimal",
@@ -189,11 +186,10 @@ def verify_balanced(
     problem: Problem,
     plan: TransportPlan,
     duals: Optional[DualPotentials] = None,
-    rtol: float = KKT_RTOL,
 ) -> KKTReport:
     """Check the balance (complementary-slackness) conditions of a plan.
 
-    Verifies, relative to ``rtol``: equality alpha_i b_ij = beta_j on the
+    Verifies, relative to ``KKT_RTOL``: equality alpha_i b_ij = beta_j on the
     support, the dual inequality off the support (direction set by the
     problem's sense), and both marginal constraints.  When no duals are
     passed they are recovered from the support (non-strictly, so that an
@@ -209,7 +205,7 @@ def verify_balanced(
     if np.any(plan.values < 0):
         raise ValidationError("plan contains negative entries")
     if duals is None:
-        duals = recover_duals(problem, plan, strict=False, rtol=rtol)
+        duals = recover_duals(problem, plan, strict=False)
     mask = support_mask(plan.values)
     gap_matrix = a - duals.lam[:, None] - duals.mu[None, :]  # log(alpha b / beta)
     if problem.sense == MINIMIZE:
@@ -222,7 +218,7 @@ def verify_balanced(
     primal = plan.objective(problem)
     dual_value = duals.value(problem.row_marginals, problem.col_marginals)
     gap = dual_value - primal if problem.sense == MAXIMIZE else primal - dual_value
-    balanced = slack <= rtol and infeas <= rtol and row_res <= rtol and col_res <= rtol
+    balanced = slack <= KKT_RTOL and infeas <= KKT_RTOL and row_res <= KKT_RTOL and col_res <= KKT_RTOL
     return KKTReport(
         is_balanced=bool(balanced),
         max_slackness_violation=slack,
@@ -265,16 +261,6 @@ class OracleResult:
         return self.min_offbasis_reduced_cost > threshold
 
 
-def _oracle_cell_guard() -> int:
-    env = os.environ.get("BT_MAX_ORACLE_CELLS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"BT_MAX_ORACLE_CELLS must be an integer, got {env!r}")
-    return ORACLE_CELL_GUARD
-
-
 def _northwest_basis(r: np.ndarray, c: np.ndarray):
     """Northwest-corner start: allocations plus exactly n+m-1 basic cells."""
     n, m = r.shape[0], c.shape[0]
@@ -307,7 +293,7 @@ def lp_oracle(problem: Problem) -> OracleResult:
 
     Northwest-corner start, Bland's smallest-index entering/leaving rule
     for anti-cycling, reduced-cost optimality tolerance ORACLE_OPT_TOL.
-    Guarded to n*m <= BT_MAX_ORACLE_CELLS (default 10^4) because the
+    Guarded to n*m <= ORACLE_CELL_GUARD (10^4) because the
     dense tableau walk is meant for desk-scale certification, not bulk
     solving.  Minimization is handled by negating weights internally;
     the reported objective and duals are in the caller's sense.
@@ -315,9 +301,8 @@ def lp_oracle(problem: Problem) -> OracleResult:
     require_valid(problem)
     a = additive_weights(problem)
     n, m = a.shape
-    guard = _oracle_cell_guard()
-    if n * m > guard:
-        raise SizeGuardExceeded(f"problem has {n * m} cells, above the oracle guard {guard}")
+    if n * m > ORACLE_CELL_GUARD:
+        raise SizeGuardExceeded(f"problem has {n * m} cells, above the oracle guard {ORACLE_CELL_GUARD}")
     r = problem.row_marginals
     c = problem.col_marginals
     # Internal form: minimize cost over the transportation polytope.

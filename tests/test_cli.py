@@ -108,6 +108,21 @@ class TestSolve:
         assert main(["solve", str(problem_file), "--eta", "1e-2",
                      "--schedule", "stages=2,factor=2,final=1e-3"]) == 1
 
+    def test_eta_or_schedule_required(self, problem_file, capsys):
+        assert main(["solve", str(problem_file)]) == 1
+        assert "--eta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("n", "three"), ("weights", ["x"] * 9), ("r", 1.0)],
+                             ids=["n-text", "weights-text", "r-scalar"])
+    def test_malformed_problem_field_exits_one(self, problem_file, capsys, field, value):
+        doc = json.loads(problem_file.read_text())
+        doc[field] = value
+        problem_file.write_text(json.dumps(doc))
+        assert main(["solve", str(problem_file), "--eta", "1e-2"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(["verify", str(problem_file), str(problem_file)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_problem_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json"), "--eta", "1e-2"]) == 1
 
@@ -129,6 +144,14 @@ class TestVerify:
         write_matrix_csv(perturbed, plan_path)
         assert main(["verify", str(problem_file), str(plan_path)]) == 3
         assert "is_balanced: False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_plan_exits_one(self, problem_file, tmp_path, capsys, bad):
+        plan_path = tmp_path / "plan.csv"
+        plan_path.write_text(f"0,0.25,0\n0,{bad},0.2\n0.2,0.3,0\n")
+        assert main(["verify", str(problem_file), str(plan_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "[2, 2]" in err
 
     def test_wrong_dimensions_exit_one(self, problem_file, tmp_path):
         plan_path = tmp_path / "plan.csv"

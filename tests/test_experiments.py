@@ -3,19 +3,16 @@ import pytest
 
 from balanced_transport import (
     GridSpec,
-    SuiteConfig,
     ValidationError,
     ZeroMarginal,
     generate_grid,
+    require_valid,
     run_single_stage,
-    run_suite,
     small_example,
     small_example_solution,
     small_example_stagnation_matrices,
     trajectory_study,
-    validate_problem,
 )
-from balanced_transport.experiments import problem_digest, visited_targets
 
 
 class TestGridGeneration:
@@ -40,7 +37,7 @@ class TestGridGeneration:
     @pytest.mark.parametrize("N", [2, 4, 8, 16])
     def test_even_sizes_are_valid(self, N):
         prob = generate_grid(GridSpec(N))
-        assert validate_problem(prob).ok
+        require_valid(prob)
         assert prob.row_marginals.sum() == pytest.approx(1.0, rel=1e-12)
         assert prob.row_marginals.min() > 0
 
@@ -60,7 +57,7 @@ class TestSmallExample:
         assert np.array_equal(prob.weights, [[0.0, 1.0, 0.5], [0.7, 0.5, 0.3], [0.6, 0.3, 0.0]])
         assert np.array_equal(prob.row_marginals, [0.25, 0.25, 0.5])
         assert np.array_equal(prob.col_marginals, [0.2, 0.6, 0.2])
-        assert validate_problem(prob).ok
+        require_valid(prob)
 
     def test_solution_is_feasible(self):
         plan = small_example_solution()
@@ -82,13 +79,6 @@ class TestDeterminism:
         assert one.trace.criteria == two.trace.criteria
         assert np.array_equal(one.plan.values, two.plan.values)
 
-    def test_digest_is_stable_and_discriminating(self):
-        a = problem_digest(generate_grid(GridSpec(8)))
-        b = problem_digest(generate_grid(GridSpec(8)))
-        c = problem_digest(small_example())
-        assert a == b
-        assert a != c
-
 
 class TestTrajectoryStudy:
     def test_visits_are_ordered_and_close(self):
@@ -102,30 +92,3 @@ class TestTrajectoryStudy:
         assert arrival == sorted(arrival)
         assert len(set(arrival)) == len(arrival)
 
-    def test_visited_targets_monotone_in_threshold(self):
-        visits, _ = trajectory_study(small_example(), small_example_stagnation_matrices(), eta=1e-3)
-        loose = visited_targets(visits, 0.05)
-        tight = visited_targets(visits, 0.01)
-        assert set(tight) <= set(loose)
-
-
-class TestRunSuite:
-    def test_desk_scale_suite(self):
-        config = SuiteConfig(
-            grid_size=8,
-            single_etas=(1e-1, 1e-2),
-            schedule_stages=4,
-            schedule_factor=2.0,
-            schedule_final_eta=1e-2,
-            trajectory_eta=1e-2,
-        )
-        result = run_suite(config)
-        labels = [run.label for run in result.runs]
-        assert labels == ["single_eta_0.1", "single_eta_0.01", "annealed", "trajectory"]
-        assert all(run.converged for run in result.runs)
-        for run in result.runs:
-            assert run.iterations <= config.max_iters
-            assert run.final_criterion < run.tol
-        assert result.trajectory_visits is not None
-        assert "annealed" in result.plans
-        assert len(result.traces["annealed"]) == result.runs[2].iterations

@@ -64,6 +64,12 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError):
             read_problem(path)
 
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "number.json"
+        path.write_text("5\n")
+        with pytest.raises(ProblemFileError, match="not a JSON object"):
+            read_problem(path)
+
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 1, "m": 1, "sense": "upward", "form": "additive",'
@@ -111,25 +117,19 @@ class TestTraceCSV:
         assert [w for _, _, _, w in rows] == result.trace.wall_times
         assert path.read_text().splitlines()[0] == "iter,eta,criterion,wall_time"
 
-    def test_three_column_form_still_reads(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("iter,eta,criterion\n1,0.01,0.5\n2,0.01,0.25\n")
-        assert read_trace_csv(path) == [(1, 0.01, 0.5, None), (2, 0.01, 0.25, None)]
-
     def test_row_width_must_match_header(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("iter,eta,criterion,wall_time\n1,0.01,0.5\n")
         with pytest.raises(ProblemFileError):
             read_trace_csv(path)
-        path.write_text("iter,eta,criterion\n1,0.01,0.5,0.1\n")
-        with pytest.raises(ProblemFileError):
-            read_trace_csv(path)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "trace.csv"
-        path.write_text("1,0.1,0.5\n")
-        with pytest.raises(ProblemFileError):
-            read_trace_csv(path)
+        # no header, the three-column form without wall times, an empty file
+        for text in ("1,0.1,0.5\n", "iter,eta,criterion\n1,0.01,0.5\n", ""):
+            path.write_text(text)
+            with pytest.raises(ProblemFileError, match="header"):
+                read_trace_csv(path)
 
 
 class TestPGM:

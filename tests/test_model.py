@@ -24,52 +24,55 @@ from balanced_transport import (
     map_plan_from_unweighted,
     moma_to_ot,
     monge_check,
-    objective_report,
     ot_to_moma,
-    recover_duals,
+    require_valid,
     rescale,
     unweight,
-    validate_problem,
 )
 from problems import random_problem
 
 
 class TestValidation:
     def test_small_example_is_valid(self, small_problem):
-        assert validate_problem(small_problem).ok
+        assert require_valid(small_problem) is small_problem
 
     def test_trivial_identity_case(self):
-        assert validate_problem(OTProblem([[0.0]], [1.0], [1.0])).ok
+        require_valid(OTProblem([[0.0]], [1.0], [1.0]))
 
     def test_global_feasibility_violation(self):
-        result = validate_problem(OTProblem([[0.0], [0.0]], [1.0, 1.0], [1.0]))
-        assert not result.ok
-        assert isinstance(result.error, GlobalFeasibilityViolation)
         with pytest.raises(GlobalFeasibilityViolation):
-            result.raise_if_invalid()
+            require_valid(OTProblem([[0.0], [0.0]], [1.0, 1.0], [1.0]))
 
     def test_feasibility_tolerance_is_relative(self):
         r = [1.0, 1.0]
         c = [2.0 * (1.0 + 5e-11)]
-        assert validate_problem(OTProblem([[0.0], [0.0]], r, c)).ok
+        require_valid(OTProblem([[0.0], [0.0]], r, c))
         c_bad = [2.0 * (1.0 + 5e-10)]
-        assert not validate_problem(OTProblem([[0.0], [0.0]], r, c_bad)).ok
+        with pytest.raises(GlobalFeasibilityViolation):
+            require_valid(OTProblem([[0.0], [0.0]], r, c_bad))
 
     def test_nonpositive_marginal(self):
-        result = validate_problem(OTProblem([[0.0]], [0.0], [0.0]))
-        assert isinstance(result.error, NonPositiveMarginal)
+        with pytest.raises(NonPositiveMarginal):
+            require_valid(OTProblem([[0.0]], [0.0], [0.0]))
 
     def test_nonpositive_coefficient(self):
-        result = validate_problem(MOMAProblem([[1.0, -2.0]], [1.0], [0.5, 0.5]))
-        assert isinstance(result.error, NonPositiveCoefficient)
-        assert "[1, 2]" in str(result.error)  # 1-based location
+        with pytest.raises(NonPositiveCoefficient, match=r"\[1, 2\]"):  # 1-based location
+            require_valid(MOMAProblem([[1.0, -2.0]], [1.0], [0.5, 0.5]))
 
     def test_nonfinite_entry(self):
-        result = validate_problem(OTProblem([[np.nan]], [1.0], [1.0]))
-        assert isinstance(result.error, NonFiniteEntry)
+        with pytest.raises(NonFiniteEntry):
+            require_valid(OTProblem([[np.nan]], [1.0], [1.0]))
+
+    def test_checks_run_in_a_fixed_order(self):
+        # Non-finite weights are reported before a non-positive marginal,
+        # and that before the global feasibility condition.
+        with pytest.raises(NonFiniteEntry, match="weights"):
+            require_valid(OTProblem([[np.inf], [0.0]], [0.0, 1.0], [5.0]))
+        with pytest.raises(NonPositiveMarginal, match=r"row_marginals\[1\]"):
+            require_valid(OTProblem([[0.0], [0.0]], [0.0, 1.0], [5.0]))
 
     def test_negative_and_zero_weights_are_fine(self):
-        assert validate_problem(OTProblem([[-3.0, 0.0]], [1.0], [0.5, 0.5])).ok
+        require_valid(OTProblem([[-3.0, 0.0]], [1.0], [0.5, 0.5]))
 
     def test_marginal_length_mismatch_raises_at_construction(self):
         with pytest.raises(LengthMismatch):
@@ -134,7 +137,7 @@ class TestUnweight:
         q = np.array([1.0, 1.0, 2.25])
         spec = TransformSpec(p, q)
         transformed = unweight(moma, spec)
-        assert validate_problem(transformed).ok
+        require_valid(transformed)
         oracle = lp_oracle(transformed)
         assert oracle.is_unique()
         mapped_back = map_plan_from_unweighted(oracle.plan.values, spec)
@@ -280,17 +283,15 @@ class TestPlansAndReports:
         with pytest.raises(Exception, match=r"\[1, 2\]"):
             TransportPlan.against(bad, small_problem.row_marginals, small_problem.col_marginals)
 
-    def test_objective_report_reproducible(self, small_problem, known_plan):
-        plan = TransportPlan.against(known_plan, small_problem.row_marginals, small_problem.col_marginals)
-        duals = recover_duals(small_problem, plan)
-        report = objective_report(small_problem, plan, duals)
-        again = objective_report(small_problem, plan, duals)
-        assert np.array_equal(report.per_row_values, again.per_row_values)
-        assert report.total_ot_value == again.total_ot_value == pytest.approx(0.545, abs=1e-12)
-        assert report.dual_value == again.dual_value
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entries_rejected(self, small_problem, known_plan, bad):
+        values = np.array(known_plan, dtype=float)
+        values[1, 2] = bad
+        with pytest.raises(NonFiniteEntry, match=r"\[2, 3\]"):
+            TransportPlan.against(values, small_problem.row_marginals, small_problem.col_marginals)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6), st.integers())
     @settings(max_examples=30, deadline=None)
     def test_random_problems_validate(self, n, m, seed):
         rng = np.random.default_rng(abs(seed) % 2**32)
-        assert validate_problem(random_problem(rng, n, m)).ok
+        require_valid(random_problem(rng, n, m))

@@ -291,13 +291,12 @@ class TestLPOracle:
             assert moma_report.is_balanced
             checked += 1
 
-    def test_size_guard(self, monkeypatch):
-        monkeypatch.delenv("BT_MAX_ORACLE_CELLS", raising=False)
+    def test_size_guard(self):
         big = OTProblem(np.zeros((101, 101)), np.ones(101), np.ones(101))
         with pytest.raises(SizeGuardExceeded):
             lp_oracle(big)
-        monkeypatch.setenv("BT_MAX_ORACLE_CELLS", "20000")
-        result = lp_oracle(big)  # constant weights: any feasible plan is optimal
+        at_guard = OTProblem(np.zeros((100, 100)), np.ones(100), np.ones(100))
+        result = lp_oracle(at_guard)  # constant weights: any feasible plan is optimal
         assert result.plan.row_residual <= 1e-9
 
     def test_degenerate_marginals(self):
