@@ -139,12 +139,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     problem = read_problem(args.problem)
-    require_valid(problem)
     values = read_matrix_csv(args.plan)
-    if values.shape != (problem.n, problem.m):
-        raise ValidationError(
-            f"plan shape {values.shape} does not match problem ({problem.n}, {problem.m})"
-        )
     plan = TransportPlan.against(values, problem.row_marginals, problem.col_marginals)
     report = verify_balanced(problem, plan)
     print(f"is_balanced: {report.is_balanced}")

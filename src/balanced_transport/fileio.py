@@ -1,9 +1,9 @@
 """File formats: JSON problem files, full-precision CSV matrices and
 traces, and binary PGM heatmaps.
 
-Floats are written with 17 significant digits, so every file round-trips
-to bit-identical values.  CSV was chosen over binary containers for
-diff-ability; PGM (P5) is the simplest lossless grayscale raster.
+JSON numbers are Python's shortest round-trip ``repr`` and CSV cells carry
+17 significant digits, so every file reads back bit-identically.  CSV is
+diff-able; PGM (P5) is the simplest lossless grayscale raster.
 """
 
 from __future__ import annotations
@@ -22,19 +22,15 @@ FORM_ADDITIVE = "additive"
 FORM_MULTIPLICATIVE = "multiplicative"
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 class ProblemFileError(ValidationError):
     """A problem file failed to parse or carries inconsistent fields.
 
-    ``line`` and ``column`` locate JSON syntax errors when available.
+    ``line`` (1-based) locates the fault in any file; ``column`` only in JSON.
     """
 
     def __init__(self, message: str, line: int = None, column: int = None):
         if line is not None:
-            message = f"{message} (line {line}, column {column})"
+            message += f" (line {line})" if column is None else f" (line {line}, column {column})"
         super().__init__(message)
         self.line = line
         self.column = column
@@ -53,9 +49,9 @@ def write_problem(problem: Problem, path: Union[str, Path]) -> None:
         "m": problem.m,
         "sense": problem.sense,
         "form": form,
-        "weights": [float(_fmt(v)) for v in matrix.ravel()],
-        "r": [float(_fmt(v)) for v in problem.row_marginals],
-        "c": [float(_fmt(v)) for v in problem.col_marginals],
+        "weights": matrix.ravel().tolist(),
+        "r": problem.row_marginals.tolist(),
+        "c": problem.col_marginals.tolist(),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -85,10 +81,9 @@ def read_problem(path: Union[str, Path]) -> Problem:
     for key in ("n", "m", "sense", "form", "weights", "r", "c"):
         if key not in doc:
             raise ProblemFileError(f"problem file {path} is missing field {key!r}")
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"problem file {path}: n and m must be integers ({exc})") from exc
+    n, m = doc["n"], doc["m"]
+    if not all(type(v) is int for v in (n, m)):
+        raise ProblemFileError(f"problem file {path}: n and m must be integers, got {n!r} and {m!r}")
     if n < 1 or m < 1:
         raise ProblemFileError(f"problem file {path} declares invalid shape ({n}, {m})")
     matrix = _number_list(doc, "weights", n * m, f"n*m = {n * m}", path).reshape(n, m)
@@ -107,10 +102,10 @@ def read_problem(path: Union[str, Path]) -> Problem:
 def write_matrix_csv(matrix: np.ndarray, path: Union[str, Path]) -> None:
     """Row-major CSV, one matrix row per line, 17 significant digits."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValidationError(f"expected a matrix, got shape {matrix.shape}")
-    lines = [",".join(_fmt(v) for v in row) for row in matrix]
-    Path(path).write_text("\n".join(lines) + "\n")
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ValidationError(f"expected a non-empty matrix, got shape {matrix.shape}")
+    with open(path, "w") as handle:  # a path would gzip a name ending in .gz
+        np.savetxt(handle, matrix, fmt="%.17g", delimiter=",")
 
 
 def read_matrix_csv(path: Union[str, Path]) -> np.ndarray:
@@ -120,9 +115,9 @@ def read_matrix_csv(path: Union[str, Path]) -> np.ndarray:
     rows = []
     width = None
     for k, line in enumerate(text.splitlines(), start=1):
-        parts = [p for p in line.strip().split(",") if p != ""]
-        if not parts:
-            raise ProblemFileError(f"matrix file {path} has an empty row", line=k)
+        parts = line.strip().split(",")
+        if "" in parts:
+            raise ProblemFileError(f"matrix file {path} has an empty cell", line=k)
         try:
             row = [float(p) for p in parts]
         except ValueError as exc:
@@ -143,10 +138,10 @@ def write_trace_csv(trace: ConvergenceTrace, path: Union[str, Path]) -> None:
 
     ``wall_time`` is seconds since the run started.
     """
-    lines = [_TRACE_HEADER]
-    for k, eta, crit, wall in trace.rows():
-        lines.append(f"{k},{_fmt(eta)},{_fmt(crit)},{_fmt(wall)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack((trace.iterations, trace.etas, trace.criteria, trace.wall_times))
+    with open(path, "w") as handle:
+        np.savetxt(handle, rows, fmt=("%d", "%.17g", "%.17g", "%.17g"), delimiter=",",
+                   header=_TRACE_HEADER, comments="")
 
 
 def read_trace_csv(path: Union[str, Path]) -> List[Tuple[int, float, float, float]]:
@@ -159,7 +154,10 @@ def read_trace_csv(path: Union[str, Path]) -> List[Tuple[int, float, float, floa
         parts = line.strip().split(",")
         if len(parts) != 4:
             raise ProblemFileError(f"trace file {path} has a malformed row", line=k)
-        out.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
+        try:
+            out.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
+        except ValueError as exc:
+            raise ProblemFileError(f"trace file {path}: {exc}", line=k) from exc
     return out
 
 

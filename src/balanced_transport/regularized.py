@@ -178,9 +178,6 @@ class ConvergenceTrace:
     def __len__(self) -> int:
         return len(self.iterations)
 
-    def rows(self) -> List[Tuple[int, float, float, float]]:
-        return list(zip(self.iterations, self.etas, self.criteria, self.wall_times))
-
 
 @dataclass(frozen=True)
 class SolveResult:

@@ -112,8 +112,9 @@ class TestSolve:
         assert main(["solve", str(problem_file)]) == 1
         assert "--eta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("n", "three"), ("weights", ["x"] * 9), ("r", 1.0)],
-                             ids=["n-text", "weights-text", "r-scalar"])
+    @pytest.mark.parametrize("field, value",
+                             [("n", "three"), ("n", 1.9), ("n", True), ("weights", ["x"] * 9), ("r", 1.0)],
+                             ids=["n-text", "n-fraction", "n-bool", "weights-text", "r-scalar"])
     def test_malformed_problem_field_exits_one(self, problem_file, capsys, field, value):
         doc = json.loads(problem_file.read_text())
         doc[field] = value

@@ -1,8 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
-from balanced_transport import MOMAProblem, OTProblem, small_example, solve, AnnealingSchedule
+from balanced_transport import (
+    AnnealingSchedule,
+    ConvergenceTrace,
+    GridSpec,
+    MOMAProblem,
+    OTProblem,
+    generate_grid,
+    make_schedule,
+    small_example,
+    solve,
+)
+from balanced_transport.errors import ValidationError
 from balanced_transport.fileio import (
+    FORM_ADDITIVE,
+    FORM_MULTIPLICATIVE,
     ProblemFileError,
     read_matrix_csv,
     read_pgm,
@@ -13,6 +28,90 @@ from balanced_transport.fileio import (
     write_problem,
     write_trace_csv,
 )
+
+
+# Reference writers: format every value to 17 digits in Python, one at a
+# time.  The package's writers must produce the same bytes.
+
+def _fmt(value):
+    return format(float(value), ".17g")
+
+
+def reference_write_problem(problem, path):
+    moma = isinstance(problem, MOMAProblem)
+    matrix = problem.coefficients if moma else problem.weights
+    doc = {
+        "n": problem.n,
+        "m": problem.m,
+        "sense": problem.sense,
+        "form": FORM_MULTIPLICATIVE if moma else FORM_ADDITIVE,
+        "weights": [float(_fmt(v)) for v in matrix.ravel()],
+        "r": [float(_fmt(v)) for v in problem.row_marginals],
+        "c": [float(_fmt(v)) for v in problem.col_marginals],
+    }
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def reference_write_matrix_csv(matrix, path):
+    lines = [",".join(_fmt(v) for v in row) for row in matrix]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_write_trace_csv(trace, path):
+    lines = ["iter,eta,criterion,wall_time"]
+    for k, eta, crit, wall in zip(trace.iterations, trace.etas, trace.criteria, trace.wall_times):
+        lines.append(f"{k},{_fmt(eta)},{_fmt(crit)},{_fmt(wall)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def grid64():
+    problem = generate_grid(GridSpec(64))
+    return problem, solve(problem, make_schedule(1e-4, 12, 1.5, 1e-2))
+
+
+def _same_bytes(tmp_path, write, reference, obj, name="ours"):
+    ours, ref = tmp_path / name, tmp_path / "reference"
+    write(obj, ours)
+    reference(obj, ref)
+    return ours.read_bytes() == ref.read_bytes()
+
+
+EXTREMES = np.array([[0.0, -0.0, 5e-324, -5e-324],
+                     [np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf],
+                     [np.nan, 1.0 / 3.0, -2.5e-308, 1e22]])
+
+
+class TestWritersMatchReference:
+    def test_small_example_problem(self, tmp_path):
+        assert _same_bytes(tmp_path, write_problem, reference_write_problem, small_example())
+
+    def test_multiplicative_minimize_problem(self, tmp_path):
+        rng = np.random.default_rng(3)
+        prob = MOMAProblem(rng.uniform(0.1, 3.0, size=(4, 5)), rng.dirichlet(np.ones(4)) * 4.0,
+                           rng.dirichlet(np.ones(5)) * 4.0, "minimize")
+        assert _same_bytes(tmp_path, write_problem, reference_write_problem, prob)
+
+    def test_grid64_problem(self, tmp_path, grid64):
+        assert _same_bytes(tmp_path, write_problem, reference_write_problem, grid64[0])
+
+    def test_grid64_plan_final_z_and_trace(self, tmp_path, grid64):
+        result = grid64[1]
+        assert _same_bytes(tmp_path, write_matrix_csv, reference_write_matrix_csv, result.plan.values)
+        assert _same_bytes(tmp_path, write_matrix_csv, reference_write_matrix_csv, result.final_z)
+        assert _same_bytes(tmp_path, write_trace_csv, reference_write_trace_csv, result.trace)
+
+    def test_extreme_values(self, tmp_path):
+        assert _same_bytes(tmp_path, write_matrix_csv, reference_write_matrix_csv, EXTREMES)
+        prob = OTProblem(EXTREMES, np.ones(3), np.full(4, 0.75))
+        assert _same_bytes(tmp_path, write_problem, reference_write_problem, prob)
+
+    def test_gz_suffix_still_writes_plain_text(self, tmp_path, grid64):
+        assert _same_bytes(tmp_path, write_matrix_csv, reference_write_matrix_csv, EXTREMES, "plan.csv.gz")
+        assert _same_bytes(tmp_path, write_trace_csv, reference_write_trace_csv, grid64[1].trace, "trace.csv.gz")
+
+    def test_empty_trace(self, tmp_path):
+        assert _same_bytes(tmp_path, write_trace_csv, reference_write_trace_csv, ConvergenceTrace())
 
 
 class TestProblemFiles:
@@ -55,13 +154,21 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError) as err:
             read_problem(path)
         assert err.value.line == 2
-        assert "line 2" in str(err.value)
+        assert "(line 2, column " in str(err.value)
 
     def test_length_checks(self, tmp_path):
         path = tmp_path / "short.json"
         path.write_text('{"n": 2, "m": 2, "sense": "maximize", "form": "additive",'
                         ' "weights": [1, 2, 3], "r": [1, 1], "c": [1, 1]}')
         with pytest.raises(ProblemFileError):
+            read_problem(path)
+
+    @pytest.mark.parametrize("n", ["1.9", "true", "1.0", "\"1\""])
+    def test_shape_must_be_a_json_integer(self, tmp_path, n):
+        path = tmp_path / "shape.json"
+        path.write_text(f'{{"n": {n}, "m": 1, "sense": "maximize", "form": "additive",'
+                        ' "weights": [1], "r": [1], "c": [1]}')
+        with pytest.raises(ProblemFileError, match="n and m must be integers"):
             read_problem(path)
 
     def test_non_object_document_rejected(self, tmp_path):
@@ -93,6 +200,12 @@ class TestMatrixCSV:
         write_matrix_csv(mat, path)
         assert np.array_equal(read_matrix_csv(path), mat)
 
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (2, 0), (1, 2, 2)])
+    def test_writer_needs_a_non_empty_matrix(self, tmp_path, shape):
+        # an empty matrix would give a file that read_matrix_csv rejects
+        with pytest.raises(ValidationError, match="non-empty matrix"):
+            write_matrix_csv(np.zeros(shape), tmp_path / "none.csv")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -102,8 +215,26 @@ class TestMatrixCSV:
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2\n3\n")
-        with pytest.raises(ProblemFileError):
+        with pytest.raises(ProblemFileError) as err:
             read_matrix_csv(path)
+        assert str(err.value).endswith("has ragged rows (line 2)")
+
+    @pytest.mark.parametrize("text, line", [("1,,2\n3,4\n", 1), ("1,2\n3,4,\n", 2), ("1,2\n\n3,4\n", 2)],
+                             ids=["inner", "trailing", "blank-line"])
+    def test_empty_cell_rejected_with_its_line(self, tmp_path, text, line):
+        path = tmp_path / "gap.csv"
+        path.write_text(text)
+        with pytest.raises(ProblemFileError, match="empty cell") as err:
+            read_matrix_csv(path)
+        assert err.value.line == line
+        assert str(err.value).endswith(f"(line {line})")
+
+    def test_extreme_values_round_trip(self, tmp_path):
+        path = tmp_path / "extremes.csv"
+        write_matrix_csv(EXTREMES, path)
+        back = read_matrix_csv(path)
+        assert np.array_equal(back, EXTREMES, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(EXTREMES))
 
 
 class TestTraceCSV:
@@ -122,6 +253,16 @@ class TestTraceCSV:
         path.write_text("iter,eta,criterion,wall_time\n1,0.01,0.5\n")
         with pytest.raises(ProblemFileError):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize("row", ["x,0.01,0.5,0.1", "1.5,0.01,0.5,0.1", "1,0.01,half,0.1"],
+                             ids=["text-iter", "fractional-iter", "text-criterion"])
+    def test_bad_cell_names_its_line(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"iter,eta,criterion,wall_time\n1,0.01,0.6,0.05\n{row}\n")
+        with pytest.raises(ProblemFileError) as err:
+            read_trace_csv(path)
+        assert err.value.line == 3
+        assert str(err.value).endswith("(line 3)")
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "trace.csv"
