@@ -72,11 +72,9 @@ from .classic import (
     ConcaveFamily,
     ConcaveIterationParams,
     ConcaveIterationResult,
-    FixedPointReport,
     IPFPMatrixResult,
     concave_iteration,
     entropic_family,
-    fixed_point_report,
     ipfp_matrix,
     ipfp_vector,
     isoelastic_family,

@@ -26,9 +26,6 @@ from .errors import (
 )
 from .model import DualPotentials
 
-#: Relative fixed-point tolerance of eigenvalue reports.
-FIXED_POINT_RTOL = 1e-6
-
 #: Cycle detection: no 10% improvement of the running-minimum column error
 #: over this many consecutive iterations, while the error stays above
 #: CYCLE_ERROR_FLOOR, is declared cycling.
@@ -59,38 +56,6 @@ def nonreg_step(alpha: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     # fixed point.
     rho = np.min(beta[None, :] / scaled, axis=1)
     return alpha * rho, beta
-
-
-@dataclass(frozen=True)
-class FixedPointReport:
-    """Eigenvalue estimate for one update alpha -> alpha_hat."""
-
-    theta: float
-    is_fixed_point: bool
-    component_ratios: np.ndarray
-
-    def __post_init__(self):
-        ratios = np.array(self.component_ratios, dtype=float)
-        ratios.setflags(write=False)
-        object.__setattr__(self, "component_ratios", ratios)
-
-
-def fixed_point_report(alpha: np.ndarray, alpha_hat: np.ndarray) -> FixedPointReport:
-    """Compare an iterate with its update: ratios alpha_hat / alpha.
-
-    ``theta`` is the largest componentwise ratio; the state counts as a
-    fixed point when every ratio is within ``FIXED_POINT_RTOL`` of 1 (at
-    a true fixed point the eigenvalue is forced to 1 by global
-    feasibility).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    ratios = alpha_hat / alpha
-    return FixedPointReport(
-        theta=float(np.max(ratios)),
-        is_fixed_point=bool(np.max(np.abs(ratios - 1.0)) <= FIXED_POINT_RTOL),
-        component_ratios=ratios,
-    )
 
 
 def ipfp_vector(

@@ -10,6 +10,8 @@ when it solves the other.
 
 All types are immutable value objects: arrays are copied on construction
 and marked read-only, so instances can be shared freely across threads.
+The problem constructors also run ``require_valid``, so a problem object
+is always valid and no consumer needs to check it again.
 Indices in user-facing reports are 1-based; everything internal is
 0-based.
 """
@@ -50,10 +52,18 @@ def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
-def _check_sense(sense: str) -> str:
-    if sense not in (MAXIMIZE, MINIMIZE):
-        raise ValidationError(f"sense must be '{MAXIMIZE}' or '{MINIMIZE}', got {sense!r}")
-    return sense
+def _init_problem(problem, matrix_name: str) -> None:
+    """Freeze a problem's arrays, check sense and lengths, then its contents."""
+    for name, ndim in ((matrix_name, 2), ("row_marginals", 1), ("col_marginals", 1)):
+        object.__setattr__(problem, name, _frozen_array(getattr(problem, name), ndim, name))
+    if problem.sense not in (MAXIMIZE, MINIMIZE):
+        raise ValidationError(f"sense must be '{MAXIMIZE}' or '{MINIMIZE}', got {problem.sense!r}")
+    n, m = getattr(problem, matrix_name).shape
+    if problem.row_marginals.shape != (n,):
+        raise LengthMismatch(f"row_marginals has length {problem.row_marginals.shape[0]}, expected {n}")
+    if problem.col_marginals.shape != (m,):
+        raise LengthMismatch(f"col_marginals has length {problem.col_marginals.shape[0]}, expected {m}")
+    require_valid(problem)
 
 
 @dataclass(frozen=True)
@@ -72,15 +82,7 @@ class OTProblem:
     sense: str = MAXIMIZE
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen_array(self.weights, 2, "weights"))
-        object.__setattr__(self, "row_marginals", _frozen_array(self.row_marginals, 1, "row_marginals"))
-        object.__setattr__(self, "col_marginals", _frozen_array(self.col_marginals, 1, "col_marginals"))
-        _check_sense(self.sense)
-        n, m = self.weights.shape
-        if self.row_marginals.shape != (n,):
-            raise LengthMismatch(f"row_marginals has length {self.row_marginals.shape[0]}, expected {n}")
-        if self.col_marginals.shape != (m,):
-            raise LengthMismatch(f"col_marginals has length {self.col_marginals.shape[0]}, expected {m}")
+        _init_problem(self, "weights")
 
     @property
     def n(self) -> int:
@@ -105,15 +107,7 @@ class MOMAProblem:
     sense: str = MAXIMIZE
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", _frozen_array(self.coefficients, 2, "coefficients"))
-        object.__setattr__(self, "row_marginals", _frozen_array(self.row_marginals, 1, "row_marginals"))
-        object.__setattr__(self, "col_marginals", _frozen_array(self.col_marginals, 1, "col_marginals"))
-        _check_sense(self.sense)
-        n, m = self.coefficients.shape
-        if self.row_marginals.shape != (n,):
-            raise LengthMismatch(f"row_marginals has length {self.row_marginals.shape[0]}, expected {n}")
-        if self.col_marginals.shape != (m,):
-            raise LengthMismatch(f"col_marginals has length {self.col_marginals.shape[0]}, expected {m}")
+        _init_problem(self, "coefficients")
 
     @property
     def n(self) -> int:
@@ -239,10 +233,12 @@ class TransformSpec:
 def require_valid(problem: Problem) -> Problem:
     """Check all type invariants and return the problem.
 
-    Checks run in a fixed order and the first violation is raised:
-    finiteness of every array, positivity of the marginals, positivity of
-    multiplicative coefficients, and the global feasibility condition
-    sum(r) == sum(c) up to a relative slack of ``FEASIBILITY_RTOL``.
+    Both problem constructors run this check, so every problem object
+    already passes it.  Checks run in a fixed order and the first
+    violation is raised: finiteness of every array, positivity of the
+    marginals, positivity of multiplicative coefficients, and the global
+    feasibility condition sum(r) == sum(c) up to a relative slack of
+    ``FEASIBILITY_RTOL``.
     """
     if isinstance(problem, MOMAProblem):
         mat, mat_name = problem.coefficients, "coefficients"
@@ -275,18 +271,17 @@ def additive_weights(problem: Problem) -> np.ndarray:
 
 def ot_to_moma(problem: OTProblem) -> MOMAProblem:
     """Convert additive weights to multiplicative coefficients, b = exp(a)."""
-    require_valid(problem)
     with np.errstate(over="ignore"):
         b = np.exp(problem.weights)
-    if not np.all(np.isfinite(b)):
-        i, j = np.unravel_index(int(np.argmax(~np.isfinite(b))), b.shape)
-        raise Overflow(f"exp(weights[{i + 1}, {j + 1}]) = exp({problem.weights[i, j]}) overflows")
+    representable = np.isfinite(b) & (b > 0)
+    if not np.all(representable):
+        i, j = np.unravel_index(int(np.argmax(~representable)), b.shape)
+        raise Overflow(f"exp(weights[{i + 1}, {j + 1}]) = exp({problem.weights[i, j]}) is not representable")
     return MOMAProblem(b, problem.row_marginals, problem.col_marginals, problem.sense)
 
 
 def moma_to_ot(problem: MOMAProblem) -> OTProblem:
     """Convert multiplicative coefficients to additive weights, a = log(b)."""
-    require_valid(problem)
     return OTProblem(np.log(problem.coefficients), problem.row_marginals, problem.col_marginals, problem.sense)
 
 
@@ -298,17 +293,19 @@ def unweight(problem: MOMAProblem, spec: TransformSpec) -> MOMAProblem:
     equivalent plain-sum problem with ct_j = q_j c_j, rt_i = p_i r_i, and
     bt_ij = b_ij / (p_i q_j), so each row objective keeps its value.  A
     plan xt is balanced for the output exactly when x = xt / (p q) is
-    balanced for the input.
+    balanced for the input.  Weights that make the totals differ, or push
+    an entry out of the float range, raise the output constructor's error.
     """
-    require_valid(problem)
     p = spec.row_weights
     q = spec.col_weights
     if p.shape[0] != problem.n or q.shape[0] != problem.m:
         raise LengthMismatch(
             f"transform weights ({p.shape[0]}, {q.shape[0]}) do not match problem ({problem.n}, {problem.m})"
         )
-    b = problem.coefficients / (p[:, None] * q[None, :])
-    return MOMAProblem(b, p * problem.row_marginals, q * problem.col_marginals, problem.sense)
+    with np.errstate(over="ignore"):
+        b = problem.coefficients / (p[:, None] * q[None, :])
+        r, c = p * problem.row_marginals, q * problem.col_marginals
+    return MOMAProblem(b, r, c, problem.sense)
 
 
 def map_plan_from_unweighted(plan_values: np.ndarray, spec: TransformSpec) -> np.ndarray:
@@ -323,9 +320,10 @@ def conjugate_linear(problem: MOMAProblem) -> MOMAProblem:
 
     The balanced-solution sets of input and output coincide.
     """
-    require_valid(problem)
     flipped = MINIMIZE if problem.sense == MAXIMIZE else MAXIMIZE
-    return MOMAProblem(1.0 / problem.coefficients, problem.row_marginals, problem.col_marginals, flipped)
+    with np.errstate(over="ignore"):
+        b = 1.0 / problem.coefficients
+    return MOMAProblem(b, problem.row_marginals, problem.col_marginals, flipped)
 
 
 def rescale(problem: MOMAProblem, scale: float) -> MOMAProblem:
@@ -336,13 +334,9 @@ def rescale(problem: MOMAProblem, scale: float) -> MOMAProblem:
     """
     if not (scale > 0 and np.isfinite(scale)):
         raise NonPositiveScale(f"scale must be positive, got {scale}")
-    require_valid(problem)
-    return MOMAProblem(
-        problem.coefficients,
-        problem.row_marginals / scale,
-        problem.col_marginals / scale,
-        problem.sense,
-    )
+    with np.errstate(over="ignore"):
+        r, c = problem.row_marginals / scale, problem.col_marginals / scale
+    return MOMAProblem(problem.coefficients, r, c, problem.sense)
 
 
 @dataclass(frozen=True)
@@ -366,7 +360,6 @@ def monge_check(problem: Problem) -> MongeCheckResult:
     multiplicative form this is equivalent to nonnegativity of all 2x2
     determinants of the coefficient matrix.
     """
-    require_valid(problem)
     a = additive_weights(problem)
     if problem.sense == MINIMIZE:
         a = -a

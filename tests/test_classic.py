@@ -15,7 +15,6 @@ from balanced_transport import (
     column_multipliers,
     concave_iteration,
     entropic_family,
-    fixed_point_report,
     ipfp_matrix,
     ipfp_vector,
     isoelastic_family,
@@ -101,16 +100,6 @@ class TestNonregStep:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveEntry):
             nonreg_step(np.array([1.0, -1.0]), np.ones((2, 2)))
-
-
-class TestFixedPointReport:
-    def test_fields(self):
-        report = fixed_point_report(np.array([1.0, 2.0]), np.array([1.0, 2.0 + 1e-9]))
-        assert report.is_fixed_point
-        assert report.theta == pytest.approx(1.0, abs=1e-9)
-        report = fixed_point_report(np.array([1.0, 2.0]), np.array([1.1, 2.0]))
-        assert not report.is_fixed_point
-        assert report.component_ratios[0] == pytest.approx(1.1)
 
 
 class TestIPFPVector:

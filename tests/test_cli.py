@@ -113,8 +113,10 @@ class TestSolve:
         assert "--eta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value",
-                             [("n", "three"), ("n", 1.9), ("n", True), ("weights", ["x"] * 9), ("r", 1.0)],
-                             ids=["n-text", "n-fraction", "n-bool", "weights-text", "r-scalar"])
+                             [("n", "three"), ("n", 1.9), ("n", True), ("weights", ["x"] * 9), ("r", 1.0),
+                              ("r", [0.25, 0.25, -0.5]), ("c", [0.2, 0.6, 0.3]), ("form", "multiplicative")],
+                             ids=["n-text", "n-fraction", "n-bool", "weights-text", "r-scalar",
+                                  "r-negative", "c-unequal-total", "zero-coefficient"])
     def test_malformed_problem_field_exits_one(self, problem_file, capsys, field, value):
         doc = json.loads(problem_file.read_text())
         doc[field] = value

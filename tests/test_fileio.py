@@ -103,7 +103,9 @@ class TestWritersMatchReference:
 
     def test_extreme_values(self, tmp_path):
         assert _same_bytes(tmp_path, write_matrix_csv, reference_write_matrix_csv, EXTREMES)
-        prob = OTProblem(EXTREMES, np.ones(3), np.full(4, 0.75))
+        # A problem holds finite weights only; nan and +-inf stay in the CSV half.
+        finite = np.where(np.isfinite(EXTREMES), EXTREMES, 0.5)
+        prob = OTProblem(finite, np.ones(3), np.full(4, 0.75))
         assert _same_bytes(tmp_path, write_problem, reference_write_problem, prob)
 
     def test_gz_suffix_still_writes_plain_text(self, tmp_path, grid64):
@@ -138,10 +140,9 @@ class TestProblemFiles:
 
     def test_serialize_parse_serialize_is_identity(self, tmp_path):
         rng = np.random.default_rng(1)
-        prob = OTProblem(rng.normal(size=(3, 5)), rng.uniform(0.5, 1.0, 3),
-                         np.full(5, rng.uniform(0.5, 1.0, 3).sum() / 5))
-        c = prob.row_marginals.sum() / 5 * np.ones(5)
-        prob = OTProblem(prob.weights, prob.row_marginals, c)
+        a = rng.normal(size=(3, 5))
+        r = rng.uniform(0.5, 1.0, 3)
+        prob = OTProblem(a, r, r.sum() / 5 * np.ones(5))
         p1 = tmp_path / "one.json"
         p2 = tmp_path / "two.json"
         write_problem(prob, p1)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balanced_transport import (
+    AnnealingSchedule,
     GlobalFeasibilityViolation,
     LengthMismatch,
     MAXIMIZE,
@@ -27,6 +28,7 @@ from balanced_transport import (
     ot_to_moma,
     require_valid,
     rescale,
+    solve,
     unweight,
 )
 from problems import random_problem
@@ -104,6 +106,26 @@ class TestFormConversion:
     def test_overflow_rejected(self):
         with pytest.raises(Overflow):
             ot_to_moma(OTProblem([[1000.0]], [1.0], [1.0]))
+
+    def test_underflow_rejected(self, small_problem):
+        # exp(-800) is 0.0: no valid coefficient, so the 1-based cell is named.
+        p = small_problem
+        shifted = OTProblem(p.weights - 800.0, p.row_marginals, p.col_marginals)
+        with pytest.raises(Overflow, match=r"\[1, 1\]"):
+            ot_to_moma(shifted)
+        with pytest.raises(Overflow, match=r"\[1, 1\]"):
+            solve(shifted, AnnealingSchedule(((1e-2, 1e-2),)))
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: conjugate_linear(MOMAProblem([[5e-324]], [1.0], [1.0])), NonFiniteEntry),
+        (lambda: unweight(MOMAProblem([[1e300]], [1.0], [1.0]), TransformSpec([1e-10], [1e-10])), NonFiniteEntry),
+        (lambda: rescale(MOMAProblem([[1.0]], [1e-300], [1e-300]), 1e300), NonPositiveMarginal),
+        (lambda: rescale(MOMAProblem([[1.0]], [1e300], [1e300]), 1e-300), NonFiniteEntry),
+    ], ids=["conjugate-overflow", "unweight-overflow", "rescale-underflow", "rescale-overflow"])
+    def test_transforms_never_return_an_invalid_problem(self, build, error):
+        # The constructor's typed error, not a numpy RuntimeWarning.
+        with pytest.raises(error):
+            build()
 
     def test_nonpositive_coefficient_rejected_on_inverse(self):
         with pytest.raises(NonPositiveCoefficient):
