@@ -203,8 +203,13 @@ class DualPotentials:
         object.__setattr__(self, "mu", _frozen_array(self.mu, 1, "mu"))
 
     def to_scalings(self) -> Scalings:
-        """Multiplicative form: alpha = exp(-lambda), beta = exp(mu)."""
-        return Scalings(np.exp(-self.lam), np.exp(self.mu))
+        """Multiplicative form: alpha = exp(-lambda), beta = exp(mu).
+
+        Potentials whose exponentials overflow raise NonFiniteEntry.
+        """
+        with np.errstate(over="ignore"):
+            alpha, beta = np.exp(-self.lam), np.exp(self.mu)
+        return Scalings(alpha, beta)
 
     def value(self, row_marginals, col_marginals) -> float:
         """Dual objective sum(lambda * r) + sum(mu * c)."""
@@ -227,7 +232,10 @@ class TransformSpec:
             raise NonPositiveWeight("column weights must be positive and finite")
 
     def reciprocal(self) -> "TransformSpec":
-        return TransformSpec(1.0 / self.row_weights, 1.0 / self.col_weights)
+        """Weights 1/p and 1/q; a weight whose reciprocal overflows raises NonPositiveWeight."""
+        with np.errstate(over="ignore"):
+            p, q = 1.0 / self.row_weights, 1.0 / self.col_weights
+        return TransformSpec(p, q)
 
 
 def require_valid(problem: Problem) -> Problem:
@@ -238,7 +246,7 @@ def require_valid(problem: Problem) -> Problem:
     violation is raised: finiteness of every array, positivity of the
     marginals, positivity of multiplicative coefficients, and the global
     feasibility condition sum(r) == sum(c) up to a relative slack of
-    ``FEASIBILITY_RTOL``.
+    ``FEASIBILITY_RTOL``, which needs both totals finite.
     """
     if isinstance(problem, MOMAProblem):
         mat, mat_name = problem.coefficients, "coefficients"
@@ -255,8 +263,11 @@ def require_valid(problem: Problem) -> Problem:
     if isinstance(problem, MOMAProblem) and not np.all(mat > 0):
         i, j = np.unravel_index(int(np.argmax(~(mat > 0))), mat.shape)
         raise NonPositiveCoefficient(f"coefficients[{i + 1}, {j + 1}] = {mat[i, j]} is not positive")
-    total_r = float(np.sum(problem.row_marginals))
-    total_c = float(np.sum(problem.col_marginals))
+    with np.errstate(over="ignore"):
+        total_r = float(np.sum(problem.row_marginals))
+        total_c = float(np.sum(problem.col_marginals))
+    if not (np.isfinite(total_r) and np.isfinite(total_c)):
+        raise GlobalFeasibilityViolation(f"total row mass {total_r!r} or column mass {total_c!r} overflows")
     if abs(total_r - total_c) > FEASIBILITY_RTOL * max(total_r, total_c):
         raise GlobalFeasibilityViolation(f"total row mass {total_r!r} != total column mass {total_c!r}")
     return problem

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from balanced_transport import (
     AnnealingSchedule,
+    DualPotentials,
     GlobalFeasibilityViolation,
     LengthMismatch,
     MAXIMIZE,
@@ -52,6 +53,10 @@ class TestValidation:
         c_bad = [2.0 * (1.0 + 5e-10)]
         with pytest.raises(GlobalFeasibilityViolation):
             require_valid(OTProblem([[0.0], [0.0]], r, c_bad))
+
+    def test_overflowing_total_mass_is_a_feasibility_violation(self):
+        with pytest.raises(GlobalFeasibilityViolation, match="overflows"):
+            OTProblem([[0.0], [0.0]], [1e308, 1e308], [1.0])
 
     def test_nonpositive_marginal(self):
         with pytest.raises(NonPositiveMarginal):
@@ -291,6 +296,20 @@ class TestScalingsAndPotentials:
     def test_positivity_enforced(self):
         with pytest.raises(Exception):
             Scalings([1.0, -1.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "convert, error",
+        [
+            (lambda: TransformSpec([1e-310], [1.0]).reciprocal(), NonPositiveWeight),
+            (lambda: DualPotentials([-800.0], [0.0]).to_scalings(), NonFiniteEntry),
+        ],
+        ids=["reciprocal", "to_scalings"],
+    )
+    def test_an_overflowing_conversion_raises_its_typed_error_alone(self, convert, error):
+        # RuntimeWarnings are errors in this suite, so a numpy overflow
+        # warning ahead of the typed error fails the test.
+        with pytest.raises(error):
+            convert()
 
 
 class TestPlansAndReports:

@@ -62,25 +62,42 @@ class TestPowerNorm:
         vmax = float(np.max(v))
         return vmax * math.fsum((float(x) / vmax) ** (1.0 / eta) for x in v) ** eta
 
-    @given(
+    @staticmethod
+    def _keepdims_norm(v: np.ndarray, eta: float, axis) -> np.ndarray:
+        """The same truncated norm through np.max/np.sum with keepdims, then np.squeeze."""
+        vmax = np.max(v, axis=axis, keepdims=True)
+        ratio = v / vmax
+        n = v.size if axis is None else v.shape[axis]
+        cutoff = 2.0 ** (-(54 + (n - 1).bit_length()) * eta)
+        terms = np.power(ratio, 1.0 / eta, out=np.zeros(ratio.shape), where=~(ratio <= cutoff))
+        total = np.sum(terms, axis=axis, keepdims=True)
+        return np.squeeze(vmax * total**eta, axis=axis)
+
+    # Terms (v/M)^(1/eta) spread from 1 down to exp(-depth): live, near the
+    # cutoff, subnormal and zero, at every temperature.
+    spread_inputs = given(
         st.floats(min_value=-8.0, max_value=0.0),
         st.integers(min_value=1, max_value=2048),
         st.sampled_from([None, 0, 1]),
         st.floats(min_value=0.0, max_value=1500.0),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_truncation_matches_exact_sum(self, log_eta, n, axis, depth, seed):
-        # Terms (v/M)^(1/eta) spread from 1 down to exp(-depth): live,
-        # near the cutoff, subnormal and zero, at every temperature.
+
+    @staticmethod
+    def _spread(log_eta: float, n: int, axis, depth: float, seed: int):
+        """(eta, v) for ``spread_inputs``: n-long lines along ``axis``, 1 to 3 of them."""
         eta = 10.0**log_eta
         rng = np.random.default_rng(seed)
         width = 1 if axis is None else int(rng.integers(1, 4))
         shape = (n, width) if axis == 0 else (width, n)
         log_v = np.maximum(eta * rng.uniform(-depth, 0.0, size=shape), -600.0)  # v stays normal
         v = np.exp(log_v + rng.uniform(-50.0, 50.0))
-        if axis is None:
-            v = v.ravel()
+        return eta, (v.ravel() if axis is None else v)
+
+    @spread_inputs
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_matches_exact_sum(self, log_eta, n, axis, depth, seed):
+        eta, v = self._spread(log_eta, n, axis, depth, seed)
         got = np.atleast_1d(power_norm(v, eta, axis=axis))
         # The same reduction without truncation: dropping terms alone may
         # not move the result by more than 4 ulp.
@@ -98,6 +115,17 @@ class TestPowerNorm:
             # through the outer power.
             summation = eta * (n - 1) * 2.0**-53 * ref
             assert abs(out - ref) <= 4 * math.ulp(ref) + summation
+
+    @spread_inputs
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_keepdims_formulation(self, log_eta, n, axis, depth, seed):
+        # The direct ufunc reductions run the same arithmetic in the same
+        # order as np.max/np.sum with keepdims, so no bit may differ.
+        eta, v = self._spread(log_eta, n, axis, depth, seed)
+        got = power_norm(v, eta, axis=axis)
+        want = self._keepdims_norm(v, eta, axis)
+        assert np.shape(got) == want.shape
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("eta", [0.5, 1e-2, 1e-4, 1e-6, ETA_FLOOR])
     def test_no_floating_point_exception_down_to_the_floor(self, eta):
@@ -223,6 +251,19 @@ class TestZStep:
             x_ipfp = x_ipfp * (c / x_ipfp.sum(axis=0))[None, :]
             x_ipfp = x_ipfp * (r / x_ipfp.sum(axis=1))[:, None]
             assert np.allclose(z ** (1.0 / eta), x_ipfp, rtol=1e-8)
+
+    def test_arguments_are_left_unchanged(self):
+        # The row scaling happens in place, on the step's own new matrix.
+        rng = np.random.default_rng(8)
+        prob = random_problem(rng, 4, 6)
+        r, c = prob.row_marginals, prob.col_marginals
+        z = np.exp(prob.weights)
+        s = column_multipliers(z, c, 0.3)
+        z_before, s_before = z.copy(), s.copy()
+        z_next, _, _ = z_step(z, s, r, c, 0.3)
+        assert np.array_equal(z, z_before)
+        assert np.array_equal(s, s_before)
+        assert not np.shares_memory(z_next, z)
 
     def test_row_sums_after_full_step(self, small_problem):
         r, c = small_problem.row_marginals, small_problem.col_marginals
