@@ -21,7 +21,7 @@ quantity (1/eta) * log(max_j s_j / min_j s_j) equals the Hilbert distance
 between the plan's column sums and c, giving a stopping criterion for
 free.
 
-The iteration is one kernel, and ``solve`` runs exactly this loop::
+The iteration is one dense kernel, and ``solve`` runs this loop::
 
     s = column_multipliers(z, c, eta)           # at each stage start
     z, t, s = z_step(z, s, r, c, eta)           # per iteration
@@ -29,6 +29,26 @@ The iteration is one kernel, and ``solve`` runs exactly this loop::
 ``z_step`` returns the column multipliers of the new z alongside it, so
 each norm is computed once per step: ``s`` is both the stopping
 measurement of the step just taken and the column fit of the next one.
+
+As eta anneals, z^(1/eta) concentrates on a thin support, and in the late
+stages most cells lie far below the truncation cutoff, so ``solve``
+steps the live cells only, as a shortlist.  After each
+stage's first step, ``solve`` lists the cells whose column or row ratio
+lies above the cutoff times e^-delta, one cutoff band lower, with delta =
+(54 + ceil(log2 max(n, m))) * eta * ln 2.  When at most
+``SHORTLIST_SHARE`` of the cells are listed, the stage's further steps
+update only the listed values, in ``z_step``'s multiply order, and take
+both norms by segment reductions over them (``segment_power_norm``).
+The other cells are held as z_base_ij * V_j * U_i, with U and V the row
+and column multipliers since the list was built: a column ratio moves
+only with U and a row ratio only with V, so while log(max U / min U) and
+log(max V / min V) stay at or below delta/2 every off-list term is
+truncated by the dense kernel too, and the shortlist step is the dense
+step up to the order in which kept terms are summed.  A step that would
+break that drift bound finishes on the materialized z, and the list is
+rebuilt after it.  This is the truncated sparse scaling of
+Schmitzer (SIAM J. Sci. Comput. 2019), with the stage's own multipliers
+in place of absorbed potentials.
 
 Annealing runs the iteration over a decreasing temperature ladder.  The
 z matrix is carried unchanged between stages: z encodes the dual
@@ -68,6 +88,25 @@ ETA_FLOOR = 1e-8
 DEFAULT_TOL = 1e-2
 DEFAULT_MAX_ITERS = 100_000
 
+#: A stage runs on its shortlist of live cells only when at most this share
+#: of the matrix is listed; delta, the listing margin below the cutoff, is
+#: one cutoff band, (54 + ceil(log2 max(n, m))) * eta * ln 2, and the
+#: off-list multipliers may drift by delta/2 (see the module docstring).
+#: Measured crossover, steady-state steps on the 256x256 paper grid, 2-vCPU
+#: shared Intel Xeon, numpy 2.4: with 7.9% of cells listed (the final
+#: stage) a dense step takes about 850 us and a shortlist step about
+#: 260 us; with 30% (stage 5) about 930 against 590 us; with 74% (stage
+#: 1) the shortlist step no longer wins, 1510 against 1580 us.  The switch
+#: sits below the crossover so that a shortlist also pays for its build,
+#: which costs about one dense step, and for the dense steps of its
+#: fallbacks.
+SHORTLIST_SHARE = 0.3
+
+
+def _cutoff(n: int, eta: float) -> float:
+    """Truncation cutoff of a length-n line: ratios at or below it are dropped."""
+    return 2.0 ** (-(54 + (n - 1).bit_length()) * eta)  # (n - 1).bit_length() == ceil(log2 n)
+
 
 def power_norm(values: np.ndarray, eta: float, axis: Optional[int] = None) -> np.ndarray:
     """The 1/eta-norm, evaluated as M * (sum((v/M)^(1/eta)))^eta, M = max v.
@@ -97,10 +136,9 @@ def power_norm(values: np.ndarray, eta: float, axis: Optional[int] = None) -> np
     v = np.asarray(values, dtype=float)
     vmax = np.maximum.reduce(v, axis=axis)
     ratio = v / (vmax[:, None] if axis == 1 else vmax)
-    n = v.size if axis is None else v.shape[axis]
-    cutoff = 2.0 ** (-(54 + (n - 1).bit_length()) * eta)  # (n - 1).bit_length() == ceil(log2 n)
+    cutoff = _cutoff(v.size if axis is None else v.shape[axis], eta)
     terms = np.power(ratio, 1.0 / eta, out=np.zeros(ratio.shape), where=~(ratio <= cutoff))
-    out = vmax * np.add.reduce(terms, axis=axis) ** eta
+    out = vmax * np.power(np.add.reduce(terms, axis=axis), eta)
     return float(out) if axis is None else out
 
 
@@ -273,6 +311,159 @@ def z_step(
     return z_next, t, column_multipliers(z_next, c, eta)
 
 
+@dataclass(frozen=True)
+class LineList:
+    """Listed cells of a matrix, grouped into its lines along ``axis``.
+
+    ``axis`` has ``power_norm``'s meaning: 0 for column lines, 1 for row
+    lines.  A value list ordered line by line holds line l's cells at
+    positions ``starts[l]`` up to ``starts[l + 1]``; ``line`` gives the
+    line of each position, and ``length`` the full length of a line, which
+    sets its truncation cutoff.  Every line holds at least one cell.
+    """
+
+    axis: int
+    length: int
+    starts: np.ndarray
+    line: np.ndarray
+
+
+def segment_power_norm(
+    values: np.ndarray, eta: float, lines: LineList, ratio: np.ndarray, terms: np.ndarray
+) -> np.ndarray:
+    """``power_norm`` of each line of ``lines``, from its listed values only.
+
+    ``values`` is ordered as ``lines`` lists it; ``ratio`` and ``terms``
+    are work buffers of its size.  Maxima and sums are segment reductions
+    (``reduceat``), and the truncation is ``power_norm``'s.  When every
+    unlisted entry of a line lies at or below the line's cutoff, the dense
+    kernel drops it too, and the two results differ only by the order in
+    which the kept terms are summed.
+    """
+    vmax = np.maximum.reduceat(values, lines.starts)
+    np.divide(values, vmax[lines.line], out=ratio)
+    terms.fill(0.0)
+    np.power(ratio, 1.0 / eta, out=terms, where=~(ratio <= _cutoff(lines.length, eta)))
+    return vmax * np.power(np.add.reduceat(terms, lines.starts), eta)
+
+
+class _Shortlist:
+    """A stage's z, held as its listed values plus multipliers for the rest.
+
+    Off-list cells are z_base_ij * V_j * U_i, where z_base is the z the list
+    was built from and U, V are the products of the row and column
+    multipliers since.  A cell's column ratio moves only with U and its row
+    ratio only with V, so an off-list cell, listed out at a ratio below its
+    cutoff times e^-delta, stays at or below the cutoff while both
+    log(max U / min U) and log(max V / min V) are at most delta/2.
+    """
+
+    def __init__(self, z: np.ndarray, listed: np.ndarray, eta: float, max_drift: float):
+        n, m = z.shape
+        self.flat = np.flatnonzero(listed)
+        rows, cols = np.divmod(self.flat, m)
+        col_cols, col_rows = np.divmod(np.flatnonzero(listed.T), n)
+        row_counts = np.bincount(rows, minlength=n)
+        col_counts = np.bincount(col_cols, minlength=m)
+        self.by_row = LineList(1, m, np.cumsum(row_counts) - row_counts, rows)
+        self.by_col = LineList(0, n, np.cumsum(col_counts) - col_counts, col_cols)
+        self.rows, self.cols = rows, cols
+        # perm maps the column order onto the row order the values are kept
+        # in: flat is sorted, so a cell's row-order position is its rank there.
+        self.perm = np.searchsorted(self.flat, col_rows * m + col_cols)
+        self.z_base, self.eta, self.max_drift = z, eta, max_drift
+        self.vals = np.take(z, self.flat)
+        self.gathered, self.ratio, self.terms = (np.empty(self.flat.size) for _ in range(3))
+        self.U, self.V = np.ones(n), np.ones(m)
+
+    @classmethod
+    def build(cls, z: np.ndarray, eta: float) -> Optional["_Shortlist"]:
+        """List z's live cells, or None when more than SHORTLIST_SHARE are."""
+        n, m = z.shape
+        col_cut, row_cut = _cutoff(n, eta), _cutoff(m, eta)
+        band = min(col_cut, row_cut)  # e^-delta
+        listed = z > np.maximum.reduce(z, axis=0) * (col_cut * band)
+        listed |= z > (np.maximum.reduce(z, axis=1) * (row_cut * band))[:, None]
+        if np.count_nonzero(listed) > SHORTLIST_SHARE * z.size:
+            return None
+        return cls(z, listed, eta, -0.5 * np.log(band))
+
+    def step(self, s: np.ndarray, r_eta: np.ndarray, c_eta: np.ndarray):
+        """``z_step`` on the listed values: (t, s_next), or None.
+
+        None, with nothing changed, when V would drift too far for the row
+        norms.  s_next is None when the row fit is done but U has drifted
+        too far for the column norms.
+        """
+        V = self.V * s
+        if _log_spread(V, 1.0) > self.max_drift:
+            return None
+        vals = self.vals
+        vals *= s[self.cols]
+        t = r_eta / segment_power_norm(vals, self.eta, self.by_row, self.ratio, self.terms)
+        vals *= t[self.rows]
+        self.V = V
+        self.U *= t
+        if _log_spread(self.U, 1.0) > self.max_drift:
+            return t, None
+        np.take(vals, self.perm, out=self.gathered)
+        return t, c_eta / segment_power_norm(self.gathered, self.eta, self.by_col, self.ratio, self.terms)
+
+    def materialize(self) -> np.ndarray:
+        z = self.z_base * self.V
+        z *= self.U[:, None]
+        np.put(z, self.flat, self.vals)
+        return z
+
+
+class _Stage:
+    """One annealing stage's iterate, stepped as ``z_step`` steps z.
+
+    The stage starts on z itself.  After its first step, and after each
+    step that left the shortlist, it lists the live cells; when few enough
+    are listed, the following steps run on the shortlist.
+    """
+
+    def __init__(self, z: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float):
+        self.z, self.r, self.c, self.eta = z, r, c, eta
+        self.r_eta, self.c_eta = r**eta, c**eta
+        self.shortlist: Optional[_Shortlist] = None
+        self.first, self.relist = True, False
+        self.z_before: Optional[np.ndarray] = None  # the last step's input, if it was dense
+
+    def step(self, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if self.relist:
+            self.shortlist, self.relist = _Shortlist.build(self.z, self.eta), False
+        shortlist = self.shortlist
+        if shortlist is not None:
+            stepped = shortlist.step(s, self.r_eta, self.c_eta)
+            if stepped is not None:
+                t, s_next = stepped
+                self.z_before = None
+                if s_next is None:
+                    self.z, self.shortlist, self.relist = shortlist.materialize(), None, True
+                    s_next = column_multipliers(self.z, self.c, self.eta)
+                return t, s_next
+            self.z, self.shortlist = shortlist.materialize(), None
+        self.z_before = self.z
+        self.z, t, s = z_step(self.z, s, self.r, self.c, self.eta)
+        self.relist, self.first = self.first or shortlist is not None, False
+        return t, s
+
+    def unmoved(self) -> bool:
+        """Whether the last step was dense and left z bit for bit unchanged.
+
+        A shortlist step never counts as unmoved: listed values that stop
+        moving while the criterion stays above tol leave s non-uniform, so V
+        drifts until the stage falls back to a dense step, and that step's
+        comparison of the whole z decides.
+        """
+        return self.z_before is not None and np.array_equal(self.z_before, self.z)
+
+    def materialized(self) -> np.ndarray:
+        return self.z if self.shortlist is None else self.shortlist.materialize()
+
+
 def criterion(s: np.ndarray, eta: float) -> float:
     """Stopping criterion (1/eta) * log(max_j s_j / min_j s_j).
 
@@ -308,11 +499,18 @@ def solve(
     x_ij = (alpha_i b_ij / beta_j)^(1/eta_final) with b the internal
     (sense-adjusted) coefficients.
 
+    Once few enough cells are live, a stage steps only its listed cells
+    (see the module docstring); the iterates then agree with ``z_step``'s
+    to rounding, and the per-stage iteration counts are the same on the
+    paper grids and the desk problems.  z is materialized for snapshots
+    and at each stage end.
+
     ``max_iters`` bounds each stage; on an exhausted budget the iterate
     reached is returned with ``converged=False``.  ``snapshot_stride``
     records the plan every that many iterations in ``trace.snapshots``.
     An overflow, division by zero or invalid operation while iterating
-    raises NonFiniteEntry.
+    raises NonFiniteEntry.  A dense step that repeats the criterion and
+    leaves z unchanged raises NumericalDegeneracy.
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
@@ -334,24 +532,25 @@ def solve(
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for eta, tol in schedule.stages:
                 iters = 0
+                stage = _Stage(z, r, c, eta)
                 s = column_multipliers(z, c, eta)
                 crit = _log_spread(s, eta)
                 while True:
-                    z_before, crit_before = z, crit
+                    crit_before = crit
                     beta /= s
-                    z, t, s = z_step(z, s, r, c, eta)
+                    t, s = stage.step(s)
                     alpha *= t
                     iters += 1
                     k_global += 1
                     crit = _log_spread(s, eta)
                     trace.record(k_global, eta, crit, time.perf_counter() - t0)
                     if snapshot_stride and k_global % snapshot_stride == 0:
-                        trace.snapshots.append((k_global, z ** (1.0 / eta)))
+                        trace.snapshots.append((k_global, stage.materialized() ** (1.0 / eta)))
                     if crit < tol:
                         break
                     # An unmoved z recomputes the same s, hence the same criterion,
                     # so the full comparison runs only when the criterion repeats.
-                    if crit == crit_before and np.array_equal(z, z_before):
+                    if crit == crit_before and stage.unmoved():
                         raise NumericalDegeneracy(
                             f"updates no longer move z at eta={eta} while the criterion is {crit:.3g};"
                             " the temperature is below usable resolution"
@@ -359,6 +558,7 @@ def solve(
                     if iters >= max_iters:
                         converged = False
                         break
+                z = stage.materialized()
                 stage_iterations.append(iters)
                 if not converged:
                     break

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balanced_transport import (
     ETA_FLOOR,
     AnnealingSchedule,
     GridSpec,
+    MAXIMIZE,
     MINIMIZE,
     NonFiniteEntry,
     NonPositiveEntry,
@@ -117,6 +118,7 @@ class TestPowerNorm:
             assert abs(out - ref) <= 4 * math.ulp(ref) + summation
 
     @spread_inputs
+    @example(log_eta=-1.0, n=11, axis=None, depth=49.47079862130778, seed=0)
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_to_the_keepdims_formulation(self, log_eta, n, axis, depth, seed):
         # The direct ufunc reductions run the same arithmetic in the same
@@ -477,18 +479,141 @@ class TestIterationCounts:
 
     def test_grid64_annealed_norm_traffic(self, monkeypatch):
         # One column norm per stage start plus one column and one row norm
-        # per iteration, all through the module attribute that callers
-        # (and the benchmark tracer) resolve.
+        # per iteration, each through a module attribute that callers
+        # resolve: the dense power_norm (which the benchmark tracer wraps) or
+        # the shortlist's segment_power_norm.
         calls = {0: 0, 1: 0}
-        norm = regularized.power_norm
+        norm, segment_norm = regularized.power_norm, regularized.segment_power_norm
 
         def counting(values, eta, axis=None):
             calls[axis] += 1
             return norm(values, eta, axis)
 
+        def counting_segments(values, eta, lines, ratio, terms):
+            calls[lines.axis] += 1
+            return segment_norm(values, eta, lines, ratio, terms)
+
         monkeypatch.setattr(regularized, "power_norm", counting)
+        monkeypatch.setattr(regularized, "segment_power_norm", counting_segments)
         result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
         assert calls == {0: result.iterations + 12, 1: result.iterations}
+
+
+def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int = 100_000):
+    """solve's iteration through z_step alone, comparing z itself for a freeze.
+
+    Returns (outcome, stage iterations, criteria, final z), with outcome
+    "converged", "frozen" or "max_iters".
+    """
+    a = problem.weights if problem.sense == MAXIMIZE else -problem.weights
+    z, _ = row_equilibrate(np.exp(a))
+    r, c = problem.row_marginals, problem.col_marginals
+    counts, crits = [], []
+    for eta, tol in schedule.stages:
+        s = column_multipliers(z, c, eta)
+        for k in range(1, max_iters + 1):
+            before = z
+            z, _, s = z_step(z, s, r, c, eta)
+            crits.append(criterion(s, eta))
+            if crits[-1] < tol:
+                break
+            if np.array_equal(z, before):
+                return "frozen", tuple(counts) + (k,), np.array(crits), z
+        else:
+            return "max_iters", tuple(counts) + (k,), np.array(crits), z
+        counts.append(k)
+    return "converged", tuple(counts), np.array(crits), z
+
+
+@pytest.fixture
+def segment_calls(monkeypatch):
+    """Counts calls of the shortlist's norm kernel."""
+    calls = [0]
+    norm = regularized.segment_power_norm
+
+    def counting(*args):
+        calls[0] += 1
+        return norm(*args)
+
+    monkeypatch.setattr(regularized, "segment_power_norm", counting)
+    return calls
+
+
+class TestShortlist:
+    """Late stages run on their live cells; the dense z_step loop is the reference."""
+
+    @pytest.mark.parametrize(
+        "problem, schedule",
+        [
+            (lambda: generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2)),
+            (lambda: generate_grid(GridSpec(64)), AnnealingSchedule(((1e-3, 1e-2),))),
+            (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
+             make_schedule(1e-4, 12, 1.5, 1e-2)),
+            (lambda: random_problem(np.random.default_rng(2), 32, 32, MINIMIZE, gaussian=True),
+             make_schedule(1e-4, 12, 1.5, 1e-2)),
+            (lambda: random_problem(np.random.default_rng(3), 48, 36, gaussian=True),
+             make_schedule(1e-4, 12, 1.5, 1e-2)),
+            # One cold stage on a random problem: almost only the line maxima
+            # are listed, in many groups at their own scales.
+            (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
+             AnnealingSchedule(((1e-3, 1e-2),))),
+        ],
+        ids=["grid64-annealed", "grid64-cold", "24x40-max", "32x32-min", "48x36-max", "24x40-cold"],
+    )
+    def test_matches_the_dense_iteration(self, segment_calls, problem, schedule):
+        # The shortlist sums the kept terms in another order than the dense
+        # kernel, so the iterates agree to rounding and the counts exactly.
+        problem = problem()
+        result = solve(problem, schedule)
+        outcome, counts, crits, z = _dense_solve(problem, schedule)
+        assert outcome == "converged"
+        assert segment_calls[0] > 0
+        assert result.stage_iterations == counts
+        assert np.max(np.abs(result.final_z - z) / z) <= 1e-12
+        plan = z ** (1.0 / schedule.eta_final)
+        assert np.max(np.abs(result.plan.values - plan)) <= 1e-10 * np.max(plan)
+        assert np.max(np.abs(np.array(result.trace.criteria) - crits)) <= 1e-10
+
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=2, max_value=40),
+        st.floats(min_value=-6.0, max_value=-1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_segment_norms_match_the_dense_norms_within_the_drift_bound(self, n, m, log_eta, drift, seed):
+        eta = 10.0**log_eta
+        rng = np.random.default_rng(seed)
+        # Plan-domain depths of up to 2000 nats: most cells fall far below the
+        # cutoff, as in the late annealing stages.
+        z = np.exp(eta * rng.uniform(-2000.0, 0.0, size=(n, m)) + rng.uniform(-50.0, 50.0))
+        short = regularized._Shortlist.build(z, eta)
+        if short is None:  # more than SHORTLIST_SHARE listed
+            return
+        # Row and column multipliers whose log spreads reach drift * delta/2.
+        short.U = np.exp(drift * short.max_drift * rng.uniform(size=n))
+        short.V = np.exp(drift * short.max_drift * rng.uniform(size=m))
+        short.U[0], short.V[0] = 1.0, np.exp(drift * short.max_drift)
+        short.vals = (z * short.V).ravel()[short.flat] * short.U[short.rows]
+        full = short.materialize()
+        rows = regularized.segment_power_norm(short.vals, eta, short.by_row, short.ratio, short.terms)
+        cols = regularized.segment_power_norm(short.vals[short.perm], eta, short.by_col, short.ratio, short.terms)
+        for got, want in ((rows, power_norm(full, eta, axis=1)), (cols, power_norm(full, eta, axis=0))):
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    def test_a_frozen_shortlist_ends_as_the_dense_iteration(self, segment_calls):
+        # The listed values, which carry every norm, stop moving while the
+        # criterion stays above tol.  The dense reference keeps moving the
+        # off-list cells by rounding, so it runs on to max_iters, and so must
+        # the shortlist: only a dense step's comparison of z is a freeze.
+        prob = random_problem(np.random.default_rng(3), 6, 6, gaussian=True)
+        prob = OTProblem(100.0 * prob.weights, prob.row_marginals, prob.col_marginals)
+        schedule = AnnealingSchedule(((0.2, 1e-300),))
+        result = solve(prob, schedule, max_iters=300)
+        assert segment_calls[0] > 0
+        assert not result.converged
+        assert _dense_solve(prob, schedule, max_iters=300)[:2] == ("max_iters", result.stage_iterations)
 
 
 class TestIsoelasticUtility:
