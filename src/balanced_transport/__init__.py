@@ -22,8 +22,6 @@ from .errors import (
     NonPositiveCoefficient,
     NonPositiveEntry,
     NonPositiveMarginal,
-    NonPositiveScale,
-    NonPositiveWeight,
     NumericalDegeneracy,
     Overflow,
     RootBracketFailure,
@@ -41,17 +39,12 @@ from .model import (
     MongeCheckResult,
     OTProblem,
     Scalings,
-    TransformSpec,
     TransportPlan,
     additive_weights,
-    conjugate_linear,
-    map_plan_from_unweighted,
     moma_to_ot,
     monge_check,
     ot_to_moma,
-    rescale,
     require_valid,
-    unweight,
 )
 from .regularized import (
     ETA_FLOOR,

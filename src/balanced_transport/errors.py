@@ -27,14 +27,6 @@ class NonFiniteEntry(ValidationError):
     """An input array contains NaN or infinity."""
 
 
-class NonPositiveWeight(ValidationError):
-    """A transform weight vector contains a non-positive entry."""
-
-
-class NonPositiveScale(ValidationError):
-    """A rescaling factor is zero or negative."""
-
-
 class NonPositiveEntry(ValidationError):
     """A matrix or vector required to be strictly positive is not."""
 

@@ -3,18 +3,20 @@ traces, and binary PGM heatmaps.
 
 JSON numbers are Python's shortest round-trip ``repr`` and CSV cells carry
 17 significant digits, so every file reads back bit-identically.  CSV is
-diff-able; PGM (P5) is the simplest lossless grayscale raster.
+diff-able; PGM (P5) is the simplest lossless grayscale raster.  Problems
+and matrices have readers here; traces and heatmaps are only written,
+and a trace reads back with ``np.loadtxt(path, delimiter=",", skiprows=1)``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonFiniteEntry, ValidationError
 from .model import MAXIMIZE, MINIMIZE, MOMAProblem, OTProblem, Problem
 from .regularized import ConvergenceTrace
 
@@ -130,9 +132,6 @@ def read_matrix_csv(path: Union[str, Path]) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-_TRACE_HEADER = "iter,eta,criterion,wall_time"
-
-
 def write_trace_csv(trace: ConvergenceTrace, path: Union[str, Path]) -> None:
     """Columns iter,eta,criterion,wall_time; one line per recorded iteration.
 
@@ -141,34 +140,21 @@ def write_trace_csv(trace: ConvergenceTrace, path: Union[str, Path]) -> None:
     rows = np.column_stack((trace.iterations, trace.etas, trace.criteria, trace.wall_times))
     with open(path, "w") as handle:
         np.savetxt(handle, rows, fmt=("%d", "%.17g", "%.17g", "%.17g"), delimiter=",",
-                   header=_TRACE_HEADER, comments="")
-
-
-def read_trace_csv(path: Union[str, Path]) -> List[Tuple[int, float, float, float]]:
-    """Rows (iter, eta, criterion, wall_time) of a trace file."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != _TRACE_HEADER:
-        raise ProblemFileError(f"trace file {path} lacks the {_TRACE_HEADER} header", line=1)
-    out = []
-    for k, line in enumerate(lines[1:], start=2):
-        parts = line.strip().split(",")
-        if len(parts) != 4:
-            raise ProblemFileError(f"trace file {path} has a malformed row", line=k)
-        try:
-            out.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
-        except ValueError as exc:
-            raise ProblemFileError(f"trace file {path}: {exc}", line=k) from exc
-    return out
+                   header="iter,eta,criterion,wall_time", comments="")
 
 
 def write_pgm(matrix: np.ndarray, path: Union[str, Path]) -> None:
     """8-bit binary PGM; min maps to 0, max to 255, row 1 at the top.
 
-    A constant matrix maps to mid-gray 128.
+    A constant matrix maps to mid-gray 128.  A NaN or infinite entry has
+    no gray level and raises NonFiniteEntry naming its 1-based cell.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValidationError("heatmap input must be a non-empty matrix")
+    if not np.all(np.isfinite(matrix)):
+        i, j = np.unravel_index(int(np.argmax(~np.isfinite(matrix))), matrix.shape)
+        raise NonFiniteEntry(f"heatmap entry [{i + 1}, {j + 1}] = {matrix[i, j]} is not finite")
     lo = float(matrix.min())
     hi = float(matrix.max())
     if hi > lo:
@@ -178,19 +164,6 @@ def write_pgm(matrix: np.ndarray, path: Union[str, Path]) -> None:
     n, m = matrix.shape
     header = f"P5\n{m} {n}\n255\n".encode("ascii")
     Path(path).write_bytes(header + scaled.tobytes())
-
-
-def read_pgm(path: Union[str, Path]) -> np.ndarray:
-    """Read back a binary PGM written by write_pgm (for tests and tools)."""
-    raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5":
-        raise ProblemFileError(f"{path} is not a binary PGM produced by this package")
-    m, n = (int(tok) for tok in parts[1].split())
-    if parts[2] != b"255":
-        raise ProblemFileError(f"{path} has unexpected maxval {parts[2]!r}")
-    data = np.frombuffer(parts[3][: n * m], dtype=np.uint8)
-    return data.reshape(n, m)
 
 
 def write_report(report: dict, path: Union[str, Path]) -> None:

@@ -1,4 +1,4 @@
-"""Problem, plan, and scaling data types plus problem-level transforms.
+"""Problem, plan, and scaling data types, and the conversions between forms.
 
 Two equivalent problem forms are supported.  The additive form carries a
 weight matrix ``a`` and asks for a transport plan maximizing (or
@@ -31,8 +31,6 @@ from .errors import (
     NonPositiveCoefficient,
     NonPositiveEntry,
     NonPositiveMarginal,
-    NonPositiveScale,
-    NonPositiveWeight,
     Overflow,
     ValidationError,
 )
@@ -216,28 +214,6 @@ class DualPotentials:
         return float(np.dot(self.lam, row_marginals) + np.dot(self.mu, col_marginals))
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """Row weights p and column weights q, all positive."""
-
-    row_weights: np.ndarray
-    col_weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "row_weights", _frozen_array(self.row_weights, 1, "row_weights"))
-        object.__setattr__(self, "col_weights", _frozen_array(self.col_weights, 1, "col_weights"))
-        if not (np.all(self.row_weights > 0) and np.all(np.isfinite(self.row_weights))):
-            raise NonPositiveWeight("row weights must be positive and finite")
-        if not (np.all(self.col_weights > 0) and np.all(np.isfinite(self.col_weights))):
-            raise NonPositiveWeight("column weights must be positive and finite")
-
-    def reciprocal(self) -> "TransformSpec":
-        """Weights 1/p and 1/q; a weight whose reciprocal overflows raises NonPositiveWeight."""
-        with np.errstate(over="ignore"):
-            p, q = 1.0 / self.row_weights, 1.0 / self.col_weights
-        return TransformSpec(p, q)
-
-
 def require_valid(problem: Problem) -> Problem:
     """Check all type invariants and return the problem.
 
@@ -296,69 +272,12 @@ def moma_to_ot(problem: MOMAProblem) -> OTProblem:
     return OTProblem(np.log(problem.coefficients), problem.row_marginals, problem.col_marginals, problem.sense)
 
 
-def unweight(problem: MOMAProblem, spec: TransformSpec) -> MOMAProblem:
-    """Reduce a problem with weighted row/column sums to plain sums.
-
-    The input is read as carrying constraints sum_i p_i x_ij = c_j and
-    sum_j q_j x_ij = r_i.  Substituting xt_ij = p_i q_j x_ij yields an
-    equivalent plain-sum problem with ct_j = q_j c_j, rt_i = p_i r_i, and
-    bt_ij = b_ij / (p_i q_j), so each row objective keeps its value.  A
-    plan xt is balanced for the output exactly when x = xt / (p q) is
-    balanced for the input.  Weights that make the totals differ, or push
-    an entry out of the float range, raise the output constructor's error.
-    """
-    p = spec.row_weights
-    q = spec.col_weights
-    if p.shape[0] != problem.n or q.shape[0] != problem.m:
-        raise LengthMismatch(
-            f"transform weights ({p.shape[0]}, {q.shape[0]}) do not match problem ({problem.n}, {problem.m})"
-        )
-    with np.errstate(over="ignore"):
-        b = problem.coefficients / (p[:, None] * q[None, :])
-        r, c = p * problem.row_marginals, q * problem.col_marginals
-    return MOMAProblem(b, r, c, problem.sense)
-
-
-def map_plan_from_unweighted(plan_values: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Pull a plan of the unweighted problem back: x = xt / (p_i q_j)."""
-    return np.asarray(plan_values, dtype=float) / (
-        spec.row_weights[:, None] * spec.col_weights[None, :]
-    )
-
-
-def conjugate_linear(problem: MOMAProblem) -> MOMAProblem:
-    """Swap maximization and minimization by inverting the coefficients.
-
-    The balanced-solution sets of input and output coincide.
-    """
-    flipped = MINIMIZE if problem.sense == MAXIMIZE else MAXIMIZE
-    with np.errstate(over="ignore"):
-        b = 1.0 / problem.coefficients
-    return MOMAProblem(b, problem.row_marginals, problem.col_marginals, flipped)
-
-
-def rescale(problem: MOMAProblem, scale: float) -> MOMAProblem:
-    """Divide both marginal vectors by ``scale`` (> 0).
-
-    X is balanced for the input exactly when X / scale is balanced for
-    the output; coefficients are unchanged.
-    """
-    if not (scale > 0 and np.isfinite(scale)):
-        raise NonPositiveScale(f"scale must be positive, got {scale}")
-    with np.errstate(over="ignore"):
-        r, c = problem.row_marginals / scale, problem.col_marginals / scale
-    return MOMAProblem(problem.coefficients, r, c, problem.sense)
-
-
 @dataclass(frozen=True)
 class MongeCheckResult:
     """Outcome of the 2x2-minor inequality scan (1-based indices)."""
 
     is_monge: bool
     first_violation: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.is_monge
 
 
 def monge_check(problem: Problem) -> MongeCheckResult:

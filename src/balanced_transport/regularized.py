@@ -217,9 +217,6 @@ class ConvergenceTrace:
         self.criteria.append(crit)
         self.wall_times.append(wall)
 
-    def __len__(self) -> int:
-        return len(self.iterations)
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -256,7 +253,9 @@ def row_equilibrate(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if not np.all(b > 0):
         raise NonPositiveEntry("row equilibration requires a strictly positive matrix")
     col_max = np.max(b, axis=0)
-    alpha = np.min(col_max[None, :] / b, axis=1)
+    # An overflowed ratio is inf and loses the row minimum to any finite one.
+    with np.errstate(over="ignore"):
+        alpha = np.min(col_max[None, :] / b, axis=1)
     return alpha[:, None] * b, alpha
 
 

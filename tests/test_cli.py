@@ -9,7 +9,7 @@ import pytest
 
 from balanced_transport import small_example, small_example_solution
 from balanced_transport.cli import main
-from balanced_transport.fileio import read_matrix_csv, read_problem, read_trace_csv, write_matrix_csv, write_problem
+from balanced_transport.fileio import read_matrix_csv, read_problem, write_matrix_csv, write_problem
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -67,12 +67,45 @@ class TestSolve:
         assert report["final_criterion"] < 0.01
         assert report["objective_value"] >= 0.54
         assert report["duality_gap"] is not None
-        rows = read_trace_csv(trace_path)
+        rows = np.loadtxt(trace_path, delimiter=",", skiprows=1, ndmin=2)
         assert len(rows) == report["iterations_total"]
         # the running minimum of the criterion column never increases
-        criteria = [c for _, _, c, _ in rows]
+        criteria = rows[:, 2]
         running = np.minimum.accumulate(criteria)
         assert np.all(np.diff(running) <= 0.0 + 1e-18)
+
+    def test_minimize_and_multiplicative_files_agree_with_the_additive_one(self, tmp_path):
+        # The minimize report flips the solver's duals back to the caller's
+        # weights; the multiplicative file goes through moma_to_ot.
+        from balanced_transport import MINIMIZE, OTProblem, ot_to_moma
+
+        p = small_example()
+        forms = {
+            "additive": p,
+            "minimize": OTProblem(-p.weights, p.row_marginals, p.col_marginals, MINIMIZE),
+            "multiplicative": ot_to_moma(p),
+        }
+        reports, plans = {}, {}
+        for name, problem in forms.items():
+            write_problem(problem, tmp_path / f"{name}.json")
+            code = main([
+                "solve", str(tmp_path / f"{name}.json"),
+                "--schedule", "stages=12,factor=1.5,final=1e-4",
+                "--report", str(tmp_path / f"{name}.report.json"),
+                "--out-plan", str(tmp_path / f"{name}.plan.csv"),
+            ])
+            assert code == 0
+            reports[name] = json.loads((tmp_path / f"{name}.report.json").read_text())
+            plans[name] = (tmp_path / f"{name}.plan.csv").read_bytes()
+        base = reports["additive"]
+        assert base["iterations_per_stage"] == [65] + [14] * 11
+        assert 0 < base["duality_gap"] < 1e-3
+        for name in ("minimize", "multiplicative"):
+            assert reports[name]["iterations_per_stage"] == base["iterations_per_stage"]
+            assert plans[name] == plans["additive"]
+            assert reports[name]["duality_gap"] == pytest.approx(base["duality_gap"], rel=1e-12)
+        assert reports["minimize"]["objective_value"] == pytest.approx(-base["objective_value"], rel=1e-12)
+        assert reports["multiplicative"]["objective_value"] == pytest.approx(base["objective_value"], rel=1e-12)
 
     def test_zero_eta_names_the_floor(self, problem_file, capsys):
         assert main(["solve", str(problem_file), "--eta", "0"]) == 1
@@ -181,6 +214,13 @@ class TestHeatmap:
         out = tmp_path / "weights.pgm"
         assert main(["heatmap", str(weights_path), "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"P5\n16 16\n255\n")
+
+    def test_nonfinite_cell_exits_one(self, tmp_path, capsys):
+        matrix_path = tmp_path / "bad.csv"
+        matrix_path.write_text("0,1\n1,nan\n")
+        assert main(["heatmap", str(matrix_path), "--out", str(tmp_path / "bad.pgm")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "[2, 2]" in err
 
     def test_empty_input_exits_one(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -14,15 +14,13 @@ from balanced_transport import (
     small_example,
     solve,
 )
-from balanced_transport.errors import ValidationError
+from balanced_transport.errors import NonFiniteEntry, ValidationError
 from balanced_transport.fileio import (
     FORM_ADDITIVE,
     FORM_MULTIPLICATIVE,
     ProblemFileError,
     read_matrix_csv,
-    read_pgm,
     read_problem,
-    read_trace_csv,
     write_matrix_csv,
     write_pgm,
     write_problem,
@@ -243,35 +241,10 @@ class TestTraceCSV:
         result = solve(small_example(), AnnealingSchedule(((1e-2, 1e-2),)))
         path = tmp_path / "trace.csv"
         write_trace_csv(result.trace, path)
-        rows = read_trace_csv(path)
-        assert [k for k, _, _, _ in rows] == result.trace.iterations
-        assert [c for _, _, c, _ in rows] == result.trace.criteria
-        assert [w for _, _, _, w in rows] == result.trace.wall_times
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        trace = result.trace
+        assert np.array_equal(rows, np.column_stack((trace.iterations, trace.etas, trace.criteria, trace.wall_times)))
         assert path.read_text().splitlines()[0] == "iter,eta,criterion,wall_time"
-
-    def test_row_width_must_match_header(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("iter,eta,criterion,wall_time\n1,0.01,0.5\n")
-        with pytest.raises(ProblemFileError):
-            read_trace_csv(path)
-
-    @pytest.mark.parametrize("row", ["x,0.01,0.5,0.1", "1.5,0.01,0.5,0.1", "1,0.01,half,0.1"],
-                             ids=["text-iter", "fractional-iter", "text-criterion"])
-    def test_bad_cell_names_its_line(self, tmp_path, row):
-        path = tmp_path / "trace.csv"
-        path.write_text(f"iter,eta,criterion,wall_time\n1,0.01,0.6,0.05\n{row}\n")
-        with pytest.raises(ProblemFileError) as err:
-            read_trace_csv(path)
-        assert err.value.line == 3
-        assert str(err.value).endswith("(line 3)")
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        # no header, the three-column form without wall times, an empty file
-        for text in ("1,0.1,0.5\n", "iter,eta,criterion\n1,0.01,0.5\n", ""):
-            path.write_text(text)
-            with pytest.raises(ProblemFileError, match="header"):
-                read_trace_csv(path)
 
 
 class TestPGM:
@@ -291,10 +264,20 @@ class TestPGM:
         mat = np.array([[0.0, 0.5], [1.0, 0.25], [0.75, 0.1]])
         path = tmp_path / "three.pgm"
         write_pgm(mat, path)
-        pixels = read_pgm(path)
-        assert pixels.shape == (3, 2)
+        header = b"P5\n2 3\n255\n"  # width 2, height 3
+        raw = path.read_bytes()
+        assert raw.startswith(header)
+        pixels = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(3, 2)
         assert pixels[0, 0] == 0  # row 1 stays on top
         assert pixels[1, 0] == 255
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_rejected_with_its_cell(self, tmp_path, bad):
+        mat = np.array([[0.0, 0.5], [1.0, bad], [0.75, 0.1]])
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(NonFiniteEntry, match=r"\[2, 2\]"):
+            write_pgm(mat, path)
+        assert not path.exists()
 
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(Exception):

@@ -14,23 +14,16 @@ from balanced_transport import (
     NonFiniteEntry,
     NonPositiveCoefficient,
     NonPositiveMarginal,
-    NonPositiveScale,
-    NonPositiveWeight,
     OTProblem,
     Overflow,
     Scalings,
-    TransformSpec,
     TransportPlan,
-    conjugate_linear,
     lp_oracle,
-    map_plan_from_unweighted,
     moma_to_ot,
     monge_check,
     ot_to_moma,
     require_valid,
-    rescale,
     solve,
-    unweight,
 )
 from problems import random_problem
 
@@ -121,91 +114,12 @@ class TestFormConversion:
         with pytest.raises(Overflow, match=r"\[1, 1\]"):
             solve(shifted, AnnealingSchedule(((1e-2, 1e-2),)))
 
-    @pytest.mark.parametrize("build, error", [
-        (lambda: conjugate_linear(MOMAProblem([[5e-324]], [1.0], [1.0])), NonFiniteEntry),
-        (lambda: unweight(MOMAProblem([[1e300]], [1.0], [1.0]), TransformSpec([1e-10], [1e-10])), NonFiniteEntry),
-        (lambda: rescale(MOMAProblem([[1.0]], [1e-300], [1e-300]), 1e300), NonPositiveMarginal),
-        (lambda: rescale(MOMAProblem([[1.0]], [1e300], [1e300]), 1e-300), NonFiniteEntry),
-    ], ids=["conjugate-overflow", "unweight-overflow", "rescale-underflow", "rescale-overflow"])
-    def test_transforms_never_return_an_invalid_problem(self, build, error):
-        # The constructor's typed error, not a numpy RuntimeWarning.
-        with pytest.raises(error):
-            build()
-
     def test_nonpositive_coefficient_rejected_on_inverse(self):
         with pytest.raises(NonPositiveCoefficient):
             moma_to_ot(MOMAProblem([[0.0]], [1.0], [1.0]))
 
 
-class TestUnweight:
-    def test_unit_weights_are_identity(self, small_problem):
-        moma = ot_to_moma(small_problem)
-        spec = TransformSpec(np.ones(3), np.ones(3))
-        out = unweight(moma, spec)
-        assert np.array_equal(out.coefficients, moma.coefficients)
-        assert np.array_equal(out.row_marginals, moma.row_marginals)
-
-    def test_reciprocal_round_trip(self, small_problem):
-        moma = ot_to_moma(small_problem)
-        spec = TransformSpec([1.0, 2.0, 1.0], [1.0, 1.0, 2.25])
-        back = unweight(unweight(moma, spec), spec.reciprocal())
-        assert np.allclose(back.coefficients, moma.coefficients, rtol=1e-14)
-        assert np.allclose(back.row_marginals, moma.row_marginals, rtol=1e-14)
-        assert np.allclose(back.col_marginals, moma.col_marginals, rtol=1e-14)
-
-    def test_correspondence_with_weighted_constraint_lp(self, small_problem):
-        # Independent route: solve the weighted-sum problem directly as an
-        # LP in the original variables and compare with the mapped-back
-        # oracle plan of the unweighted transform.  The weights are chosen
-        # so the transformed problem stays globally feasible.
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        moma = ot_to_moma(small_problem)
-        p = np.array([1.0, 2.0, 1.0])
-        q = np.array([1.0, 1.0, 2.25])
-        spec = TransformSpec(p, q)
-        transformed = unweight(moma, spec)
-        require_valid(transformed)
-        oracle = lp_oracle(transformed)
-        assert oracle.is_unique()
-        mapped_back = map_plan_from_unweighted(oracle.plan.values, spec)
-
-        n, m = moma.n, moma.m
-        objective = (p[:, None] * q[None, :]) * np.log(transformed.coefficients)
-        a_eq = []
-        b_eq = []
-        for j in range(m):  # weighted column constraints sum_i p_i x_ij = c_j
-            row = np.zeros((n, m))
-            row[:, j] = p
-            a_eq.append(row.ravel())
-            b_eq.append(moma.col_marginals[j])
-        for i in range(n):  # weighted row constraints sum_j q_j x_ij = r_i
-            row = np.zeros((n, m))
-            row[i, :] = q
-            a_eq.append(row.ravel())
-            b_eq.append(moma.row_marginals[i])
-        res = linprog(-objective.ravel(), A_eq=np.array(a_eq), b_eq=np.array(b_eq), method="highs")
-        assert res.status == 0
-        assert np.allclose(res.x.reshape(n, m), mapped_back, atol=1e-7)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(NonPositiveWeight):
-            TransformSpec([1.0, 0.0], [1.0])
-
-
-class TestConjugate:
-    def test_reciprocal_and_sense_flip(self):
-        out = conjugate_linear(MOMAProblem([[2.0]], [1.0], [1.0], MAXIMIZE))
-        assert out.coefficients[0, 0] == 0.5
-        assert out.sense == MINIMIZE
-
-    def test_involution(self, small_problem):
-        moma = ot_to_moma(small_problem)
-        back = conjugate_linear(conjugate_linear(moma))
-        # double reciprocal costs at most a couple of ulps in IEEE arithmetic
-        assert np.allclose(back.coefficients, moma.coefficients, rtol=1e-15)
-        assert back.sense == moma.sense
-        assert np.array_equal(back.row_marginals, moma.row_marginals)
-
+class TestSenseFlip:
     def test_argmax_equals_argmin_of_negated(self, small_problem):
         plan_max = lp_oracle(small_problem).plan.values
         negated = OTProblem(-small_problem.weights, small_problem.row_marginals,
@@ -214,26 +128,11 @@ class TestConjugate:
         assert np.allclose(plan_max, plan_min, atol=1e-12)
 
 
-class TestRescale:
-    def test_identity(self, small_problem):
-        moma = ot_to_moma(small_problem)
-        out = rescale(moma, 1.0)
-        assert np.array_equal(out.row_marginals, moma.row_marginals)
-
-    def test_total_mass_one_already_normalized(self, small_problem):
-        moma = ot_to_moma(small_problem)
-        out = rescale(moma, float(moma.row_marginals.sum()))
-        assert np.array_equal(out.row_marginals, moma.row_marginals)
-        assert np.array_equal(out.col_marginals, moma.col_marginals)
-
+class TestMarginalScaling:
     def test_oracle_plan_scales(self, small_problem, known_plan):
-        moma = ot_to_moma(small_problem)
-        halved = lp_oracle(moma_to_ot(rescale(moma, 2.0))).plan.values
+        p = small_problem
+        halved = lp_oracle(OTProblem(p.weights, p.row_marginals / 2, p.col_marginals / 2)).plan.values
         assert np.allclose(halved, known_plan / 2.0, atol=1e-12)
-
-    def test_nonpositive_scale_rejected(self, small_problem):
-        with pytest.raises(NonPositiveScale):
-            rescale(ot_to_moma(small_problem), 0.0)
 
 
 class TestMongeCheck:
@@ -300,10 +199,9 @@ class TestScalingsAndPotentials:
     @pytest.mark.parametrize(
         "convert, error",
         [
-            (lambda: TransformSpec([1e-310], [1.0]).reciprocal(), NonPositiveWeight),
             (lambda: DualPotentials([-800.0], [0.0]).to_scalings(), NonFiniteEntry),
         ],
-        ids=["reciprocal", "to_scalings"],
+        ids=["to_scalings"],
     )
     def test_an_overflowing_conversion_raises_its_typed_error_alone(self, convert, error):
         # RuntimeWarnings are errors in this suite, so a numpy overflow

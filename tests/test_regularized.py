@@ -167,6 +167,19 @@ class TestRowEquilibrate:
         with pytest.raises(NonPositiveEntry):
             row_equilibrate(np.array([[1.0, 0.0]]))
 
+    def test_an_overflowing_ratio_solves_without_a_warning(self):
+        # col_max / b overflows in cell [2, 1] (e^400 / e^-400); the row's
+        # other ratio is finite and sets alpha.  Warnings are errors here.
+        problem = OTProblem([[400.0, 0.0], [-400.0, 0.0]], [1.0, 1.0], [1.0, 1.0])
+        result = solve(problem, AnnealingSchedule(((1e-2, 1e-2),)))
+        assert result.converged
+        assert np.allclose(result.plan.values, [[0.995024875, 0.004975124], [0.0, 1.0]], atol=1e-8)
+
+    def test_a_row_of_overflowing_ratios_raises_nonfinite(self):
+        problem = OTProblem([[400.0, 400.0], [-400.0, -400.0]], [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(NonFiniteEntry):
+            solve(problem, AnnealingSchedule(((1e-2, 1e-2),)))
+
 
 class TestPhiEtaStep:
     def test_scalar_problem_any_alpha_is_fixed(self):
