@@ -155,10 +155,13 @@ def write_pgm(matrix: np.ndarray, path: Union[str, Path]) -> None:
     if not np.all(np.isfinite(matrix)):
         i, j = np.unravel_index(int(np.argmax(~np.isfinite(matrix))), matrix.shape)
         raise NonFiniteEntry(f"heatmap entry [{i + 1}, {j + 1}] = {matrix[i, j]} is not finite")
-    lo = float(matrix.min())
-    hi = float(matrix.max())
+    # The range of a finite matrix may overflow, that of its half may not;
+    # halving is exact on normal values, so the gray levels are unchanged.
+    half = matrix / 2.0
+    lo = float(half.min())
+    hi = float(half.max())
     if hi > lo:
-        scaled = np.rint((matrix - lo) / (hi - lo) * 255.0).astype(np.uint8)
+        scaled = np.rint((half - lo) / (hi - lo) * 255.0).astype(np.uint8)
     else:
         scaled = np.full(matrix.shape, 128, dtype=np.uint8)
     n, m = matrix.shape

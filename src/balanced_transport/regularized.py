@@ -24,11 +24,29 @@ free.
 The iteration is one dense kernel, and ``solve`` runs this loop::
 
     s = column_multipliers(z, c, eta)           # at each stage start
-    z, t, s = z_step(z, s, r, c, eta)           # per iteration
+    z, t, s = z_step(z, s**omega, r, c, eta)    # per iteration
 
 ``z_step`` returns the column multipliers of the new z alongside it, so
 each norm is computed once per step: ``s`` is both the stopping
 measurement of the step just taken and the column fit of the next one.
+
+The column fit is over-relaxed.  Each stage takes 8 plain steps
+(omega = 1), estimates the criterion's contraction rate as
+theta = (crit_8 / crit_4)^(1/4), and for the rest of the stage fits the
+columns by s^omega with omega = min(1.9, 2 / (1 + sqrt(1 - theta))), or
+1 when theta >= 1 (Lehmann, von Renesse, Sambale and Uschmajew, "A note
+on overrelaxation in the Sinkhorn algorithm", Optim. Lett. 2022).  The
+row fit stays exact, and the criterion is still measured on the exact
+column multipliers s of the post-step z, which ``z_step`` returns
+whatever column fit it was given.  So a stage stops on the same
+condition as the plain iteration, the criterion is still the Hilbert
+distance of the plan's column sums to c, and beta, divided by s^omega,
+still gives x = (alpha b / beta)^(1/eta).  As a safeguard, a criterion
+that is not below its value 10 steps earlier while omega > 1 drops omega
+to 1 for the rest of the stage (Thibault, Chizat, Dossal and Papadakis,
+"Overrelaxed Sinkhorn-Knopp algorithm for regularized optimal
+transport", Algorithms 2021).  On the paper grids and the desk problems
+this takes about a third fewer steps than the plain iteration.
 
 As eta anneals, z^(1/eta) concentrates on a thin support, and in the late
 stages most cells lie far below the truncation cutoff, so ``solve``
@@ -46,7 +64,8 @@ log(max V / min V) stay at or below delta/2 every off-list term is
 truncated by the dense kernel too, and the shortlist step is the dense
 step up to the order in which kept terms are summed.  A step that would
 break that drift bound finishes on the materialized z, and the list is
-rebuilt after it.  This is the truncated sparse scaling of
+rebuilt after it.  An over-relaxed step moves V by s^omega, under the
+same bound.  This is the truncated sparse scaling of
 Schmitzer (SIAM J. Sci. Comput. 2019), with the stage's own multipliers
 in place of absorbed potentials.
 
@@ -59,6 +78,7 @@ plan x = z^(1/eta) resharpens, which is what makes staging effective.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -346,6 +366,25 @@ def segment_power_norm(
     return vmax * np.power(np.add.reduceat(terms, lines.starts), eta)
 
 
+class _ListBuffers:
+    """List-sized work arrays that the shortlists of one stage share.
+
+    Each list takes views of its own size.  The arrays are sized to the
+    first list and regrown only when a later list outgrows them, so a
+    rebuild allocates no list-sized array that outlives it.
+    """
+
+    def __init__(self):
+        self.capacity = 0
+
+    def views(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Five index and four value arrays of length ``size``, as rows."""
+        if size > self.capacity:
+            self.capacity = size
+            self.index, self.values = np.empty((5, size), dtype=np.intp), np.empty((4, size))
+        return self.index[:, :size], self.values[:, :size]
+
+
 class _Shortlist:
     """A stage's z, held as its listed values plus multipliers for the rest.
 
@@ -357,27 +396,35 @@ class _Shortlist:
     log(max U / min U) and log(max V / min V) are at most delta/2.
     """
 
-    def __init__(self, z: np.ndarray, listed: np.ndarray, eta: float, max_drift: float):
+    def __init__(self, z: np.ndarray, listed: np.ndarray, eta: float, max_drift: float, buffers: _ListBuffers):
         n, m = z.shape
-        self.flat = np.flatnonzero(listed)
-        rows, cols = np.divmod(self.flat, m)
-        col_cols, col_rows = np.divmod(np.flatnonzero(listed.T), n)
-        row_counts = np.bincount(rows, minlength=n)
+        flat = np.flatnonzero(listed)
+        index, values = buffers.views(flat.size)
+        self.flat, self.rows, self.cols, col_cols, self.perm = index
+        self.vals, self.gathered, self.ratio, self.terms = values
+        np.copyto(self.flat, flat)
+        np.divmod(self.flat, m, out=(self.rows, self.cols))
+        col_rows = np.flatnonzero(listed.T)
+        np.divmod(col_rows, n, out=(col_cols, col_rows))
+        row_counts = np.bincount(self.rows, minlength=n)
         col_counts = np.bincount(col_cols, minlength=m)
-        self.by_row = LineList(1, m, np.cumsum(row_counts) - row_counts, rows)
+        self.by_row = LineList(1, m, np.cumsum(row_counts) - row_counts, self.rows)
         self.by_col = LineList(0, n, np.cumsum(col_counts) - col_counts, col_cols)
-        self.rows, self.cols = rows, cols
         # perm maps the column order onto the row order the values are kept
         # in: flat is sorted, so a cell's row-order position is its rank there.
-        self.perm = np.searchsorted(self.flat, col_rows * m + col_cols)
+        col_rows *= m
+        col_rows += col_cols
+        np.copyto(self.perm, np.searchsorted(self.flat, col_rows))
         self.z_base, self.eta, self.max_drift = z, eta, max_drift
-        self.vals = np.take(z, self.flat)
-        self.gathered, self.ratio, self.terms = (np.empty(self.flat.size) for _ in range(3))
+        np.take(z, self.flat, out=self.vals)
         self.U, self.V = np.ones(n), np.ones(m)
 
     @classmethod
-    def build(cls, z: np.ndarray, eta: float) -> Optional["_Shortlist"]:
-        """List z's live cells, or None when more than SHORTLIST_SHARE are."""
+    def build(cls, z: np.ndarray, eta: float, buffers: Optional[_ListBuffers] = None) -> Optional["_Shortlist"]:
+        """List z's live cells, or None when more than SHORTLIST_SHARE are.
+
+        The list's arrays are views of ``buffers`` (fresh ones by default).
+        """
         n, m = z.shape
         col_cut, row_cut = _cutoff(n, eta), _cutoff(m, eta)
         band = min(col_cut, row_cut)  # e^-delta
@@ -385,7 +432,7 @@ class _Shortlist:
         listed |= z > (np.maximum.reduce(z, axis=1) * (row_cut * band))[:, None]
         if np.count_nonzero(listed) > SHORTLIST_SHARE * z.size:
             return None
-        return cls(z, listed, eta, -0.5 * np.log(band))
+        return cls(z, listed, eta, -0.5 * np.log(band), buffers or _ListBuffers())
 
     def step(self, s: np.ndarray, r_eta: np.ndarray, c_eta: np.ndarray):
         """``z_step`` on the listed values: (t, s_next), or None.
@@ -398,9 +445,9 @@ class _Shortlist:
         if _log_spread(V, 1.0) > self.max_drift:
             return None
         vals = self.vals
-        vals *= s[self.cols]
+        vals *= np.take(s, self.cols, out=self.gathered)
         t = r_eta / segment_power_norm(vals, self.eta, self.by_row, self.ratio, self.terms)
-        vals *= t[self.rows]
+        vals *= np.take(t, self.rows, out=self.gathered)
         self.V = V
         self.U *= t
         if _log_spread(self.U, 1.0) > self.max_drift:
@@ -427,12 +474,13 @@ class _Stage:
         self.z, self.r, self.c, self.eta = z, r, c, eta
         self.r_eta, self.c_eta = r**eta, c**eta
         self.shortlist: Optional[_Shortlist] = None
+        self.buffers = _ListBuffers()
         self.first, self.relist = True, False
         self.z_before: Optional[np.ndarray] = None  # the last step's input, if it was dense
 
     def step(self, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if self.relist:
-            self.shortlist, self.relist = _Shortlist.build(self.z, self.eta), False
+            self.shortlist, self.relist = _Shortlist.build(self.z, self.eta, self.buffers), False
         shortlist = self.shortlist
         if shortlist is not None:
             stepped = shortlist.step(s, self.r_eta, self.c_eta)
@@ -480,6 +528,33 @@ def _log_spread(s: np.ndarray, eta: float) -> float:
     return float((1.0 / eta) * np.log(np.maximum.reduce(s) / np.minimum.reduce(s)))
 
 
+#: Over-relaxation of the column fit (see ``_relaxation``): plain steps that
+#: probe a stage's contraction rate, the cap on omega, and the safeguard's
+#: window in steps.
+_PROBE_STEPS = 8
+_OMEGA_CAP = 1.9
+_SAFEGUARD_WINDOW = 10
+
+
+def _relaxation(crits: List[float], omega: float) -> float:
+    """Over-relaxation factor of a stage's next column fit.
+
+    ``crits`` holds the post-step criteria of the stage so far, and
+    ``omega`` the factor of the step just taken.  After the probe steps
+    the contraction rate they show sets omega, the optimal factor for a
+    linear iteration contracting at that rate, capped; after that only
+    the safeguard changes it, back to 1.  See the module docstring.
+    """
+    k = len(crits)
+    if k == _PROBE_STEPS:
+        half = _PROBE_STEPS // 2
+        theta = (crits[-1] / crits[half - 1]) ** (1.0 / half)
+        return 1.0 if theta >= 1.0 else min(_OMEGA_CAP, 2.0 / (1.0 + math.sqrt(1.0 - theta)))
+    if omega > 1.0 and k >= _PROBE_STEPS + _SAFEGUARD_WINDOW and not crits[-1] < crits[-1 - _SAFEGUARD_WINDOW]:
+        return 1.0
+    return omega
+
+
 def solve(
     problem: OTProblem,
     schedule: AnnealingSchedule,
@@ -492,17 +567,22 @@ def solve(
     Steps: form b = exp(a) (negating a first for minimization), apply the
     preliminary row equilibration, initialize z = bhat, then per stage
     iterate ``z_step`` until the criterion measured on the post-step plan
-    drops below the stage tolerance.  z carries over to the next stage
-    unchanged.  The returned scalings are the cumulative products of the
-    step multipliers together with the equilibration, and satisfy
-    x_ij = (alpha_i b_ij / beta_j)^(1/eta_final) with b the internal
-    (sense-adjusted) coefficients.
+    drops below the stage tolerance.  After a stage's first 8 steps the
+    column fit is over-relaxed, s**omega in place of s, with omega set
+    from the contraction rate those steps show and dropped back to 1 if
+    the criterion stalls (see the module docstring); the criterion is
+    always that of the exact s, so stopping means what it does for the
+    plain iteration.  z carries over to the next stage unchanged.  The
+    returned scalings are the cumulative products of the step multipliers
+    (the column ones as applied, s**omega) together with the
+    equilibration, and satisfy x_ij = (alpha_i b_ij / beta_j)^(1/eta_final)
+    with b the internal (sense-adjusted) coefficients.
 
     Once few enough cells are live, a stage steps only its listed cells
-    (see the module docstring); the iterates then agree with ``z_step``'s
-    to rounding, and the per-stage iteration counts are the same on the
-    paper grids and the desk problems.  z is materialized for snapshots
-    and at each stage end.
+    (see the module docstring); the iterates then agree with those of
+    ``z_step`` under the same omegas to rounding, and the per-stage
+    iteration counts are the same on the paper grids and the desk
+    problems.  z is materialized for snapshots and at each stage end.
 
     ``max_iters`` bounds each stage; on an exhausted budget the iterate
     reached is returned with ``converged=False``.  ``snapshot_stride``
@@ -534,14 +614,18 @@ def solve(
                 stage = _Stage(z, r, c, eta)
                 s = column_multipliers(z, c, eta)
                 crit = _log_spread(s, eta)
+                crits: List[float] = []
+                omega = 1.0
                 while True:
                     crit_before = crit
-                    beta /= s
-                    t, s = stage.step(s)
+                    fit = s**omega
+                    beta /= fit
+                    t, s = stage.step(fit)
                     alpha *= t
                     iters += 1
                     k_global += 1
                     crit = _log_spread(s, eta)
+                    crits.append(crit)
                     trace.record(k_global, eta, crit, time.perf_counter() - t0)
                     if snapshot_stride and k_global % snapshot_stride == 0:
                         trace.snapshots.append((k_global, stage.materialized() ** (1.0 / eta)))
@@ -557,6 +641,7 @@ def solve(
                     if iters >= max_iters:
                         converged = False
                         break
+                    omega = _relaxation(crits, omega)
                 z = stage.materialized()
                 stage_iterations.append(iters)
                 if not converged:

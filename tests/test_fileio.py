@@ -271,6 +271,12 @@ class TestPGM:
         assert pixels[0, 0] == 0  # row 1 stays on top
         assert pixels[1, 0] == 255
 
+    def test_a_range_beyond_the_float_maximum(self, tmp_path):
+        # max - min overflows to inf here; the gray levels must not.
+        path = tmp_path / "wide.pgm"
+        write_pgm(np.array([[-1e308, 0.0, 1e308]]), path)
+        assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 128, 255])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry_rejected_with_its_cell(self, tmp_path, bad):
         mat = np.array([[0.0, 0.5], [1.0, bad], [0.75, 0.1]])

@@ -170,10 +170,13 @@ class TestRowEquilibrate:
     def test_an_overflowing_ratio_solves_without_a_warning(self):
         # col_max / b overflows in cell [2, 1] (e^400 / e^-400); the row's
         # other ratio is finite and sets alpha.  Warnings are errors here.
+        # The plan is fitted to the stage tolerance only, so it is pinned at
+        # the point where the (over-relaxed) iteration stops, not at the
+        # regularized optimum.
         problem = OTProblem([[400.0, 0.0], [-400.0, 0.0]], [1.0, 1.0], [1.0, 1.0])
         result = solve(problem, AnnealingSchedule(((1e-2, 1e-2),)))
         assert result.converged
-        assert np.allclose(result.plan.values, [[0.995024875, 0.004975124], [0.0, 1.0]], atol=1e-8)
+        assert np.allclose(result.plan.values, [[0.9950047008, 0.0049952992], [0.0, 1.0]], atol=1e-8)
 
     def test_a_row_of_overflowing_ratios_raises_nonfinite(self):
         problem = OTProblem([[400.0, 400.0], [-400.0, -400.0]], [1.0, 1.0], [1.0, 1.0])
@@ -378,17 +381,22 @@ class TestSolve:
         ids=["1-stage", "3-stage"],
     )
     def test_solve_matches_manual_z_steps(self, small_problem, schedule):
-        # z carries across stages; s is recomputed at each stage start.
+        # z carries across stages; s is recomputed at each stage start, and
+        # each stage over-relaxes its column fit by the shared rule.
         result = solve(small_problem, schedule)
         assert len(result.stage_iterations) == len(schedule.stages)
+        assert result.stage_iterations[0] > regularized._PROBE_STEPS
         r, c = small_problem.row_marginals, small_problem.col_marginals
         z, _ = row_equilibrate(np.exp(small_problem.weights))
         crits = []
         for (eta, _), iterations in zip(schedule.stages, result.stage_iterations):
             s = column_multipliers(z, c, eta)
+            stage_crits, omega = [], 1.0
             for _ in range(iterations):
-                z, _, s = z_step(z, s, r, c, eta)
-                crits.append(criterion(s, eta))
+                z, _, s = z_step(z, s**omega, r, c, eta)
+                stage_crits.append(criterion(s, eta))
+                omega = regularized._relaxation(stage_crits, omega)
+            crits += stage_crits
         assert np.array_equal(np.array(crits), np.array(result.trace.criteria))
         assert np.array_equal(z, result.final_z)
         assert np.array_equal(z ** (1.0 / schedule.eta_final), result.plan.values)
@@ -457,16 +465,19 @@ class TestSolve:
             for eta in (1.0, 0.5):
                 z = row_equilibrate(np.exp(prob.weights))[0]
                 s = column_multipliers(z, c, eta)
+                crits, omega = [], 1.0
                 outcome = "max_iters"
                 for k in range(1, 301):
                     before = z
-                    z, _, s = z_step(z, s, r, c, eta)
-                    if criterion(s, eta) < 1e-300:
+                    z, _, s = z_step(z, s**omega, r, c, eta)
+                    crits.append(criterion(s, eta))
+                    if crits[-1] < 1e-300:
                         outcome = "converged"
                         break
                     if np.array_equal(z, before):
                         outcome = "degenerate"
                         break
+                    omega = regularized._relaxation(crits, omega)
                 sched = AnnealingSchedule(((eta, 1e-300),))
                 if outcome == "degenerate":
                     degenerate += 1
@@ -484,9 +495,15 @@ class TestIterationCounts:
 
     def test_grid64_single_stage(self):
         result = solve(generate_grid(GridSpec(64)), AnnealingSchedule(((1e-3, 1e-2),)))
-        assert result.stage_iterations == (2426,)
+        assert result.stage_iterations == (1453,)
 
     def test_grid64_annealed(self):
+        result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
+        assert result.stage_iterations == (201, 21, 28, 26, 32, 27, 27, 25, 29, 38, 36, 35)
+
+    def test_grid64_annealed_without_relaxation(self, monkeypatch):
+        # With omega held at 1 the column fit is the plain one, s**1.0 == s.
+        monkeypatch.setattr(regularized, "_relaxation", lambda crits, omega: 1.0)
         result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
         assert result.stage_iterations == (315, 28, 42, 38, 43, 35, 36, 31, 38, 50, 47, 46)
 
@@ -512,8 +529,11 @@ class TestIterationCounts:
         assert calls == {0: result.iterations + 12, 1: result.iterations}
 
 
-def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int = 100_000):
+def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int = 100_000, plain: bool = False):
     """solve's iteration through z_step alone, comparing z itself for a freeze.
+
+    Each stage over-relaxes its column fit by solve's own rule, or, with
+    ``plain``, keeps omega at 1 throughout.
 
     Returns (outcome, stage iterations, criteria, final z), with outcome
     "converged", "frozen" or "max_iters".
@@ -524,14 +544,17 @@ def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int
     counts, crits = [], []
     for eta, tol in schedule.stages:
         s = column_multipliers(z, c, eta)
+        stage_crits, omega = [], 1.0
         for k in range(1, max_iters + 1):
             before = z
-            z, _, s = z_step(z, s, r, c, eta)
-            crits.append(criterion(s, eta))
+            z, _, s = z_step(z, s**omega, r, c, eta)
+            stage_crits.append(criterion(s, eta))
+            crits.append(stage_crits[-1])
             if crits[-1] < tol:
                 break
             if np.array_equal(z, before):
                 return "frozen", tuple(counts) + (k,), np.array(crits), z
+            omega = 1.0 if plain else regularized._relaxation(stage_crits, omega)
         else:
             return "max_iters", tuple(counts) + (k,), np.array(crits), z
         counts.append(k)
@@ -627,6 +650,85 @@ class TestShortlist:
         assert segment_calls[0] > 0
         assert not result.converged
         assert _dense_solve(prob, schedule, max_iters=300)[:2] == ("max_iters", result.stage_iterations)
+
+
+class TestOverRelaxation:
+    """Each stage probes its contraction rate with plain steps, then over-relaxes."""
+
+    @staticmethod
+    def _omega_after_probe(rate: float) -> float:
+        crits = [rate**k for k in range(1, regularized._PROBE_STEPS + 1)]
+        assert all(regularized._relaxation(crits[:k], 1.0) == 1.0 for k in range(1, len(crits)))
+        return regularized._relaxation(crits, 1.0)
+
+    def test_the_probe_rate_sets_omega(self):
+        assert self._omega_after_probe(0.5) == pytest.approx(2.0 / (1.0 + math.sqrt(0.5)), rel=1e-12)
+        assert self._omega_after_probe(0.999) == regularized._OMEGA_CAP
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5])
+    def test_omega_is_one_when_the_probe_does_not_contract(self, rate):
+        assert self._omega_after_probe(rate) == 1.0
+
+    def test_the_safeguard_drops_omega_for_the_rest_of_the_stage(self):
+        # The criterion falls for 9 over-relaxed steps, then sits at its
+        # value of 10 steps earlier: omega drops to 1 and stays there.
+        crits = [0.5**k for k in range(1, 18)]
+        omega = regularized._relaxation(crits[:8], 1.0)
+        assert omega > 1.0
+        assert all(regularized._relaxation(crits[:k], omega) == omega for k in range(9, 18))
+        crits.append(crits[-10])
+        assert regularized._relaxation(crits, omega) == 1.0
+        crits.append(crits[-1] / 2.0)
+        assert regularized._relaxation(crits, 1.0) == 1.0
+
+    def test_the_safeguard_fires_where_the_probe_misjudges_the_rate(self, monkeypatch):
+        # Found by a seeded search: after the probe sets omega 1.82, this
+        # stage's criterion at step 31 is no lower than at step 21.
+        problem = random_problem(np.random.default_rng(8), 3, 3)
+        schedule = AnnealingSchedule(((1e-3, 1e-2),))
+        reference = _dense_solve(problem, schedule)
+        rule, calls = regularized._relaxation, []
+
+        def recording(crits, omega):
+            calls.append((len(crits), omega, rule(crits, omega)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(regularized, "_relaxation", recording)
+        result = solve(problem, schedule)
+        fired = [k for k, before, after in calls if before > 1.0 and after == 1.0]
+        assert fired == [31]
+        crits = result.trace.criteria
+        assert not crits[30] < crits[30 - regularized._SAFEGUARD_WINDOW]
+        assert all(after == 1.0 for k, _, after in calls if k >= 31)
+        assert result.converged
+        assert reference[:2] == ("converged", result.stage_iterations)
+        assert np.array_equal(reference[2], crits)
+
+    @given(
+        st.integers(min_value=4, max_value=49),
+        st.integers(min_value=4, max_value=49),
+        st.sampled_from([MAXIMIZE, MINIMIZE]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_desk_problems_converge_with_exact_rows_in_no_more_steps(self, n, m, sense, gaussian, seed):
+        problem = random_problem(np.random.default_rng(seed), n, m, sense, gaussian)
+        schedule = make_schedule(1e-4, 12, 1.5, 1e-2)
+        result = solve(problem, schedule)
+        assert result.converged
+        ends = np.cumsum(result.stage_iterations) - 1
+        assert np.all(np.array(result.trace.criteria)[ends] < [tol for _, tol in schedule.stages])
+        # The row fit is exact in the z domain.  Extracting the plan,
+        # z^(1/eta), amplifies that rounding by 1/eta = 1e4, so plan rows,
+        # in the plain iteration too, sit a few 1e-12 off.
+        eta = schedule.eta_final
+        fitted = power_norm(result.final_z, eta, axis=1) / problem.row_marginals**eta
+        assert np.max(np.abs(fitted - 1.0)) <= 1e-12
+        assert np.allclose(result.plan.values.sum(axis=1), problem.row_marginals, rtol=1e-11, atol=0.0)
+        outcome, plain_counts, _, _ = _dense_solve(problem, schedule, plain=True)
+        assert outcome == "converged"
+        assert result.iterations <= sum(plain_counts)
 
 
 class TestIsoelasticUtility:
