@@ -36,7 +36,8 @@ class LengthMismatch(ValidationError):
 
 
 class Overflow(BalancedTransportError):
-    """An exp/log conversion produced a non-representable value."""
+    """An exp/log conversion, or the exact oracle's dual arithmetic, would
+    produce a non-representable value."""
 
 
 class NumericalDegeneracy(BalancedTransportError):

@@ -22,6 +22,7 @@ from .errors import (
     InconsistentSupport,
     LengthMismatch,
     NonPositiveEntry,
+    Overflow,
     SizeGuardExceeded,
     ValidationError,
 )
@@ -46,6 +47,11 @@ ORACLE_OPT_TOL = 1e-11
 
 #: Largest cell count n*m the exact oracle accepts.
 ORACLE_CELL_GUARD = 10_000
+
+#: Consecutive degenerate pivots the oracle allows per line (n + m of
+#: them at 1) before it enters by Bland's rule until the next
+#: nondegenerate pivot.
+_DEGENERATE_RUN = 1
 
 
 def hilbert_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -285,26 +291,87 @@ def _northwest_basis(r: np.ndarray, c: np.ndarray):
     return x, basis
 
 
+def _least_cost_basis(cost: np.ndarray, r: np.ndarray, c: np.ndarray):
+    """Least-cost start: allocations plus exactly n+m-1 basic cells.
+
+    Visits the cells cheapest first (row-major among ties), skipping any
+    whose row or column is closed, allocates min(remaining row mass,
+    remaining column mass) and closes exactly one line: the row if only
+    one column is open, or if the row is exhausted and another row is
+    open; otherwise the column.  Every allocation joins the line it closes
+    to a line that stays open, and the last joins the last row to the last
+    column, so the cells form a spanning tree.
+    """
+    n, m = cost.shape
+    x = np.zeros((n, m))
+    basis: List[Tuple[int, int]] = []
+    rr = r.tolist()
+    cc = c.tolist()
+    row_open = [True] * n
+    col_open = [True] * m
+    open_rows, open_cols = n, m
+    rows, cols = np.divmod(np.argsort(cost, axis=None, kind="stable"), m)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
+        q = min(rr[i], cc[j])
+        x[i, j] = q
+        basis.append((i, j))
+        if open_cols == 1 or (open_rows > 1 and rr[i] <= cc[j]):
+            row_open[i] = False
+            open_rows -= 1
+            if open_rows == 0:
+                break
+        else:
+            col_open[j] = False
+            open_cols -= 1
+        rr[i] -= q
+        cc[j] -= q
+    return x, basis
+
+
 def lp_oracle(problem: Problem) -> OracleResult:
     """Exact optimal basic plan via the transportation simplex.
 
-    Northwest-corner start, Bland's smallest-index entering/leaving rule
-    for anti-cycling, reduced-cost optimality tolerance ORACLE_OPT_TOL.
-    Guarded to n*m <= ORACLE_CELL_GUARD (10^4) because the
-    dense tableau walk is meant for desk-scale certification, not bulk
-    solving.  Minimization is handled by negating weights internally;
-    the reported objective and duals are in the caller's sense.
+    Works on the internal minimization form (maximization negates the
+    weights); the reported objective and duals are in the caller's sense.
+    Guarded to n*m <= ORACLE_CELL_GUARD (10^4) because the dense tableau
+    walk is meant for desk-scale certification, not bulk solving.
+
+    - Start: the least-cost basis (``_least_cost_basis``).
+    - Pricing: the entering cell has the most negative reduced cost among
+      the nonbasic cells (Dantzig's rule); optimality means none is below
+      -ORACLE_OPT_TOL.  Basic cells are masked out of the search: their
+      reduced cost is zero only up to rounding, and once |a| is about 1e5
+      or more that residue exceeds ORACLE_OPT_TOL.
+    - Leaving: the smallest (i, j) among the tied minus cells of the cycle.
+    - Anti-cycling: after n + m consecutive degenerate pivots (theta = 0)
+      the cell enters by Bland's rule, the smallest (i, j) with a reduced
+      cost below -ORACLE_OPT_TOL, until the next nondegenerate pivot.  The
+      leaving rule uses the same row-major order, so each such phase is
+      Bland's rule and ends.  Each nondegenerate pivot strictly lowers the
+      objective, so no basis repeats across them, and the oracle stops
+      after finitely many pivots.
+
+    Weights too large for the duals to stay finite, 2 (n + m) max|a|
+    beyond the float range, raise Overflow before any pivot.
     """
     a = additive_weights(problem)
     n, m = a.shape
     if n * m > ORACLE_CELL_GUARD:
         raise SizeGuardExceeded(f"problem has {n * m} cells, above the oracle guard {ORACLE_CELL_GUARD}")
+    # A dual is a signed sum of at most n + m - 1 weights along a tree path,
+    # and a reduced cost adds two duals to a weight; Python floats overflow
+    # to inf without a numpy warning.
+    largest = float(np.max(np.abs(a)))
+    if not np.isfinite(2.0 * (n + m) * largest):
+        raise Overflow(f"weights up to {largest:.3e} leave the oracle's duals no room in the float range")
     r = problem.row_marginals
     c = problem.col_marginals
     # Internal form: minimize cost over the transportation polytope.
     cost = -a if problem.sense == MAXIMIZE else a
 
-    x, basis_list = _northwest_basis(r, c)
+    x, basis_list = _least_cost_basis(cost, r, c)
     # The basis tree lives across pivots, rooted at row 0: a cell mask;
     # per node (rows 0..n-1, columns n..n+m-1) a map from each tree
     # neighbour to the cost of the connecting cell; and each node's
@@ -350,18 +417,22 @@ def lp_oracle(problem: Problem) -> OracleResult:
     hang(0, -1, 0.0)
     if None in duals:
         raise ValidationError("basis graph is not a spanning tree")  # internal invariant
-    max_pivots = 10 * (n + m) * n * m + 1000  # Bland terminates well before this
+    max_pivots = 10 * (n + m) * n * m + 1000  # the oracle terminates well before this
+    degenerate_limit = _DEGENERATE_RUN * (n + m)
+    degenerate = 0  # consecutive pivots with theta == 0
     pivots = 0
     while True:
         u = np.array(duals[:n])
         v = np.array(duals[n:])
-        reduced = cost - u[:, None] - v[None, :]
-        # Bland: the smallest (i, j) with negative reduced cost, i.e. the
-        # first candidate in row-major order.
-        candidates = reduced < -ORACLE_OPT_TOL
-        candidates &= ~basic
-        flat = int(np.argmax(candidates))
-        if not candidates.flat[flat]:
+        # Masked, since a basic cell's reduced cost is zero only up to rounding.
+        reduced = np.where(basic, 0.0, cost - u[:, None] - v[None, :])
+        if degenerate < degenerate_limit:
+            flat = int(np.argmin(reduced))  # Dantzig: the most negative
+        else:
+            # Bland: the smallest (i, j) with negative reduced cost, i.e. the
+            # first candidate in row-major order (flat 0 when there is none).
+            flat = int(np.argmax(reduced < -ORACLE_OPT_TOL))
+        if not reduced.flat[flat] < -ORACLE_OPT_TOL:
             break
         ei, ej = divmod(flat, m)
 
@@ -386,6 +457,7 @@ def lp_oracle(problem: Problem) -> OracleResult:
         # the entering cell's +.
         minus_cells = path[0::2]
         theta = min(flows[i][j] for i, j in minus_cells)
+        degenerate = degenerate + 1 if theta == 0.0 else 0
         leaving = min(cell for cell in minus_cells if flows[cell[0]][cell[1]] == theta)
         flows[ei][ej] += theta
         for i, j in minus_cells:
@@ -405,7 +477,7 @@ def lp_oracle(problem: Problem) -> OracleResult:
             hang(ei, n + ej, cost_rows[ei][ej] - duals[n + ej])
         pivots += 1
         if pivots > max_pivots:
-            raise ValidationError("pivot budget exhausted; this should be unreachable with Bland's rule")
+            raise ValidationError("pivot budget exhausted; this should be unreachable")  # internal invariant
 
     x = np.array(flows)
     np.clip(x, 0.0, None, out=x)

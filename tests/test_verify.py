@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from balanced_transport import (
     MOMAProblem,
     NonPositiveEntry,
     OTProblem,
+    Overflow,
     SizeGuardExceeded,
     TransportPlan,
     greedy_northwest,
@@ -23,10 +26,57 @@ from balanced_transport import (
     support_mask,
     verify_balanced,
 )
-from balanced_transport.verify import ORACLE_OPT_TOL, _support_tree
+from balanced_transport import verify
+from balanced_transport.verify import KKT_RTOL, ORACLE_OPT_TOL, _least_cost_basis, _support_tree
 from problems import random_problem, supermodular_problem
 
 positive_vectors = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=8)
+
+
+def desk_problems():
+    """Pass 0 of the desk-certify benchmark at seed 1."""
+    rng = np.random.default_rng(1)
+    return [random_problem(rng, n, m, sense, gaussian=True)
+            for n, m, sense in ((24, 40, MAXIMIZE), (32, 32, MINIMIZE), (48, 36, MAXIMIZE))]
+
+
+def desk_and_assignment():
+    """A 24x40 Gaussian problem and a 12x12 assignment with weights in {0, 1, 2}."""
+    rng = np.random.default_rng(17)
+    desk = random_problem(rng, 24, 40, gaussian=True)
+    assignment = OTProblem(rng.integers(0, 3, size=(12, 12)).astype(float),
+                           np.ones(12), np.ones(12), MINIMIZE)
+    return desk, assignment
+
+
+SWEEP_FAMILIES = ("assignment", "integer", "constant", "gaussian", "wide")
+
+
+def sweep_problem(family, rng, sense):
+    """One seeded problem of a degenerate or wide-range family, sizes 2-24."""
+    n, m = (int(k) for k in rng.integers(2, 25, size=2))
+    r = rng.uniform(0.5, 1.5, size=n)
+    c = rng.uniform(0.5, 1.5, size=m)
+    c *= r.sum() / c.sum()
+    if family == "assignment":
+        return OTProblem(rng.integers(0, 3, size=(n, n)).astype(float), np.ones(n), np.ones(n), sense)
+    if family == "integer":
+        r, c = rng.integers(1, 6, size=n), rng.integers(1, 6, size=m)
+        short = r if r.sum() < c.sum() else c
+        short += rng.multinomial(abs(int(r.sum() - c.sum())), np.full(short.size, 1.0 / short.size))
+        return OTProblem(rng.integers(-3, 4, size=(n, m)).astype(float), r.astype(float), c.astype(float), sense)
+    if family == "constant":
+        return OTProblem(np.full((n, m), rng.standard_normal()), r, c, sense)
+    a = rng.standard_normal((n, m))
+    if family == "wide":  # scaled by up to 1e12 and shifted by up to +-1e12
+        a = a * 10.0 ** rng.uniform(0.0, 12.0) + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(0.0, 12.0)
+    return OTProblem(a, r, c, sense)
+
+
+def degenerate_example():
+    """Equal unit masses: every basis is degenerate."""
+    return OTProblem(np.array([[0.0, 1.0, 0.2], [0.5, 0.1, 0.9], [0.3, 0.3, 0.3]]),
+                     np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
 
 
 class TestHilbertDistance:
@@ -229,13 +279,9 @@ class TestLPOracle:
                 assert np.allclose(mine.plan.values, plan, atol=1e-7)
 
     def test_against_independent_lp_solver_at_desk_size(self):
-        rng = np.random.default_rng(17)
-        desk = random_problem(rng, 24, 40, gaussian=True)
-        # Assignment with integer weights in {0, 1, 2}: unit marginals make
-        # every basis degenerate and the ties leave many optimal plans.
-        assignment = OTProblem(rng.integers(0, 3, size=(12, 12)).astype(float),
-                               np.ones(12), np.ones(12), MINIMIZE)
-        for prob in (desk, assignment):
+        # In the assignment, unit marginals make every basis degenerate and
+        # the tied weights leave many optimal plans.
+        for prob in desk_and_assignment():
             mine = lp_oracle(prob)
             value, _ = highs_optimum(prob)
             assert mine.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
@@ -246,12 +292,12 @@ class TestLPOracle:
         assert np.count_nonzero(values) == 12
 
     def test_pinned_pivot_counts_on_desk_problems(self):
-        # Bland's rule fixes the pivot sequence from the northwest start, so
-        # these counts move only if the start, entering or leaving rule does.
-        rng = np.random.default_rng(1)
+        # Least-cost start, Dantzig entering: the rules fix the pivot
+        # sequence, so these counts move only if the start, entering or
+        # leaving rule does.
         pivots = []
-        for n, m, sense in ((24, 40, MAXIMIZE), (32, 32, MINIMIZE), (48, 36, MAXIMIZE)):
-            prob = random_problem(rng, n, m, sense, gaussian=True)
+        for prob in desk_problems():
+            n, m = prob.n, prob.m
             oracle = lp_oracle(prob)
             pivots.append(oracle.pivots)
             assert verify_balanced(prob, oracle.plan, duals=oracle.duals).is_balanced
@@ -262,7 +308,24 @@ class TestLPOracle:
             fresh = recover_duals(prob, oracle.plan)
             assert np.array_equal(oracle.duals.lam, fresh.lam)
             assert np.array_equal(oracle.duals.mu, fresh.mu)
-        assert pivots == [1484, 1037, 3136]
+        assert pivots == [26, 37, 32]
+
+    def test_bland_fallback_alone(self, monkeypatch):
+        # With a run limit of 0 every pivot enters by Bland's rule, the
+        # anti-cycling fallback, which the benchmark's problems never reach.
+        monkeypatch.setattr(verify, "_DEGENERATE_RUN", 0)
+        pivots = []
+        for prob in desk_problems():
+            oracle = lp_oracle(prob)
+            pivots.append(oracle.pivots)
+            assert verify_balanced(prob, oracle.plan, duals=oracle.duals).is_balanced
+        assert pivots == [85, 214, 104]
+        _, assignment = desk_and_assignment()
+        for prob in (assignment, degenerate_example()):
+            mine = lp_oracle(prob)
+            value, _ = highs_optimum(prob)
+            assert mine.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
+            assert verify_balanced(prob, mine.plan, duals=mine.duals).is_balanced
 
     def test_minimize_sense(self, small_problem, known_plan):
         negated = OTProblem(-small_problem.weights, small_problem.row_marginals,
@@ -300,12 +363,52 @@ class TestLPOracle:
         assert result.plan.row_residual <= 1e-9
 
     def test_degenerate_marginals(self):
-        # equal masses force degenerate pivots; Bland's rule must cope
-        prob = OTProblem(np.array([[0.0, 1.0, 0.2], [0.5, 0.1, 0.9], [0.3, 0.3, 0.3]]),
-                         np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
+        # equal masses force degenerate pivots, which the pricing must cope with
+        prob = degenerate_example()
         result = lp_oracle(prob)
         report = verify_balanced(prob, result.plan, duals=result.duals)
         assert report.is_balanced
+
+    @pytest.mark.parametrize("weights", [
+        [[1e308, 0.0, -1e308], [1e308, 1e308, 1e308], [-1e308, -1e308, 0.0]],
+        [[1e308, -1e308], [-1e308, 1e308]],
+    ])
+    def test_weights_near_the_float_maximum_overflow(self, weights):
+        # Duals would leave the float range: a typed error before any pivot,
+        # not an exhausted budget, an inf objective or a numpy warning.
+        n = len(weights)
+        with pytest.raises(Overflow):
+            lp_oracle(OTProblem(np.array(weights), np.ones(n), np.ones(n), MAXIMIZE))
+
+    def test_assignments_at_the_float_range_match_brute_force(self):
+        # At 1e306 the duals still fit; the suite turns any numpy warning
+        # into a failure.
+        rng = np.random.default_rng(23)
+        for trial in range(30):
+            n = int(rng.integers(1, 6))
+            a = rng.uniform(-1.0, 1.0, size=(n, n)) * 1e306
+            sense = (MAXIMIZE, MINIMIZE)[trial % 2]
+            pick = max if sense == MAXIMIZE else min
+            best = pick(sum(a[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+            oracle = lp_oracle(OTProblem(a, np.ones(n), np.ones(n), sense))
+            assert oracle.objective == pytest.approx(best, rel=1e-12, abs=1e-12 * n * 1e306)
+
+    @pytest.mark.parametrize("seed, family", enumerate(SWEEP_FAMILIES), ids=SWEEP_FAMILIES)
+    def test_degenerate_and_wide_range_problems_against_highs(self, seed, family):
+        rng = np.random.default_rng(seed)
+        for trial in range(40):
+            prob = sweep_problem(family, rng, (MAXIMIZE, MINIMIZE)[trial % 2])
+            mine = lp_oracle(prob)
+            value, _ = highs_optimum(prob)
+            assert mine.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
+            report = verify_balanced(prob, mine.plan, duals=mine.duals)
+            # verify_balanced measures slackness in the additive domain, so
+            # it resolves no finer than the weights' float spacing: about
+            # 1e-4 at |a| ~ 1e12, beyond KKT_RTOL.  Allow that floor only.
+            floor = 4 * (prob.n + prob.m) * np.finfo(float).eps * float(np.max(np.abs(prob.weights)))
+            assert max(report.marginal_residuals) <= KKT_RTOL
+            assert report.max_slackness_violation <= KKT_RTOL + floor
+            assert report.max_dual_infeasibility <= KKT_RTOL + floor
 
 
 def highs_optimum(prob):
@@ -319,6 +422,58 @@ def highs_optimum(prob):
                   b_eq=np.concatenate([prob.row_marginals, prob.col_marginals]), method="highs")
     assert res.status == 0
     return sign * res.fun, res.x.reshape(n, m)
+
+
+class TestLeastCostBasis:
+    @staticmethod
+    def assert_spanning_tree(basis, n, m):
+        # n + m - 1 distinct cells closing no cycle on n + m nodes span them.
+        assert len(basis) == len(set(basis)) == n + m - 1
+        parent = list(range(n + m))
+
+        def find(u):
+            while parent[u] != u:
+                u = parent[u]
+            return u
+
+        for i, j in basis:
+            ru, rv = find(i), find(n + j)
+            assert ru != rv
+            parent[ru] = rv
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
+    def test_a_spanning_tree_that_meets_the_marginals(self, n, m, seed, tied):
+        rng = np.random.default_rng(seed)
+        cost = rng.integers(0, 3, size=(n, m)).astype(float) if tied else rng.standard_normal((n, m))
+        r = rng.uniform(0.5, 1.5, size=n)
+        c = rng.uniform(0.5, 1.5, size=m)
+        c *= r.sum() / c.sum()
+        x, basis = _least_cost_basis(cost, r, c)
+        self.assert_spanning_tree(basis, n, m)
+        off = np.ones((n, m), dtype=bool)
+        off[tuple(zip(*basis))] = False
+        assert np.all(x >= 0.0) and not np.any(x[off])
+        assert np.allclose(x.sum(axis=1), r, rtol=0.0, atol=1e-13 * r.sum())
+        assert np.allclose(x.sum(axis=0), c, rtol=0.0, atol=1e-13 * r.sum())
+
+    def test_tied_costs_and_unit_marginals(self):
+        # Every cost ties, so cells come row-major; each exhausted row closes
+        # until one is left, and the zero allocations step down the columns.
+        x, basis = _least_cost_basis(np.zeros((4, 4)), np.ones(4), np.ones(4))
+        assert basis == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
+        assert np.array_equal(x, np.eye(4))
+        self.assert_spanning_tree(basis, 4, 4)
+
+    def test_single_row_and_single_column(self):
+        cost = np.array([[2.0, 0.0, 1.0]])
+        c = np.array([0.5, 1.5, 1.0])
+        x, basis = _least_cost_basis(cost, np.array([3.0]), c)
+        assert basis == [(0, 1), (0, 2), (0, 0)]
+        assert np.array_equal(x, c[None, :])
+        x, basis = _least_cost_basis(cost.T, c, np.array([3.0]))
+        assert basis == [(1, 0), (2, 0), (0, 0)]
+        assert np.array_equal(x, c[:, None])
 
 
 class TestGreedyNorthwest:
