@@ -20,6 +20,8 @@ from .errors import (
     LengthMismatch,
     MaxItersExceeded,
     NonPositiveEntry,
+    NonPositiveMarginal,
+    Overflow,
     RootBracketFailure,
     ValidationError,
     ZeroLine,
@@ -148,7 +150,8 @@ def ipfp_matrix(
     status = "max_iters"
     iterations = 0
     for k in range(max_iters + 1):
-        err = float(np.max(np.abs(x.sum(axis=0) - c)))
+        col_sums = x.sum(axis=0)
+        err = float(np.max(np.abs(col_sums - c)))
         col_errors.append(err)
         if err <= tol:
             status = "converged"
@@ -164,7 +167,7 @@ def ipfp_matrix(
         if k == max_iters:
             iterations = k
             break
-        x = x * (c / x.sum(axis=0))[None, :]
+        x = x * (c / col_sums)[None, :]
         x = x * (r / x.sum(axis=1))[:, None]
         if history is not None:
             history.append(x.copy())
@@ -178,8 +181,11 @@ class ConcaveFamily:
     ``inverse_marginal`` maps an (n, m) matrix T of multiplier sums
     lambda_i + mu_j to the elementwise values F_ij(T_ij); each F_ij must
     be strictly decreasing and positive on the real line.  Construction
-    spot-checks both properties at t = -1, 0 and 1; the iteration's root
-    brackets start from the previous multipliers.
+    spot-checks both properties at t = -1, 0 and 1, raising Overflow when
+    a value there is infinite or zero (positive, but outside the float
+    range) and ValidationError when one is negative or NaN or the values
+    do not decrease; the iteration's root brackets start from the
+    previous multipliers.
     """
 
     label: str
@@ -190,10 +196,14 @@ class ConcaveFamily:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValidationError("family dimensions must be >= 1")
-        vals = [self.evaluate(np.full((self.n, self.m), t)) for t in (-1.0, 0.0, 1.0)]
-        for v in vals:
-            if not np.all(v > 0):
-                raise ValidationError(f"family {self.label!r} is not positive on [-1, 1]")
+        probes = (-1.0, 0.0, 1.0)
+        with np.errstate(over="ignore", under="ignore"):
+            vals = [self.evaluate(np.full((self.n, self.m), t)) for t in probes]
+        for t, v in zip(probes, vals):
+            if not np.all(v >= 0):
+                raise ValidationError(f"family {self.label!r} is not positive at t = {t}")
+            if np.any(np.isinf(v) | (v == 0)):
+                raise Overflow(f"family {self.label!r} leaves the float range at t = {t}")
         for lo, hi in zip(vals, vals[1:]):
             if not np.all(hi < lo):
                 raise ValidationError(f"family {self.label!r} is not strictly decreasing")
@@ -205,7 +215,7 @@ class ConcaveFamily:
         return out
 
 
-#: Bisection stops once a root's bracket is at most this wide.
+#: A root solve stops once its bracket is at most this wide.
 ROOT_TOL = 1e-12
 
 #: Bracket doublings allowed per root before RootBracketFailure.
@@ -233,18 +243,31 @@ def _line_sums(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values).sum(axis=1)
 
 
-def _line_roots(g: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> np.ndarray:
-    """Roots of independent strictly decreasing g_k, one ``g`` call per step.
+def _line_roots(G: Callable[[np.ndarray], np.ndarray], target: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Roots of G_k(t) = target_k for independent strictly decreasing
+    positive G_k, one ``G`` call per step.
 
-    ``g`` maps probe points t to the values g_k(t_k).  Each entry brackets
-    from ``start`` (step 1, doubling) and bisects with the arithmetic and
-    stopping tests it would have alone; a stopped entry is probed again at
-    its last point.  A NaN value ends the expansion and counts as negative.
+    ``G`` maps probe points t to the line sums G_k(t_k); each entry solves
+    h_k(t) = log(G_k(t) / target_k) = 0, where a zero sum gives -inf and
+    an infinite one +inf.  Each entry brackets from ``start`` (step 1,
+    doubling), then probes at the false-position point of its bracket,
+    kept ROOT_TOL / 2 inside either end so that a probe next to the root
+    closes the bracket.  When two false-position probes in a row keep the
+    same end, that end's h is halved (Illinois).  An entry bisects instead
+    when an end value is not finite or its bracket did not halve over its
+    last two probes, so at least every third probe halves the bracket.  Each entry does what it would do
+    alone; a stopped entry is probed again at its last point.  A NaN value
+    ends the expansion and counts as negative.
     """
+
+    def h(t):
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.log(G(t) / target)
+
     lo = hi = t = start
-    g0 = g(t)
-    down = g0 < 0  # need g(lo) >= 0: move lo left
-    up = g0 > 0  # need g(hi) <= 0: move hi right
+    hlo = hhi = h(t)
+    down = hlo < 0  # need h(lo) >= 0: move lo left
+    up = hhi > 0  # need h(hi) <= 0: move hi right
     step = 1.0
     for _ in range(MAX_BRACKET_EXPANSIONS):
         if not (down.any() or up.any()):
@@ -253,22 +276,39 @@ def _line_roots(g: Callable[[np.ndarray], np.ndarray], start: np.ndarray) -> np.
         hi = np.where(up, hi + step, hi)
         t = np.where(down, lo, np.where(up, hi, t))
         step *= 2.0
-        gt = g(t)
-        down &= gt < 0
-        up &= gt > 0
+        ht = h(t)
+        hlo = np.where(down, ht, hlo)
+        hhi = np.where(up, ht, hhi)
+        down &= ht < 0
+        up &= ht > 0
     stuck = down | up
     if stuck.any():
         side = "below" if down[np.argmax(stuck)] else "above"
         raise RootBracketFailure(f"could not bracket the root from {side}")
+    moved = np.zeros(np.shape(start))  # +1: a secant probe last moved lo, -1: hi
+    width_before_last = width_before_that = np.full(np.shape(start), np.inf)
     while True:
+        width = hi - lo
         mid = 0.5 * (lo + hi)
-        live = (hi - lo > ROOT_TOL) & (mid != lo) & (mid != hi)
+        live = (width > ROOT_TOL) & (mid != lo) & (mid != hi)
         if not live.any():
             return mid
-        t = np.where(live, mid, t)
-        above = g(t) >= 0
-        lo = np.where(live & above, mid, lo)
-        hi = np.where(live & ~above, mid, hi)
+        dh = hlo - hhi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = np.clip(lo + width * (hlo / dh), lo + 0.5 * ROOT_TOL, hi - 0.5 * ROOT_TOL)
+        secant = (0 < dh) & (dh < np.inf) & (width <= 0.5 * width_before_that)
+        t = np.where(live, np.where(secant, guess, mid), t)
+        ht = h(t)
+        above = live & (ht >= 0)
+        below = live & ~above
+        hhi = np.where(above & (moved > 0), 0.5 * hhi, hhi)
+        hlo = np.where(below & (moved < 0), 0.5 * hlo, hlo)
+        lo = np.where(above, t, lo)
+        hlo = np.where(above, ht, hlo)
+        hi = np.where(below, t, hi)
+        hhi = np.where(below, ht, hhi)
+        moved = np.where(secant & above, 1.0, np.where(secant & below, -1.0, moved))
+        width_before_that, width_before_last = width_before_last, width
 
 
 def concave_iteration(
@@ -284,7 +324,8 @@ def concave_iteration(
     Given lambda, each mu_j solves sum_i F_ij(lambda_i + mu_j) = c_j (a
     scalar strictly monotone root problem); given mu, each lambda_i
     solves sum_j F_ij(lambda_i + mu_j) = r_i.  The independent roots of a
-    half-sweep are solved together.  The plan at any stage is
+    half-sweep are solved together, on the log of the line sums, so
+    the marginals must be positive.  The plan at any stage is
     x_ij = F_ij(lambda_i + mu_j).  Stops when the worst relative column
     residual of the post-sweep plan falls below ``params.tol``.
     """
@@ -295,12 +336,16 @@ def concave_iteration(
     for name, vec, size in (("r", r, family.n), ("c", c, family.m), ("lambda0", lam, family.n)):
         if vec.shape != (size,):
             raise LengthMismatch(f"{name} has shape {vec.shape}, expected ({size},) for family {family.label!r}")
+    for name, vec in (("r", r), ("c", c)):
+        if not np.all(vec > 0):
+            k = int(np.argmin(vec > 0))
+            raise NonPositiveMarginal(f"{name}[{k + 1}] = {vec[k]} is not positive")
     mu = np.zeros(family.m)
     residuals: List[float] = []
     plans: List[np.ndarray] = []
     for sweep in range(1, params.max_sweeps + 1):
-        mu = _line_roots(lambda t: _line_sums(family.evaluate(lam[:, None] + t[None, :]).T) - c, mu)
-        lam = _line_roots(lambda t: _line_sums(family.evaluate(t[:, None] + mu[None, :])) - r, lam)
+        mu = _line_roots(lambda t: _line_sums(family.evaluate(lam[:, None] + t[None, :]).T), c, mu)
+        lam = _line_roots(lambda t: _line_sums(family.evaluate(t[:, None] + mu[None, :])), r, lam)
         plan = family.evaluate(lam[:, None] + mu[None, :])
         resid = float(np.max(np.abs(plan.sum(axis=0) / c - 1.0)))
         residuals.append(resid)

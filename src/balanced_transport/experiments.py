@@ -106,15 +106,17 @@ def trajectory_study(
     """
     stride = 1 if problem.n * problem.m <= 100 else 10
     result = run_single_stage(problem, eta, tol, max_iters, snapshot_stride=stride)
+    snapshots = result.trace.snapshots
+    stacked = np.stack([snap for _, snap in snapshots])
     visits = []
     for idx, target in enumerate(targets):
-        dists = [float(np.max(np.abs(snap - target))) for _, snap in result.trace.snapshots]
+        dists = np.max(np.abs(stacked - target), axis=(1, 2))
         best = int(np.argmin(dists))
         visits.append(
             TrajectoryVisit(
                 target_index=idx,
-                min_distance=dists[best],
-                at_iteration=result.trace.snapshots[best][0],
+                min_distance=float(dists[best]),
+                at_iteration=snapshots[best][0],
             )
         )
     return visits, result

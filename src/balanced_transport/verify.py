@@ -201,6 +201,11 @@ def verify_balanced(
     inconsistent support shows up as a slackness violation rather than an
     exception).  The duality gap is dual value minus primal value for
     maximization and the negative of that for minimization.
+
+    Slackness is measured in absolute terms, as expm1(a_ij - lam_i - mu_j),
+    so its rounding is that of the weights: near |a| = 1e12 float spacing
+    is about 1e-4, far above ``KKT_RTOL``, and an exactly optimal plan
+    with the oracle's duals can fail the certificate there.
     """
     a = additive_weights(problem)
     n, m = a.shape

@@ -1,7 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balanced_transport import (
     ConcaveFamily,
@@ -9,6 +12,8 @@ from balanced_transport import (
     LengthMismatch,
     MaxItersExceeded,
     NonPositiveEntry,
+    NonPositiveMarginal,
+    Overflow,
     RootBracketFailure,
     ValidationError,
     ZeroLine,
@@ -22,10 +27,12 @@ from balanced_transport import (
     phi_eta_step,
     ot_to_moma,
     small_example,
+    small_example_solution,
     small_example_stagnation_matrices,
     z_step,
 )
-from balanced_transport.classic import MAX_BRACKET_EXPANSIONS, ROOT_TOL, _line_sums
+from balanced_transport import classic
+from balanced_transport.classic import MAX_BRACKET_EXPANSIONS, ROOT_TOL, _line_roots, _line_sums
 from problems import random_problem
 
 # Quotient/product chains in IEEE arithmetic wobble by an ulp or two, so
@@ -162,65 +169,151 @@ class TestIPFPMatrix:
         with pytest.raises(ZeroLine):
             ipfp_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2), np.ones(2))
 
+    @pytest.mark.parametrize("start", ["stagnation-0", "stagnation-1", "stagnation-2", "optimum", "random"])
+    def test_matches_the_loop_that_sums_the_columns_twice(self, small_problem, start):
+        r, c = small_problem.row_marginals, small_problem.col_marginals
+        if start == "optimum":
+            x0 = small_example_solution()
+        elif start == "random":
+            x0 = np.random.default_rng(4).uniform(0.2, 3.0, size=(3, 3))
+        else:
+            x0 = small_example_stagnation_matrices()[int(start[-1])]
+        out = ipfp_matrix(x0, r, c, max_iters=10_000)
+        x, status, iterations, col_errors = ipfp_matrix_reference(x0, r, c, max_iters=10_000)
+        if start == "random":
+            assert status == "converged" and iterations > 0
+        assert (out.status, out.iterations, out.col_errors) == (status, iterations, col_errors)
+        assert np.array_equal(out.x, x)
+
+
+def ipfp_matrix_reference(x, r, c, max_iters, tol=1e-12):
+    """ipfp_matrix's loop as it was when each iteration summed the columns
+    of the same matrix twice.  Returns (x, status, iterations, col_errors)."""
+    col_errors, running_min, last_progress = [], np.inf, 0
+    for k in range(max_iters + 1):
+        err = float(np.max(np.abs(x.sum(axis=0) - c)))
+        col_errors.append(err)
+        if err <= tol:
+            return x, "converged", k, col_errors
+        if err < classic.CYCLE_IMPROVEMENT * running_min:
+            last_progress = k
+        running_min = min(running_min, err)
+        if k - last_progress >= classic.CYCLE_WINDOW and err > classic.CYCLE_ERROR_FLOOR:
+            return x, "cycling", k, col_errors
+        if k == max_iters:
+            return x, "max_iters", k, col_errors
+        x = x * (c / x.sum(axis=0))[None, :]
+        x = x * (r / x.sum(axis=1))[:, None]
+
 
 def per_line_concave_iteration(family, r, c, lambda0, params):
-    """Reference: one scalar bracket-and-bisect per line, in line order,
-    each probe evaluating the whole matrix and keeping one line of it.
-    Returns (sweeps, lam, mu, plan, residuals)."""
+    """Reference: one scalar bracket-and-false-position solve per line, in
+    line order, each probe evaluating the whole matrix and keeping one line
+    of it.  Returns (sweeps, lam, mu, plan, residuals)."""
 
-    def root(g, start):
+    def root(G, target, start):
+        def h(t):
+            with np.errstate(over="ignore", divide="ignore"):
+                return float(np.log(G(t) / target))
+
         lo = hi = start
-        glo = g(lo)
+        hlo = h(lo)
         step, expansions = 1.0, 0
-        while glo < 0:
+        while hlo < 0:
             lo -= step
             step *= 2.0
-            glo = g(lo)
+            hlo = h(lo)
             expansions += 1
             if expansions > MAX_BRACKET_EXPANSIONS:
                 raise RootBracketFailure("could not bracket the root from below")
-        ghi = g(hi)
+        hhi = h(hi)
         step, expansions = 1.0, 0
-        while ghi > 0:
+        while hhi > 0:
             hi += step
             step *= 2.0
-            ghi = g(hi)
+            hhi = h(hi)
             expansions += 1
             if expansions > MAX_BRACKET_EXPANSIONS:
                 raise RootBracketFailure("could not bracket the root from above")
-        while hi - lo > ROOT_TOL:
+        moved, width_before_last, width_before_that = 0, np.inf, np.inf
+        while True:
+            width = hi - lo
             mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if g(mid) >= 0:
-                lo = mid
+            if not width > ROOT_TOL or mid == lo or mid == hi:
+                return mid
+            t, secant = mid, False
+            dh = hlo - hhi
+            if 0 < dh < np.inf and width <= 0.5 * width_before_that:
+                t = min(max(lo + width * (hlo / dh), lo + 0.5 * ROOT_TOL), hi - 0.5 * ROOT_TOL)
+                secant = True
+            ht = h(t)
+            if ht >= 0:
+                if moved > 0:
+                    hhi *= 0.5
+                lo, hlo = t, ht
+                moved = 1 if secant else moved
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                if moved < 0:
+                    hlo *= 0.5
+                hi, hhi = t, ht
+                moved = -1 if secant else moved
+            width_before_that, width_before_last = width_before_last, width
 
     def column(j, t):
         T = lam[:, None] + mu[None, :]
         T[:, j] = lam + t
-        return float(family.evaluate(T)[:, j].sum()) - c[j]
+        return family.evaluate(T)[:, j].sum()
 
     def row(i, t):
         T = lam[:, None] + mu[None, :]
         T[i, :] = t + mu
-        return float(family.evaluate(T)[i, :].sum()) - r[i]
+        return family.evaluate(T)[i, :].sum()
 
     lam = np.array(lambda0, dtype=float)
     mu = np.zeros(family.m)
     residuals = []
     for sweep in range(1, params.max_sweeps + 1):
         for j in range(family.m):
-            mu[j] = root(lambda t: column(j, t), mu[j])
+            mu[j] = root(lambda t: column(j, t), c[j], mu[j])
         for i in range(family.n):
-            lam[i] = root(lambda t: row(i, t), lam[i])
+            lam[i] = root(lambda t: row(i, t), r[i], lam[i])
         plan = family.evaluate(lam[:, None] + mu[None, :])
         residuals.append(float(np.max(np.abs(plan.sum(axis=0) / c - 1.0))))
         if residuals[-1] <= params.tol:
             return sweep, lam, mu, plan, residuals
     raise MaxItersExceeded("the per-line reference did not converge")
+
+
+def bisection_line_roots(g, start):
+    """The vectorized root solve as it was before false position: bracket
+    from ``start`` (step 1, doubling), then bisect g = G - target to
+    ROOT_TOL."""
+    lo = hi = t = start
+    g0 = g(t)
+    down = g0 < 0
+    up = g0 > 0
+    step = 1.0
+    for _ in range(MAX_BRACKET_EXPANSIONS):
+        if not (down.any() or up.any()):
+            break
+        lo = np.where(down, lo - step, lo)
+        hi = np.where(up, hi + step, hi)
+        t = np.where(down, lo, np.where(up, hi, t))
+        step *= 2.0
+        gt = g(t)
+        down &= gt < 0
+        up &= gt > 0
+    if (down | up).any():
+        raise RootBracketFailure("could not bracket the root")
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > ROOT_TOL) & (mid != lo) & (mid != hi)
+        if not live.any():
+            return mid
+        t = np.where(live, mid, t)
+        above = g(t) >= 0
+        lo = np.where(live & above, mid, lo)
+        hi = np.where(live & ~above, mid, hi)
 
 
 def assert_matches_the_per_line_reference(family, r, c, params):
@@ -247,18 +340,54 @@ def counting_family(family, calls):
     return counted
 
 
+SEEDED_CONCAVE_PROBLEMS = [
+    (1, 6, 6, False, 0.1),
+    (2, 12, 7, False, 0.1),
+    (3, 10, 4, True, 0.3),
+    (5, 9, 9, True, 0.5),
+    (6, 4, 9, False, 0.2),
+]
+
+
+def seeded_concave_problem(seed, n, m, gaussian, eta):
+    """(family, r, c, params) of a seeded entropic test problem."""
+    prob = random_problem(np.random.default_rng(seed), n, m, gaussian=gaussian)
+    return (entropic_family(prob.weights, eta), prob.row_marginals, prob.col_marginals,
+            ConcaveIterationParams(tol=1e-8))
+
+
+def sums_of_exponentials(weights, rates):
+    """G with G_k(t) = sum_i weights[k, i] exp(-rates[k, i] t), counting its calls."""
+    calls = []
+
+    def G(t):
+        calls.append(t.shape)
+        return np.sum(weights * np.exp(-rates * t[:, None]), axis=1)
+
+    return G, calls
+
+
 class TestConcaveIteration:
-    @pytest.mark.parametrize("seed, n, m, gaussian, eta", [
-        (1, 6, 6, False, 0.1),
-        (2, 12, 7, False, 0.1),
-        (3, 10, 4, True, 0.3),
-        (5, 9, 9, True, 0.5),
-        (6, 4, 9, False, 0.2),
-    ])
+    @pytest.mark.parametrize("seed, n, m, gaussian, eta", SEEDED_CONCAVE_PROBLEMS)
     def test_matches_the_per_line_reference_bit_for_bit(self, seed, n, m, gaussian, eta):
-        prob = random_problem(np.random.default_rng(seed), n, m, gaussian=gaussian)
-        assert_matches_the_per_line_reference(entropic_family(prob.weights, eta), prob.row_marginals,
-                                              prob.col_marginals, ConcaveIterationParams(tol=1e-8))
+        assert_matches_the_per_line_reference(*seeded_concave_problem(seed, n, m, gaussian, eta))
+
+    @pytest.mark.parametrize("problem", SEEDED_CONCAVE_PROBLEMS + ["isoelastic"])
+    def test_sweeps_and_plans_match_the_bisection_reference(self, monkeypatch, small_problem, problem):
+        # False position returns a different point of the final bracket than
+        # bisection, so plans agree to tolerance and sweep counts exactly.
+        if problem == "isoelastic":
+            family = isoelastic_family(ot_to_moma(small_problem).coefficients, 0.5)
+            r, c = small_problem.row_marginals, small_problem.col_marginals
+            params = ConcaveIterationParams(tol=1e-11, max_sweeps=500)
+        else:
+            family, r, c, params = seeded_concave_problem(*problem)
+        out = concave_iteration(family, r, c, np.zeros(family.n), params)
+        monkeypatch.setattr(classic, "_line_roots",
+                            lambda G, target, start: bisection_line_roots(lambda t: G(t) - target, start))
+        reference = concave_iteration(family, r, c, np.zeros(family.n), params)
+        assert out.sweeps == reference.sweeps
+        assert np.allclose(out.plan, reference.plan, rtol=1e-10, atol=0.0)
 
     def test_isoelastic_family_matches_the_per_line_reference_bit_for_bit(self, small_problem):
         assert_matches_the_per_line_reference(
@@ -274,15 +403,60 @@ class TestConcaveIteration:
             assert np.array_equal(_line_sums(v), [line.sum() for line in v])
 
     def test_one_evaluation_per_step_of_a_half_sweep(self):
-        # Solving each line on its own took 25828 evaluations here.
+        # 4 evaluations per half-sweep after the first (start, one expansion,
+        # the interpolation, the closing probe) plus one plan per sweep.
+        # Bisection took 2128 evaluations here, and solving each line on its
+        # own 25828.
         prob = random_problem(np.random.default_rng(12), 12, 12)
         calls = []
         family = counting_family(entropic_family(prob.weights, 0.1), calls)
         out = concave_iteration(family, prob.row_marginals, prob.col_marginals, np.zeros(12),
                                 ConcaveIterationParams(tol=1e-8))
         assert out.sweeps == 25
-        assert len(calls) == 2128
+        assert len(calls) == 226
         assert set(calls) == {(12, 12)}
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_roots_of_sums_of_exponentials(self, lines, terms, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.1, 10.0, size=(lines, terms))
+        rates = rng.uniform(0.5, 20.0, size=(lines, terms))
+        target = np.exp(rng.uniform(-5.0, 5.0, size=lines))
+        start = rng.uniform(-3.0, 3.0, size=lines)
+        G, calls = sums_of_exponentials(weights, rates)
+        root = _line_roots(G, target, start)
+        G_bisect, bisect_calls = sums_of_exponentials(weights, rates)
+        bisection_line_roots(lambda t: G_bisect(t) - target, start)
+        assert len(calls) <= 2 * len(bisect_calls)
+        assert np.all(G(root - ROOT_TOL) >= target)
+        assert np.all(G(root + ROOT_TOL) <= target)
+
+    @pytest.mark.parametrize("root", [2.5, -2.5])
+    def test_roots_past_the_float_range_of_the_sums(self, root):
+        # Expanding from 0 meets sums of inf (root 2.5) or 0 (root -2.5):
+        # log gives +inf or -inf, and the bracket bisects until both ends
+        # have finite values.
+        G, calls = sums_of_exponentials(np.ones((1, 1)), np.full((1, 1), 1000.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _line_roots(lambda t: G(t - root), np.ones(1), np.zeros(1))
+        assert abs(out[0] - root) <= ROOT_TOL
+        assert len(calls) < 40
+
+    @pytest.mark.parametrize("target", [np.exp(600.0), np.exp(-600.0)])
+    def test_family_values_leave_the_float_range_while_the_bracket_expands(self, target):
+        # The roots lie at t = -2 and 2; expanding from 0 probes t = -3 or 3,
+        # where exp(-300 t) overflows to inf or underflows to 0.
+        family = ConcaveFamily(label="steep", n=1, m=1, inverse_marginal=lambda T: np.exp(-300.0 * T))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = concave_iteration(family, np.array([target]), np.array([target]), np.zeros(1))
+        assert out.plan[0, 0] == pytest.approx(target, rel=1e-9)
 
     @pytest.mark.parametrize("r, c, lambda0", [
         ([0.25, 0.25, 0.5, 7.0], [0.2, 0.6, 0.2], [0.0, 0.0, 0.0]),
@@ -362,3 +536,21 @@ class TestConcaveIteration:
             ConcaveFamily(label="increasing", n=1, m=1, inverse_marginal=lambda T: np.exp(T))
         with pytest.raises(ValidationError):
             ConcaveFamily(label="negative", n=1, m=1, inverse_marginal=lambda T: -np.exp(-T))
+        with pytest.raises(ValidationError):
+            ConcaveFamily(label="nan", n=1, m=1, inverse_marginal=lambda T: np.full(T.shape, np.nan))
+
+    @pytest.mark.parametrize("family", [
+        lambda: entropic_family(np.random.default_rng(0).standard_normal((5, 6)), 1e-3),
+        lambda: ConcaveFamily(label="underflowing", n=1, m=1,
+                              inverse_marginal=lambda T: np.exp(-1000.0 * T - 2000.0)),
+    ], ids=["overflow", "underflow"])
+    def test_family_values_outside_the_float_range_raise_overflow(self, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match=r"at t = -1\.0"):
+                family()
+
+    def test_marginals_must_be_positive(self, small_problem):
+        family = entropic_family(small_problem.weights, 0.5)
+        with pytest.raises(NonPositiveMarginal, match=r"c\[2\]"):
+            concave_iteration(family, small_problem.row_marginals, np.array([0.2, 0.0, 0.8]), np.zeros(3))

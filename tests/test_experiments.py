@@ -3,6 +3,7 @@ import pytest
 
 from balanced_transport import (
     GridSpec,
+    TrajectoryVisit,
     ValidationError,
     ZeroMarginal,
     generate_grid,
@@ -92,3 +93,13 @@ class TestTrajectoryStudy:
         assert arrival == sorted(arrival)
         assert len(set(arrival)) == len(arrival)
 
+    def test_distances_match_the_per_snapshot_loop(self):
+        # One array pass over the stacked snapshots takes the same maxima as
+        # a loop over them, so the visits agree exactly.
+        targets = small_example_stagnation_matrices()
+        visits, result = trajectory_study(small_example(), targets, eta=1e-3)
+        snapshots = result.trace.snapshots
+        for idx, target in enumerate(targets):
+            dists = [float(np.max(np.abs(snap - target))) for _, snap in snapshots]
+            best = int(np.argmin(dists))
+            assert visits[idx] == TrajectoryVisit(idx, dists[best], snapshots[best][0])
