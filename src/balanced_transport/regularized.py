@@ -48,26 +48,39 @@ to 1 for the rest of the stage (Thibault, Chizat, Dossal and Papadakis,
 transport", Algorithms 2021).  On the paper grids and the desk problems
 this takes about a third fewer steps than the plain iteration.
 
-As eta anneals, z^(1/eta) concentrates on a thin support, and in the late
-stages most cells lie far below the truncation cutoff, so ``solve``
-steps the live cells only, as a shortlist.  After each
-stage's first step, ``solve`` lists the cells whose column or row ratio
-lies above the cutoff times e^-delta, one cutoff band lower, with delta =
-(54 + ceil(log2 max(n, m))) * eta * ln 2.  When at most
-``SHORTLIST_SHARE`` of the cells are listed, the stage's further steps
-update only the listed values, in ``z_step``'s multiply order, and take
-both norms by segment reductions over them (``segment_power_norm``).
-The other cells are held as z_base_ij * V_j * U_i, with U and V the row
-and column multipliers since the list was built: a column ratio moves
-only with U and a row ratio only with V, so while log(max U / min U) and
-log(max V / min V) stay at or below delta/2 every off-list term is
-truncated by the dense kernel too, and the shortlist step is the dense
-step up to the order in which kept terms are summed.  A step that would
-break that drift bound finishes on the materialized z, and the list is
-rebuilt after it.  An over-relaxed step moves V by s^omega, under the
-same bound.  This is the truncated sparse scaling of
-Schmitzer (SIAM J. Sci. Comput. 2019), with the stage's own multipliers
-in place of absorbed potentials.
+Between dense steps a stage runs on a kernel of the powered matrix, the
+stabilized scaling of Schmitzer (SIAM J. Sci. Comput. 2019): z is held
+as z_base_ij * V_j * U_i, with z_base the z of the stage's last dense step
+and U, V the row and column multipliers since.  The kernel is built after
+the stage's first step and after every dense fallback.  With R and C the
+row and column maxima of z_base, it stores
+
+    K_row = (z_base / R[:, None])^(1/eta),   K_col = (z_base / C)^(1/eta),
+
+each zero where the ratio lies at or below its line's cutoff times
+e^-delta, one cutoff band lower, with delta =
+(54 + ceil(log2 max(n, m))) * eta * ln 2.  A row ratio moves only with V
+and a column ratio only with U, so while log(max V / min V) and
+log(max U / min U) stay at or below delta/2 every zeroed term is also
+truncated by the dense kernel, and each norm is one matrix-vector product
+(``kernel_power_norm``), as in Cuturi's Sinkhorn iteration (NeurIPS
+2013)::
+
+    rows = U * R * max V * (K_row @ (V / max V)^(1/eta))^eta
+    cols = V * C * max U * ((U / max U)^(1/eta) @ K_col)^eta
+
+A step costs two matrix-vector products and pow on two vectors, instead
+of pow on every live cell twice.  It agrees with
+``z_step`` up to the order of summation and of the scalar products.  A
+column fit that would break the drift bound on V leaves the kernel and
+steps densely; a row fit that breaks it on U materializes z, takes its
+column multipliers densely, and the kernel is rebuilt.  An over-relaxed
+step moves V by s^omega, under the same bound.  Kernel steps run on
+every problem with at least 4 rows and columns, whatever share of the
+cells is live, since a matrix-vector product costs the same at any
+share.  Smaller problems step densely throughout, so their iterates are
+``z_step``'s bit for bit; a kernel step would save little there (about
+a tenth of a 3x3 dense step).
 
 Annealing runs the iteration over a decreasing temperature ladder.  The
 z matrix is carried unchanged between stages: z encodes the dual
@@ -108,19 +121,9 @@ ETA_FLOOR = 1e-8
 DEFAULT_TOL = 1e-2
 DEFAULT_MAX_ITERS = 100_000
 
-#: A stage runs on its shortlist of live cells only when at most this share
-#: of the matrix is listed; delta, the listing margin below the cutoff, is
-#: one cutoff band, (54 + ceil(log2 max(n, m))) * eta * ln 2, and the
-#: off-list multipliers may drift by delta/2 (see the module docstring).
-#: Measured crossover, steady-state steps on the 256x256 paper grid, 2-vCPU
-#: shared Intel Xeon, numpy 2.4: with 7.9% of cells listed (the final
-#: stage) a dense step takes about 850 us and a shortlist step about
-#: 260 us; with 30% (stage 5) about 930 against 590 us; with 74% (stage
-#: 1) the shortlist step no longer wins, 1510 against 1580 us.  The switch
-#: sits below the crossover so that a shortlist also pays for its build,
-#: which costs about one dense step, and for the dense steps of its
-#: fallbacks.
-SHORTLIST_SHARE = 0.3
+#: Stages on problems with at least this many rows and columns run on a
+#: kernel between dense steps (see the module docstring).
+_KERNEL_MIN_SIDE = 4
 
 
 def _cutoff(n: int, eta: float) -> float:
@@ -330,112 +333,35 @@ def z_step(
     return z_next, t, column_multipliers(z_next, c, eta)
 
 
-@dataclass(frozen=True)
-class LineList:
-    """Listed cells of a matrix, grouped into its lines along ``axis``.
+class _StageKernel:
+    """A stage's z, held as z_base_ij * V_j * U_i with z_base^(1/eta) precomputed.
 
-    ``axis`` has ``power_norm``'s meaning: 0 for column lines, 1 for row
-    lines.  A value list ordered line by line holds line l's cells at
-    positions ``starts[l]`` up to ``starts[l + 1]``; ``line`` gives the
-    line of each position, and ``length`` the full length of a line, which
-    sets its truncation cutoff.  Every line holds at least one cell.
+    z_base is the z the kernel was built from, and U, V are the products of
+    the row and column multipliers since.  ``K_row`` holds the row ratios of
+    z_base raised to 1/eta, ``(z_base / R[:, None])^(1/eta)`` with R its row
+    maxima, and ``K_colT`` the column ratios, ``(z_base / C)^(1/eta)`` with C
+    its column maxima, stored transposed, so that each norm of the stage's z
+    is one matrix-vector product (see ``kernel_power_norm``).  A ratio at or
+    below its line's cutoff times e^-delta is stored as zero.  A row ratio
+    moves only with V and a column ratio only with U, so while both
+    log(max U / min U) and log(max V / min V) are at most delta/2, every
+    zeroed term stays at or below its cutoff, and the dense kernel drops
+    it too.
     """
 
-    axis: int
-    length: int
-    starts: np.ndarray
-    line: np.ndarray
-
-
-def segment_power_norm(
-    values: np.ndarray, eta: float, lines: LineList, ratio: np.ndarray, terms: np.ndarray
-) -> np.ndarray:
-    """``power_norm`` of each line of ``lines``, from its listed values only.
-
-    ``values`` is ordered as ``lines`` lists it; ``ratio`` and ``terms``
-    are work buffers of its size.  Maxima and sums are segment reductions
-    (``reduceat``), and the truncation is ``power_norm``'s.  When every
-    unlisted entry of a line lies at or below the line's cutoff, the dense
-    kernel drops it too, and the two results differ only by the order in
-    which the kept terms are summed.
-    """
-    vmax = np.maximum.reduceat(values, lines.starts)
-    np.divide(values, vmax[lines.line], out=ratio)
-    terms.fill(0.0)
-    np.power(ratio, 1.0 / eta, out=terms, where=~(ratio <= _cutoff(lines.length, eta)))
-    return vmax * np.power(np.add.reduceat(terms, lines.starts), eta)
-
-
-class _ListBuffers:
-    """List-sized work arrays that the shortlists of one stage share.
-
-    Each list takes views of its own size.  The arrays are sized to the
-    first list and regrown only when a later list outgrows them, so a
-    rebuild allocates no list-sized array that outlives it.
-    """
-
-    def __init__(self):
-        self.capacity = 0
-
-    def views(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Five index and four value arrays of length ``size``, as rows."""
-        if size > self.capacity:
-            self.capacity = size
-            self.index, self.values = np.empty((5, size), dtype=np.intp), np.empty((4, size))
-        return self.index[:, :size], self.values[:, :size]
-
-
-class _Shortlist:
-    """A stage's z, held as its listed values plus multipliers for the rest.
-
-    Off-list cells are z_base_ij * V_j * U_i, where z_base is the z the list
-    was built from and U, V are the products of the row and column
-    multipliers since.  A cell's column ratio moves only with U and its row
-    ratio only with V, so an off-list cell, listed out at a ratio below its
-    cutoff times e^-delta, stays at or below the cutoff while both
-    log(max U / min U) and log(max V / min V) are at most delta/2.
-    """
-
-    def __init__(self, z: np.ndarray, listed: np.ndarray, eta: float, max_drift: float, buffers: _ListBuffers):
-        n, m = z.shape
-        flat = np.flatnonzero(listed)
-        index, values = buffers.views(flat.size)
-        self.flat, self.rows, self.cols, col_cols, self.perm = index
-        self.vals, self.gathered, self.ratio, self.terms = values
-        np.copyto(self.flat, flat)
-        np.divmod(self.flat, m, out=(self.rows, self.cols))
-        col_rows = np.flatnonzero(listed.T)
-        np.divmod(col_rows, n, out=(col_cols, col_rows))
-        row_counts = np.bincount(self.rows, minlength=n)
-        col_counts = np.bincount(col_cols, minlength=m)
-        self.by_row = LineList(1, m, np.cumsum(row_counts) - row_counts, self.rows)
-        self.by_col = LineList(0, n, np.cumsum(col_counts) - col_counts, col_cols)
-        # perm maps the column order onto the row order the values are kept
-        # in: flat is sorted, so a cell's row-order position is its rank there.
-        col_rows *= m
-        col_rows += col_cols
-        np.copyto(self.perm, np.searchsorted(self.flat, col_rows))
-        self.z_base, self.eta, self.max_drift = z, eta, max_drift
-        np.take(z, self.flat, out=self.vals)
-        self.U, self.V = np.ones(n), np.ones(m)
-
-    @classmethod
-    def build(cls, z: np.ndarray, eta: float, buffers: Optional[_ListBuffers] = None) -> Optional["_Shortlist"]:
-        """List z's live cells, or None when more than SHORTLIST_SHARE are.
-
-        The list's arrays are views of ``buffers`` (fresh ones by default).
-        """
+    def __init__(self, z: np.ndarray, eta: float):
         n, m = z.shape
         col_cut, row_cut = _cutoff(n, eta), _cutoff(m, eta)
         band = min(col_cut, row_cut)  # e^-delta
-        listed = z > np.maximum.reduce(z, axis=0) * (col_cut * band)
-        listed |= z > (np.maximum.reduce(z, axis=1) * (row_cut * band))[:, None]
-        if np.count_nonzero(listed) > SHORTLIST_SHARE * z.size:
-            return None
-        return cls(z, listed, eta, -0.5 * np.log(band), buffers or _ListBuffers())
+        self.z_base, self.eta, self.max_drift = z, eta, -0.5 * np.log(band)
+        self.R, self.C = np.maximum.reduce(z, axis=1), np.maximum.reduce(z, axis=0)
+        self.K_row = _truncated_power(z / self.R[:, None], eta, row_cut * band)
+        col_ratio = np.divide(z.T, self.C[:, None], out=np.empty((m, n)))  # rows of K_colT are z's columns
+        self.K_colT = _truncated_power(col_ratio, eta, col_cut * band)
+        self.U, self.V = np.ones(n), np.ones(m)
 
     def step(self, s: np.ndarray, r_eta: np.ndarray, c_eta: np.ndarray):
-        """``z_step`` on the listed values: (t, s_next), or None.
+        """``z_step`` on the held z: (t, s_next), or None.
 
         None, with nothing changed, when V would drift too far for the row
         norms.  s_next is None when the row fit is done but U has drifted
@@ -444,71 +370,89 @@ class _Shortlist:
         V = self.V * s
         if _log_spread(V, 1.0) > self.max_drift:
             return None
-        vals = self.vals
-        vals *= np.take(s, self.cols, out=self.gathered)
-        t = r_eta / segment_power_norm(vals, self.eta, self.by_row, self.ratio, self.terms)
-        vals *= np.take(t, self.rows, out=self.gathered)
         self.V = V
+        t = r_eta / kernel_power_norm(self, 1)
         self.U *= t
         if _log_spread(self.U, 1.0) > self.max_drift:
             return t, None
-        np.take(vals, self.perm, out=self.gathered)
-        return t, c_eta / segment_power_norm(self.gathered, self.eta, self.by_col, self.ratio, self.terms)
+        return t, c_eta / kernel_power_norm(self, 0)
 
     def materialize(self) -> np.ndarray:
         z = self.z_base * self.V
         z *= self.U[:, None]
-        np.put(z, self.flat, self.vals)
         return z
+
+
+def _truncated_power(ratio: np.ndarray, eta: float, cut: float) -> np.ndarray:
+    """ratio^(1/eta) where ratio lies above ``cut``, zero elsewhere."""
+    return np.power(ratio, 1.0 / eta, out=np.zeros(ratio.shape), where=ratio > cut)
+
+
+def kernel_power_norm(kernel: _StageKernel, axis: int) -> np.ndarray:
+    """``power_norm(kernel.materialize(), kernel.eta, axis)`` from the kernel.
+
+    Row i's norm (axis 1) is U_i R_i max V (sum_j K_row_ij (V_j / max V)^(1/eta))^eta,
+    and column j's (axis 0) the same with the roles of rows and columns
+    swapped.  Every term is at most 1 and the line maximum's own term is at
+    least e^-(delta/2)/eta, so nothing overflows or underflows.  Within the
+    drift bound the result differs from the dense kernel's only by the
+    order of summation and of the scalar products.
+    """
+    if axis == 1:
+        own, across, K, line_max = kernel.U, kernel.V, kernel.K_row, kernel.R
+    else:
+        own, across, K, line_max = kernel.V, kernel.U, kernel.K_colT, kernel.C
+    top = np.maximum.reduce(across)
+    sums = K @ np.power(across / top, 1.0 / kernel.eta)
+    return own * (line_max * (top * np.power(sums, kernel.eta)))
 
 
 class _Stage:
     """One annealing stage's iterate, stepped as ``z_step`` steps z.
 
-    The stage starts on z itself.  After its first step, and after each
-    step that left the shortlist, it lists the live cells; when few enough
-    are listed, the following steps run on the shortlist.
+    The stage starts on z itself.  On problems with at least 4 rows and
+    columns, each dense step, the stage's first and every fallback, is
+    followed by a kernel build, and the following steps run on the kernel.
     """
 
     def __init__(self, z: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float):
         self.z, self.r, self.c, self.eta = z, r, c, eta
         self.r_eta, self.c_eta = r**eta, c**eta
-        self.shortlist: Optional[_Shortlist] = None
-        self.buffers = _ListBuffers()
-        self.first, self.relist = True, False
+        self.kernel: Optional[_StageKernel] = None
+        self.rebuild = False
         self.z_before: Optional[np.ndarray] = None  # the last step's input, if it was dense
 
     def step(self, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.relist:
-            self.shortlist, self.relist = _Shortlist.build(self.z, self.eta, self.buffers), False
-        shortlist = self.shortlist
-        if shortlist is not None:
-            stepped = shortlist.step(s, self.r_eta, self.c_eta)
+        if self.rebuild:
+            self.kernel, self.rebuild = _StageKernel(self.z, self.eta), False
+        kernel = self.kernel
+        if kernel is not None:
+            stepped = kernel.step(s, self.r_eta, self.c_eta)
             if stepped is not None:
                 t, s_next = stepped
                 self.z_before = None
                 if s_next is None:
-                    self.z, self.shortlist, self.relist = shortlist.materialize(), None, True
+                    self.z, self.kernel, self.rebuild = kernel.materialize(), None, True
                     s_next = column_multipliers(self.z, self.c, self.eta)
                 return t, s_next
-            self.z, self.shortlist = shortlist.materialize(), None
+            self.z, self.kernel = kernel.materialize(), None
         self.z_before = self.z
         self.z, t, s = z_step(self.z, s, self.r, self.c, self.eta)
-        self.relist, self.first = self.first or shortlist is not None, False
+        self.rebuild = min(self.z.shape) >= _KERNEL_MIN_SIDE
         return t, s
 
     def unmoved(self) -> bool:
         """Whether the last step was dense and left z bit for bit unchanged.
 
-        A shortlist step never counts as unmoved: listed values that stop
-        moving while the criterion stays above tol leave s non-uniform, so V
-        drifts until the stage falls back to a dense step, and that step's
-        comparison of the whole z decides.
+        A kernel step never counts as unmoved: a z that stops moving while
+        the criterion stays above tol leaves s non-uniform, so V drifts until
+        the stage falls back to a dense step, and that step's comparison of
+        the whole z decides.
         """
         return self.z_before is not None and np.array_equal(self.z_before, self.z)
 
     def materialized(self) -> np.ndarray:
-        return self.z if self.shortlist is None else self.shortlist.materialize()
+        return self.z if self.kernel is None else self.kernel.materialize()
 
 
 def criterion(s: np.ndarray, eta: float) -> float:
@@ -578,11 +522,12 @@ def solve(
     equilibration, and satisfy x_ij = (alpha_i b_ij / beta_j)^(1/eta_final)
     with b the internal (sense-adjusted) coefficients.
 
-    Once few enough cells are live, a stage steps only its listed cells
-    (see the module docstring); the iterates then agree with those of
-    ``z_step`` under the same omegas to rounding, and the per-stage
-    iteration counts are the same on the paper grids and the desk
-    problems.  z is materialized for snapshots and at each stage end.
+    On problems with at least 4 rows and columns, a stage steps on its
+    kernel of z^(1/eta) between dense steps (see the module docstring);
+    the iterates then agree with those of ``z_step`` under the same omegas
+    to rounding, and the per-stage iteration counts are the same on the
+    paper grids and the annealed desk problems.  z is materialized for
+    snapshots and at each stage end.
 
     ``max_iters`` bounds each stage; on an exhausted budget the iterate
     reached is returned with ``converged=False``.  ``snapshot_stride``
