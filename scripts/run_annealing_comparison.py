@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Annealed ladder versus single-stage run at the same final temperature.
 
-At full scale (256 x 256) the staged computation needs roughly 25 times
-fewer iterations; the default desk-scale grid shows the same effect.
+At full scale (256 x 256) the staged computation needs about 34 times
+fewer iterations (277 against 9311); the default 64 x 64 grid shows the
+same effect, about 43 times (355 against 15,246).
 """
 
 import argparse

@@ -227,6 +227,10 @@ class ConcaveIterationParams:
     tol: float = 1e-10
     max_sweeps: int = 10_000
 
+    def __post_init__(self):
+        if self.max_sweeps < 1:
+            raise ValidationError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+
 
 @dataclass
 class ConcaveIterationResult:
@@ -243,9 +247,15 @@ def _line_sums(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values).sum(axis=1)
 
 
-def _line_roots(G: Callable[[np.ndarray], np.ndarray], target: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _line_roots(
+    G: Callable[[np.ndarray], np.ndarray],
+    target: np.ndarray,
+    start: np.ndarray,
+    start_sums: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Roots of G_k(t) = target_k for independent strictly decreasing
-    positive G_k, one ``G`` call per step.
+    positive G_k, one ``G`` call per step.  ``start_sums``, when given, is
+    ``G(start)``, and saves the first call.
 
     ``G`` maps probe points t to the line sums G_k(t_k); each entry solves
     h_k(t) = log(G_k(t) / target_k) = 0, where a zero sum gives -inf and
@@ -260,12 +270,12 @@ def _line_roots(G: Callable[[np.ndarray], np.ndarray], target: np.ndarray, start
     ends the expansion and counts as negative.
     """
 
-    def h(t):
+    def h(t, sums=None):
         with np.errstate(over="ignore", divide="ignore"):
-            return np.log(G(t) / target)
+            return np.log((G(t) if sums is None else sums) / target)
 
     lo = hi = t = start
-    hlo = hhi = h(t)
+    hlo = hhi = h(t, start_sums)
     down = hlo < 0  # need h(lo) >= 0: move lo left
     up = hhi > 0  # need h(hi) <= 0: move hi right
     step = 1.0
@@ -343,10 +353,12 @@ def concave_iteration(
     mu = np.zeros(family.m)
     residuals: List[float] = []
     plans: List[np.ndarray] = []
+    col_sums = None  # the column sums of the last sweep's plan, at the next column roots' start
     for sweep in range(1, params.max_sweeps + 1):
-        mu = _line_roots(lambda t: _line_sums(family.evaluate(lam[:, None] + t[None, :]).T), c, mu)
+        mu = _line_roots(lambda t: _line_sums(family.evaluate(lam[:, None] + t[None, :]).T), c, mu, col_sums)
         lam = _line_roots(lambda t: _line_sums(family.evaluate(t[:, None] + mu[None, :])), r, lam)
         plan = family.evaluate(lam[:, None] + mu[None, :])
+        col_sums = _line_sums(plan.T)
         resid = float(np.max(np.abs(plan.sum(axis=0) / c - 1.0)))
         residuals.append(resid)
         if keep_plans:
@@ -355,8 +367,7 @@ def concave_iteration(
             return ConcaveIterationResult(DualPotentials(lam, mu), plan, sweep, residuals, plans)
     raise MaxItersExceeded(
         f"no convergence to tol={params.tol} within {params.max_sweeps} sweeps",
-        partial=ConcaveIterationResult(DualPotentials(lam, mu), family.evaluate(lam[:, None] + mu[None, :]),
-                                       params.max_sweeps, residuals, plans),
+        partial=ConcaveIterationResult(DualPotentials(lam, mu), plan, params.max_sweeps, residuals, plans),
     )
 
 

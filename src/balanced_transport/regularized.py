@@ -82,11 +82,23 @@ share.  Smaller problems step densely throughout, so their iterates are
 ``z_step``'s bit for bit; a kernel step would save little there (about
 a tenth of a 3x3 dense step).
 
-Annealing runs the iteration over a decreasing temperature ladder.  The
-z matrix is carried unchanged between stages: z encodes the dual
-potentials (z_ij = exp(a_ij - lambda_i - mu_j)), so keeping it fixed
-warm-starts each colder stage from the incumbent potentials while the
-plan x = z^(1/eta) resharpens, which is what makes staging effective.
+Annealing runs the iteration over a decreasing temperature ladder, and
+each colder stage starts from the potentials the last one reached: z
+encodes them (z_ij = exp(a_ij - lambda_i - mu_j)), so the plan
+x = z^(1/eta) resharpens from the incumbent duals, which is what makes
+staging effective.  The start is predicted, not carried.  On the support
+a_ij - lambda_i - mu_j = eta * log x_ij, and x(eta) tends to an LP
+vertex, so the potentials move by about eta times a fixed vector from
+one stage to the next (Cominetti and San Martin, "Asymptotic analysis of
+the exponential penalty trajectory in linear programming", Math.
+Programming 1994; Weed, "An explicit analysis of the entropic penalty in
+linear programming", COLT 2018).  From the end of the second stage on,
+z is extrapolated linearly in eta along the secant of the last two stage
+ends (``_secant_prediction``).  Within a stage z changes only by row and
+column scalings, so the secant is a pair of scalings too, A on the rows
+and B on the columns, and the prediction is pow on n + m values with
+no log or exp over the matrix.  On the paper grids and the desk problems
+it takes about half the steps of the warm stages.
 """
 
 from __future__ import annotations
@@ -499,6 +511,32 @@ def _relaxation(crits: List[float], omega: float) -> float:
     return omega
 
 
+def _secant_prediction(
+    z: np.ndarray,
+    ends: List[Tuple[np.ndarray, np.ndarray]],
+    etas: Tuple[float, float, float],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start of the next stage, extrapolated linearly in eta from the last two stage ends.
+
+    ``ends`` holds the cumulative (alpha, beta) at the ends of the two
+    stages just run, older first, and ``etas`` their temperatures and the
+    next one.  Between the two ends z moved by the row and column
+    scalings A = alpha_k / alpha_(k-1) and B = beta_k / beta_(k-1), so
+    z * A^w / B^w with w = (eta_(k+1) - eta_k) / (eta_k - eta_(k-1)) is
+    log z continued along that secant.  Returns (z, alpha, beta), all
+    scaled alike, so that x = (alpha b / beta)^(1/eta) still holds.  See
+    the module docstring.
+    """
+    (alpha_prev, beta_prev), (alpha, beta) = ends
+    eta_prev, eta, eta_next = etas
+    w = (eta_next - eta) / (eta - eta_prev)
+    row = (alpha / alpha_prev) ** w
+    col = (beta / beta_prev) ** w
+    z = z * row[:, None]
+    z /= col
+    return z, alpha * row, beta * col
+
+
 def solve(
     problem: OTProblem,
     schedule: AnnealingSchedule,
@@ -516,11 +554,15 @@ def solve(
     from the contraction rate those steps show and dropped back to 1 if
     the criterion stalls (see the module docstring); the criterion is
     always that of the exact s, so stopping means what it does for the
-    plain iteration.  z carries over to the next stage unchanged.  The
+    plain iteration.  From the end of the second stage on, z, alpha and
+    beta are extrapolated along the secant of the last two stage ends
+    before the next stage starts (see ``_secant_prediction``); the first
+    two stages start from z as the previous stage left it.  The
     returned scalings are the cumulative products of the step multipliers
-    (the column ones as applied, s**omega) together with the
-    equilibration, and satisfy x_ij = (alpha_i b_ij / beta_j)^(1/eta_final)
-    with b the internal (sense-adjusted) coefficients.
+    (the column ones as applied, s**omega) and the predictions' scalings,
+    together with the equilibration, and satisfy
+    x_ij = (alpha_i b_ij / beta_j)^(1/eta_final) with b the internal
+    (sense-adjusted) coefficients.
 
     On problems with at least 4 rows and columns, a stage steps on its
     kernel of z^(1/eta) between dense steps (see the module docstring);
@@ -533,8 +575,9 @@ def solve(
     reached is returned with ``converged=False``.  ``snapshot_stride``
     records the plan every that many iterations in ``trace.snapshots``.
     An overflow, division by zero or invalid operation while iterating
-    raises NonFiniteEntry.  A dense step that repeats the criterion and
-    leaves z unchanged raises NumericalDegeneracy.
+    or predicting raises NonFiniteEntry, naming the stage's eta.  A dense
+    step that repeats the criterion and leaves z unchanged raises
+    NumericalDegeneracy.
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
@@ -551,10 +594,12 @@ def solve(
     converged = True
     crit = np.inf
     k_global = 0
+    ends: List[Tuple[np.ndarray, np.ndarray]] = []
+    predicting = False
     t0 = time.perf_counter()
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for eta, tol in schedule.stages:
+            for k, (eta, tol) in enumerate(schedule.stages):
                 iters = 0
                 stage = _Stage(z, r, c, eta)
                 s = column_multipliers(z, c, eta)
@@ -591,8 +636,15 @@ def solve(
                 stage_iterations.append(iters)
                 if not converged:
                     break
+                ends = ends[-1:] + [(alpha.copy(), beta.copy())]
+                if k >= 1 and k + 1 < len(schedule.stages):
+                    predicting = True
+                    etas = (schedule.stages[k - 1][0], eta, schedule.stages[k + 1][0])
+                    z, alpha, beta = _secant_prediction(z, ends, etas)
+                    predicting = False
     except FloatingPointError as exc:
-        raise NonFiniteEntry(f"{exc} at eta={eta} in iteration {k_global + 1}") from exc
+        where = "the prediction of the next stage's start" if predicting else f"iteration {k_global + 1}"
+        raise NonFiniteEntry(f"{exc} at eta={eta} in {where}") from exc
     eta_final = schedule.stages[len(stage_iterations) - 1][0]
     x = z ** (1.0 / eta_final)
     plan = TransportPlan.against(x, problem.row_marginals, problem.col_marginals)

@@ -384,7 +384,8 @@ class TestConcaveIteration:
             family, r, c, params = seeded_concave_problem(*problem)
         out = concave_iteration(family, r, c, np.zeros(family.n), params)
         monkeypatch.setattr(classic, "_line_roots",
-                            lambda G, target, start: bisection_line_roots(lambda t: G(t) - target, start))
+                            lambda G, target, start, start_sums=None:
+                            bisection_line_roots(lambda t: G(t) - target, start))
         reference = concave_iteration(family, r, c, np.zeros(family.n), params)
         assert out.sweeps == reference.sweeps
         assert np.allclose(out.plan, reference.plan, rtol=1e-10, atol=0.0)
@@ -404,16 +405,17 @@ class TestConcaveIteration:
 
     def test_one_evaluation_per_step_of_a_half_sweep(self):
         # 4 evaluations per half-sweep after the first (start, one expansion,
-        # the interpolation, the closing probe) plus one plan per sweep.
-        # Bisection took 2128 evaluations here, and solving each line on its
-        # own 25828.
+        # the interpolation, the closing probe) plus one plan per sweep, less
+        # one per column half-sweep after the first, whose start is the last
+        # plan.  Bisection took 2128 evaluations here, and solving each line
+        # on its own 25828.
         prob = random_problem(np.random.default_rng(12), 12, 12)
         calls = []
         family = counting_family(entropic_family(prob.weights, 0.1), calls)
         out = concave_iteration(family, prob.row_marginals, prob.col_marginals, np.zeros(12),
                                 ConcaveIterationParams(tol=1e-8))
         assert out.sweeps == 25
-        assert len(calls) == 226
+        assert len(calls) == 202
         assert set(calls) == {(12, 12)}
 
     @given(
@@ -530,6 +532,19 @@ class TestConcaveIteration:
                 ConcaveIterationParams(tol=1e-12, max_sweeps=2),
             )
         assert err.value.partial.sweeps == 2
+
+    def test_the_partial_plan_is_the_last_sweeps_plan(self, small_problem):
+        family = entropic_family(small_problem.weights, eta=0.05)
+        with pytest.raises(MaxItersExceeded) as err:
+            concave_iteration(family, small_problem.row_marginals, small_problem.col_marginals, np.zeros(3),
+                              ConcaveIterationParams(tol=1e-12, max_sweeps=3), keep_plans=True)
+        partial = err.value.partial
+        assert np.array_equal(partial.plan, partial.plans[-1])
+        assert np.array_equal(partial.plan, family.evaluate(partial.duals.lam[:, None] + partial.duals.mu[None, :]))
+
+    def test_max_sweeps_must_be_positive(self):
+        with pytest.raises(ValidationError, match="max_sweeps"):
+            ConcaveIterationParams(max_sweeps=0)
 
     def test_family_validation(self):
         with pytest.raises(ValidationError):

@@ -385,25 +385,37 @@ class TestSolve:
         ids=["1-stage", "3-stage"],
     )
     def test_solve_matches_manual_z_steps(self, small_problem, schedule):
-        # z carries across stages; s is recomputed at each stage start, and
-        # each stage over-relaxes its column fit by the shared rule.
+        # z carries across stages, predicted along the secant of the last two
+        # stage ends from the second stage's end on; s is recomputed at each
+        # stage start, and each stage over-relaxes its column fit by the
+        # shared rule.
         result = solve(small_problem, schedule)
         assert len(result.stage_iterations) == len(schedule.stages)
         assert result.stage_iterations[0] > regularized._PROBE_STEPS
         r, c = small_problem.row_marginals, small_problem.col_marginals
-        z, _ = row_equilibrate(np.exp(small_problem.weights))
-        crits = []
-        for (eta, _), iterations in zip(schedule.stages, result.stage_iterations):
+        z, alpha = row_equilibrate(np.exp(small_problem.weights))
+        beta = np.ones(len(c))
+        etas = [eta for eta, _ in schedule.stages]
+        crits, ends = [], []
+        for k, iterations in enumerate(result.stage_iterations):
+            eta = etas[k]
             s = column_multipliers(z, c, eta)
             stage_crits, omega = [], 1.0
             for _ in range(iterations):
-                z, _, s = z_step(z, s**omega, r, c, eta)
+                fit = s**omega
+                z, t, s = z_step(z, fit, r, c, eta)
+                alpha, beta = alpha * t, beta / fit
                 stage_crits.append(criterion(s, eta))
                 omega = regularized._relaxation(stage_crits, omega)
             crits += stage_crits
+            ends = ends[-1:] + [(alpha, beta)]
+            if 1 <= k < len(etas) - 1:
+                z, alpha, beta = regularized._secant_prediction(z, ends, tuple(etas[k - 1:k + 2]))
         assert np.array_equal(np.array(crits), np.array(result.trace.criteria))
         assert np.array_equal(z, result.final_z)
         assert np.array_equal(z ** (1.0 / schedule.eta_final), result.plan.values)
+        assert np.array_equal(alpha, result.scalings.alpha)
+        assert np.array_equal(beta, result.scalings.beta)
 
     def test_minimize_sense(self, small_problem, known_plan):
         negated = OTProblem(-small_problem.weights, small_problem.row_marginals,
@@ -503,13 +515,13 @@ class TestIterationCounts:
 
     def test_grid64_annealed(self):
         result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
-        assert result.stage_iterations == (201, 21, 28, 26, 32, 27, 27, 25, 29, 38, 36, 35)
+        assert result.stage_iterations == (201, 21, 9, 5, 10, 14, 11, 20, 28, 33, 1, 2)
 
     def test_grid64_annealed_without_relaxation(self, monkeypatch):
         # With omega held at 1 the column fit is the plain one, s**1.0 == s.
         monkeypatch.setattr(regularized, "_relaxation", lambda crits, omega: 1.0)
         result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
-        assert result.stage_iterations == (315, 28, 42, 38, 43, 35, 36, 31, 38, 50, 47, 46)
+        assert result.stage_iterations == (315, 28, 12, 4, 10, 17, 12, 27, 39, 52, 1, 4)
 
     def test_grid64_annealed_norm_traffic(self, monkeypatch):
         # One column norm per stage start plus one column and one row norm
@@ -533,25 +545,31 @@ class TestIterationCounts:
         assert calls == {0: result.iterations + 12, 1: result.iterations}
 
 
-def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int = 100_000, plain: bool = False):
+def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int = 100_000,
+                 plain: bool = False, predict: bool = True):
     """solve's iteration through z_step alone, comparing z itself for a freeze.
 
     Each stage over-relaxes its column fit by solve's own rule, or, with
-    ``plain``, keeps omega at 1 throughout.
+    ``plain``, keeps omega at 1 throughout.  From the second stage's end
+    on, the next stage starts from solve's own secant prediction, or, with
+    ``predict`` false, from z as the stage left it.
 
     Returns (outcome, stage iterations, criteria, final z), with outcome
     "converged", "frozen" or "max_iters".
     """
     a = problem.weights if problem.sense == MAXIMIZE else -problem.weights
-    z, _ = row_equilibrate(np.exp(a))
+    z, alpha = row_equilibrate(np.exp(a))
+    beta = np.ones(problem.m)
     r, c = problem.row_marginals, problem.col_marginals
-    counts, crits = [], []
-    for eta, tol in schedule.stages:
+    etas = [eta for eta, _ in schedule.stages]
+    counts, crits, ends = [], [], []
+    for stage, (eta, tol) in enumerate(schedule.stages):
         s = column_multipliers(z, c, eta)
         stage_crits, omega = [], 1.0
         for k in range(1, max_iters + 1):
-            before = z
-            z, _, s = z_step(z, s**omega, r, c, eta)
+            before, fit = z, s**omega
+            z, t, s = z_step(z, fit, r, c, eta)
+            alpha, beta = alpha * t, beta / fit
             stage_crits.append(criterion(s, eta))
             crits.append(stage_crits[-1])
             if crits[-1] < tol:
@@ -562,6 +580,9 @@ def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int
         else:
             return "max_iters", tuple(counts) + (k,), np.array(crits), z
         counts.append(k)
+        ends = ends[-1:] + [(alpha, beta)]
+        if predict and 1 <= stage < len(etas) - 1:
+            z, alpha, beta = regularized._secant_prediction(z, ends, tuple(etas[stage - 1:stage + 2]))
     return "converged", tuple(counts), np.array(crits), z
 
 
@@ -808,6 +829,65 @@ class TestOverRelaxation:
         outcome, plain_counts, _, _ = _dense_solve(problem, schedule, plain=True)
         assert outcome == "converged"
         assert result.iterations <= sum(plain_counts)
+
+
+def _column_residual(plan: np.ndarray, problem: OTProblem) -> float:
+    return float(np.max(np.abs(plan.sum(axis=0) / problem.col_marginals - 1.0)))
+
+
+class TestSecantPrediction:
+    """From the second stage's end on, each stage starts from the secant of the last two stage ends."""
+
+    def test_scalings_move_with_z_and_follow_the_secant(self):
+        rng = np.random.default_rng(0)
+        z = rng.uniform(0.5, 2.0, size=(3, 4))
+        alpha_prev, beta_prev = rng.uniform(0.5, 2.0, size=3), rng.uniform(0.5, 2.0, size=4)
+        alpha, beta = 2.0 * alpha_prev, 4.0 * beta_prev
+        ends = [(alpha_prev, beta_prev), (alpha, beta)]
+        z_next, alpha_next, beta_next = regularized._secant_prediction(z, ends, (0.09, 0.06, 0.04))
+        # w = (0.04 - 0.06) / (0.06 - 0.09) = 2/3 on the x1.5 ladder.
+        w = 2.0 / 3.0
+        assert np.allclose(alpha_next, alpha * 2.0**w, rtol=1e-14, atol=0.0)
+        assert np.allclose(beta_next, beta * 4.0**w, rtol=1e-14, atol=0.0)
+        assert np.allclose(z_next, z * 2.0**w / 4.0**w, rtol=1e-14, atol=0.0)
+
+    @given(
+        st.integers(min_value=4, max_value=49),
+        st.integers(min_value=4, max_value=49),
+        st.sampled_from([MAXIMIZE, MINIMIZE]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_converges_wherever_the_unpredicted_iteration_does(self, n, m, sense, gaussian, seed):
+        # The reference is solve itself with each stage carrying z over
+        # unchanged, so stages 0 and 1, which no prediction precedes, run
+        # bit for bit alike.
+        problem = random_problem(np.random.default_rng(seed), n, m, sense, gaussian)
+        schedule = make_schedule(1e-4, 12, 1.5, 1e-2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regularized, "_secant_prediction", lambda z, ends, etas: (z, *ends[-1]))
+            reference = solve(problem, schedule)
+        if not reference.converged:
+            return
+        result = solve(problem, schedule)
+        assert result.converged
+        assert result.stage_iterations[:2] == reference.stage_iterations[:2]
+        early = sum(result.stage_iterations[:2])
+        assert result.trace.criteria[:early] == reference.trace.criteria[:early]
+        # A criterion below tol bounds every column ratio by exp(tol); the
+        # slack covers the extraction's rounding, amplified by 1/eta.
+        limit = math.expm1(schedule.stages[-1][1]) + 1e-9
+        assert _column_residual(reference.plan.values, problem) <= limit
+        assert _column_residual(result.plan.values, problem) <= limit
+
+    def test_a_non_finite_prediction_raises_a_typed_error(self, small_problem):
+        # Stages 0 and 1 almost coincide, so w = (0.01 - eta_1) / (eta_1 - 0.1)
+        # is about 9e11, and the scalings between their ends, raised to w,
+        # overflow.
+        schedule = AnnealingSchedule(((0.1, 1e-2), (0.0999999999999, 1e-2), (0.01, 1e-2)))
+        with pytest.raises(NonFiniteEntry, match=r"overflow .* at eta=0\.0999999999999 in the prediction"):
+            solve(small_problem, schedule)
 
 
 class TestIsoelasticUtility:
