@@ -523,13 +523,17 @@ def _secant_prediction(
     next one.  Between the two ends z moved by the row and column
     scalings A = alpha_k / alpha_(k-1) and B = beta_k / beta_(k-1), so
     z * A^w / B^w with w = (eta_(k+1) - eta_k) / (eta_k - eta_(k-1)) is
-    log z continued along that secant.  Returns (z, alpha, beta), all
-    scaled alike, so that x = (alpha b / beta)^(1/eta) still holds.  See
-    the module docstring.
+    log z continued along that secant.  w is capped at 1, so the start is
+    never extrapolated further than the last stage's own move; geometric
+    ladders have w = 1/factor and are unaffected, while two nearly equal
+    temperatures followed by a larger step would otherwise raise the
+    scalings to a huge power.  Returns (z, alpha, beta), all scaled alike,
+    so that x = (alpha b / beta)^(1/eta) still holds.  See the module
+    docstring.
     """
     (alpha_prev, beta_prev), (alpha, beta) = ends
     eta_prev, eta, eta_next = etas
-    w = (eta_next - eta) / (eta - eta_prev)
+    w = min((eta_next - eta) / (eta - eta_prev), 1.0)
     row = (alpha / alpha_prev) ** w
     col = (beta / beta_prev) ** w
     z = z * row[:, None]
@@ -595,7 +599,6 @@ def solve(
     crit = np.inf
     k_global = 0
     ends: List[Tuple[np.ndarray, np.ndarray]] = []
-    predicting = False
     t0 = time.perf_counter()
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -638,13 +641,14 @@ def solve(
                     break
                 ends = ends[-1:] + [(alpha.copy(), beta.copy())]
                 if k >= 1 and k + 1 < len(schedule.stages):
-                    predicting = True
                     etas = (schedule.stages[k - 1][0], eta, schedule.stages[k + 1][0])
-                    z, alpha, beta = _secant_prediction(z, ends, etas)
-                    predicting = False
+                    try:
+                        z, alpha, beta = _secant_prediction(z, ends, etas)
+                    except FloatingPointError as exc:
+                        raise NonFiniteEntry(
+                            f"{exc} at eta={eta} in the prediction of the next stage's start") from exc
     except FloatingPointError as exc:
-        where = "the prediction of the next stage's start" if predicting else f"iteration {k_global + 1}"
-        raise NonFiniteEntry(f"{exc} at eta={eta} in {where}") from exc
+        raise NonFiniteEntry(f"{exc} at eta={eta} in iteration {k_global + 1}") from exc
     eta_final = schedule.stages[len(stage_iterations) - 1][0]
     x = z ** (1.0 / eta_final)
     plan = TransportPlan.against(x, problem.row_marginals, problem.col_marginals)

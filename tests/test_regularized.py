@@ -546,13 +546,12 @@ class TestIterationCounts:
 
 
 def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int = 100_000,
-                 plain: bool = False, predict: bool = True):
+                 plain: bool = False):
     """solve's iteration through z_step alone, comparing z itself for a freeze.
 
     Each stage over-relaxes its column fit by solve's own rule, or, with
     ``plain``, keeps omega at 1 throughout.  From the second stage's end
-    on, the next stage starts from solve's own secant prediction, or, with
-    ``predict`` false, from z as the stage left it.
+    on, the next stage starts from solve's own secant prediction.
 
     Returns (outcome, stage iterations, criteria, final z), with outcome
     "converged", "frozen" or "max_iters".
@@ -581,7 +580,7 @@ def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int
             return "max_iters", tuple(counts) + (k,), np.array(crits), z
         counts.append(k)
         ends = ends[-1:] + [(alpha, beta)]
-        if predict and 1 <= stage < len(etas) - 1:
+        if 1 <= stage < len(etas) - 1:
             z, alpha, beta = regularized._secant_prediction(z, ends, tuple(etas[stage - 1:stage + 2]))
     return "converged", tuple(counts), np.array(crits), z
 
@@ -881,13 +880,34 @@ class TestSecantPrediction:
         assert _column_residual(reference.plan.values, problem) <= limit
         assert _column_residual(result.plan.values, problem) <= limit
 
-    def test_a_non_finite_prediction_raises_a_typed_error(self, small_problem):
-        # Stages 0 and 1 almost coincide, so w = (0.01 - eta_1) / (eta_1 - 0.1)
-        # is about 9e11, and the scalings between their ends, raised to w,
-        # overflow.
-        schedule = AnnealingSchedule(((0.1, 1e-2), (0.0999999999999, 1e-2), (0.01, 1e-2)))
-        with pytest.raises(NonFiniteEntry, match=r"overflow .* at eta=0\.0999999999999 in the prediction"):
-            solve(small_problem, schedule)
+    def test_the_step_ratio_is_capped_at_one(self):
+        z = np.ones((2, 2))
+        ends = [(np.ones(2), np.ones(2)), (np.array([2.0, 1.0]), np.array([1.0, 4.0]))]
+        # w = (0.01 - 0.09999) / (0.09999 - 0.1) is about 9e3 uncapped.
+        z_next, alpha_next, beta_next = regularized._secant_prediction(z, ends, (0.1, 0.09999, 0.01))
+        assert alpha_next.tolist() == [4.0, 1.0]
+        assert beta_next.tolist() == [1.0, 16.0]
+        assert z_next.tolist() == [[2.0, 0.5], [1.0, 0.25]]
+
+    @pytest.mark.parametrize("eta_1", [0.09999999, 0.0999999999999])
+    def test_nearly_coinciding_temperatures_converge(self, small_problem, eta_1):
+        # Uncapped, w = (0.01 - eta_1) / (eta_1 - 0.1) would raise the
+        # scalings between the first two stage ends to a power of 9e6 or
+        # more, and overflow.
+        result = solve(small_problem, AnnealingSchedule(((0.1, 1e-2), (eta_1, 1e-2), (0.01, 1e-2))))
+        assert result.converged
+        assert result.stage_iterations == (6, 1, 21)
+
+    def test_a_non_finite_prediction_raises_a_typed_error(self):
+        # With marginals of 1e52, the cumulative column scaling stands at
+        # about e^665 at the second stage's end, having moved by about e^123
+        # in that stage, so its predicted value (w = 3/4) overflows.  The
+        # carried start fails as well, later, in the last stage's iteration.
+        problem = OTProblem(np.array([[380.0, 200.0], [-230.0, 400.0]]), np.array([1.0, 1.0]) * 1e52,
+                            np.array([1.5, 0.5]) * 1e52, MAXIMIZE)
+        schedule = AnnealingSchedule(((2.0, 1.0), (1.0, 0.1), (0.25, 100.0)))
+        with pytest.raises(NonFiniteEntry, match=r"overflow .* at eta=1\.0 in the prediction of the next stage's start"):
+            solve(problem, schedule)
 
 
 class TestIsoelasticUtility:
