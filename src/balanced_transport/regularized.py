@@ -82,6 +82,22 @@ share.  Smaller problems step densely throughout, so their iterates are
 ``z_step``'s bit for bit; a kernel step would save little there (about
 a tenth of a 3x3 dense step).
 
+The two log spreads are not taken at every step but bounded from
+numbers the loop already has, each bound reset to 0 at every build.  The
+column fit f = s^omega moves V's spread by at most
+spread(f) = omega * eta * crit, with crit the criterion already measured
+on s.  The z held before a kernel step has its rows fit exactly at this
+stage's eta (a stage's first step is dense, a build follows only a row
+fit, and the prediction runs before the first step), so the row norms of
+z * f lie within [min f, max f] times r^eta, the row multipliers t
+within [1 / max f, 1 / min f], and U's spread also moves by at most
+spread(f) (the Hilbert-metric contraction of a row fit; Franklin and
+Lorenz, "On the scaling of multidimensional matrices", Linear Algebra
+Appl. 1989).  Each bound also grows by a rounding slack of 64 ulp of
+max(1, delta/2) per step.  Only a bound that passes delta/2 takes the
+exact spread, which then replaces it, so every decision is the one the
+exact checks would make.
+
 Annealing runs the iteration over a decreasing temperature ladder, and
 each colder stage starts from the potentials the last one reached: z
 encodes them (z_ij = exp(a_ij - lambda_i - mu_j)), so the plan
@@ -345,6 +361,11 @@ def z_step(
     return z_next, t, column_multipliers(z_next, c, eta)
 
 
+#: Rounding slack added to each drift bound per kernel step, relative to
+#: the larger of 1 and the bound's limit (see ``_StageKernel.step``).
+_DRIFT_SLACK = 64 * np.finfo(float).eps
+
+
 class _StageKernel:
     """A stage's z, held as z_base_ij * V_j * U_i with z_base^(1/eta) precomputed.
 
@@ -359,6 +380,18 @@ class _StageKernel:
     log(max U / min U) and log(max V / min V) are at most delta/2, every
     zeroed term stays at or below its cutoff, and the dense kernel drops
     it too.
+
+    Those two log spreads are tracked by upper bounds, ``u_drift`` and
+    ``v_drift``, both 0 at the build.  A column fit f moves V's spread by
+    at most spread(f) = log(max f / min f).  The z held before each step
+    has its rows fit exactly: a kernel is built only after a row fit at
+    this stage's eta, dense or on the kernel, and each kernel step ends
+    with one.  The row norms of z * f then lie within [min f, max f] times
+    r^eta, so t_i lies in [1 / max f, 1 / min f] and U's spread also moves
+    by at most spread(f) (Franklin and Lorenz, "On the scaling of
+    multidimensional matrices", Linear Algebra Appl. 1989).  The exact
+    spread is taken only when a bound passes delta/2, and then replaces
+    the bound.
     """
 
     def __init__(self, z: np.ndarray, eta: float):
@@ -366,27 +399,37 @@ class _StageKernel:
         col_cut, row_cut = _cutoff(n, eta), _cutoff(m, eta)
         band = min(col_cut, row_cut)  # e^-delta
         self.z_base, self.eta, self.max_drift = z, eta, -0.5 * np.log(band)
+        self.slack = _DRIFT_SLACK * max(1.0, self.max_drift)
         self.R, self.C = np.maximum.reduce(z, axis=1), np.maximum.reduce(z, axis=0)
         self.K_row = _truncated_power(z / self.R[:, None], eta, row_cut * band)
         col_ratio = np.divide(z.T, self.C[:, None], out=np.empty((m, n)))  # rows of K_colT are z's columns
         self.K_colT = _truncated_power(col_ratio, eta, col_cut * band)
         self.U, self.V = np.ones(n), np.ones(m)
+        self.u_drift = self.v_drift = 0.0
 
-    def step(self, s: np.ndarray, r_eta: np.ndarray, c_eta: np.ndarray):
+    def step(self, s: np.ndarray, spread: float, r_eta: np.ndarray, c_eta: np.ndarray):
         """``z_step`` on the held z: (t, s_next), or None.
 
-        None, with nothing changed, when V would drift too far for the row
-        norms.  s_next is None when the row fit is done but U has drifted
-        too far for the column norms.
+        ``spread`` is log(max s / min s), up to rounding, which the drift
+        bounds grow by.  None, with nothing changed, when V would drift too
+        far for the row norms.  s_next is None when the row fit is done but
+        U has drifted too far for the column norms.
         """
+        grow = spread + self.slack
         V = self.V * s
-        if _log_spread(V, 1.0) > self.max_drift:
-            return None
-        self.V = V
+        v_drift = self.v_drift + grow
+        if v_drift > self.max_drift:
+            v_drift = _log_spread(V, 1.0)
+            if v_drift > self.max_drift:
+                return None
+        self.V, self.v_drift = V, v_drift
         t = r_eta / kernel_power_norm(self, 1)
         self.U *= t
-        if _log_spread(self.U, 1.0) > self.max_drift:
-            return t, None
+        self.u_drift += grow
+        if self.u_drift > self.max_drift:
+            self.u_drift = _log_spread(self.U, 1.0)
+            if self.u_drift > self.max_drift:
+                return t, None
         return t, c_eta / kernel_power_norm(self, 0)
 
     def materialize(self) -> np.ndarray:
@@ -415,8 +458,12 @@ def kernel_power_norm(kernel: _StageKernel, axis: int) -> np.ndarray:
     else:
         own, across, K, line_max = kernel.V, kernel.U, kernel.K_colT, kernel.C
     top = np.maximum.reduce(across)
-    sums = K @ np.power(across / top, 1.0 / kernel.eta)
-    return own * (line_max * (top * np.power(sums, kernel.eta)))
+    norms = K @ np.power(across / top, 1.0 / kernel.eta)
+    np.power(norms, kernel.eta, out=norms)
+    norms *= top
+    norms *= line_max
+    norms *= own
+    return norms
 
 
 class _Stage:
@@ -434,12 +481,13 @@ class _Stage:
         self.rebuild = False
         self.z_before: Optional[np.ndarray] = None  # the last step's input, if it was dense
 
-    def step(self, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def step(self, s: np.ndarray, spread: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``z_step`` with column fit s, whose log spread is ``spread``: (t, s_next)."""
         if self.rebuild:
             self.kernel, self.rebuild = _StageKernel(self.z, self.eta), False
         kernel = self.kernel
         if kernel is not None:
-            stepped = kernel.step(s, self.r_eta, self.c_eta)
+            stepped = kernel.step(s, spread, self.r_eta, self.c_eta)
             if stepped is not None:
                 t, s_next = stepped
                 self.z_before = None
@@ -475,6 +523,8 @@ def criterion(s: np.ndarray, eta: float) -> float:
     of z.
     """
     s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteEntry("column multipliers must be finite")
     if not np.all(s > 0):
         raise NonPositiveEntry("column multipliers must be strictly positive")
     return _log_spread(s, eta)
@@ -611,9 +661,9 @@ def solve(
                 omega = 1.0
                 while True:
                     crit_before = crit
-                    fit = s**omega
+                    fit = s if omega == 1.0 else s**omega  # pow(x, 1) == x
                     beta /= fit
-                    t, s = stage.step(fit)
+                    t, s = stage.step(fit, omega * eta * crit)
                     alpha *= t
                     iters += 1
                     k_global += 1

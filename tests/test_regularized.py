@@ -319,6 +319,11 @@ class TestCriterion:
         with pytest.raises(NonPositiveEntry):
             criterion(np.array([1.0, -1.0]), eta=0.5)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(NonFiniteEntry, match="finite"):
+            criterion(np.array([1.0, bad]), eta=0.5)
+
 
 class TestSchedule:
     def test_single_stage(self):
@@ -749,6 +754,87 @@ class TestShortlist:
         (crits_1, z_1), (crits_2, z_2) = outputs
         assert np.array_equal(crits_1, crits_2)
         assert np.array_equal(z_1, z_2)
+
+
+_DESK = make_schedule(1e-4, 12, 1.5, 1e-2)
+
+
+class TestDriftBounds:
+    """The kernel's drift checks run on running upper bounds, exactly only past delta/2."""
+
+    @given(
+        st.integers(min_value=4, max_value=49),
+        st.integers(min_value=4, max_value=49),
+        st.sampled_from([MAXIMIZE, MINIMIZE]),
+        st.booleans(),
+        st.sampled_from([_DESK, AnnealingSchedule(((1e-3, 1e-2),))]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_the_bounds_hold_at_every_kernel_step(self, n, m, sense, gaussian, schedule, seed):
+        steps = [0]
+
+        class Checked(regularized._StageKernel):
+            def step(self, *args):
+                stepped = super().step(*args)
+                steps[0] += 1
+                assert self.u_drift >= regularized._log_spread(self.U, 1.0)
+                assert self.v_drift >= regularized._log_spread(self.V, 1.0)
+                return stepped
+
+        problem = random_problem(np.random.default_rng(seed), n, m, sense, gaussian)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regularized, "_StageKernel", Checked)
+            result = solve(problem, schedule, max_iters=20_000)
+        assert steps[0] > result.iterations // 2
+
+    @pytest.mark.parametrize(
+        "problem, schedule, pinned",
+        [
+            (lambda: generate_grid(GridSpec(64)), _DESK, None),
+            (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True), _DESK, None),
+            (lambda: random_problem(np.random.default_rng(2), 32, 32, MINIMIZE, gaussian=True), _DESK, None),
+            (lambda: random_problem(np.random.default_rng(3), 48, 36, gaussian=True), _DESK, None),
+            (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
+             AnnealingSchedule(((1e-3, 1e-2),)), (4445,)),
+            (lambda: random_problem(np.random.default_rng(1078), 23, 32, gaussian=True), _DESK, (419,)),
+        ],
+        ids=["grid64-annealed", "24x40-max", "32x32-min", "48x36-max", "24x40-cold", "23x32-1078"],
+    )
+    def test_bitwise_equal_to_exact_checks_every_step(self, monkeypatch, problem, schedule, pinned):
+        # An infinite slack passes every bound at once, so each step takes
+        # both exact spreads, as the checks did before they had bounds.
+        problem = problem()
+        result = solve(problem, schedule)
+        with monkeypatch.context() as patch:
+            patch.setattr(regularized, "_DRIFT_SLACK", np.inf)
+            exact = solve(problem, schedule)
+        if pinned is not None:
+            assert result.stage_iterations[:len(pinned)] == pinned
+        assert result.stage_iterations == exact.stage_iterations
+        assert result.trace.criteria == exact.trace.criteria
+        assert np.array_equal(result.plan.values, exact.plan.values)
+        assert np.array_equal(result.scalings.alpha, exact.scalings.alpha)
+        assert np.array_equal(result.scalings.beta, exact.scalings.beta)
+        assert np.array_equal(result.final_z, exact.final_z)
+
+    def test_grid64_annealed_exact_spread_traffic(self, monkeypatch):
+        # The kernel's exact checks are the log spreads taken at eta 1.
+        # Taken at every kernel step they are two per step (679); the
+        # bounds leave 9.
+        calls, spread = [0], regularized._log_spread
+
+        def counting(s, eta):
+            calls[0] += eta == 1.0
+            return spread(s, eta)
+
+        monkeypatch.setattr(regularized, "_log_spread", counting)
+        solve(generate_grid(GridSpec(64)), _DESK)
+        assert calls[0] == 9
+        calls[0] = 0
+        monkeypatch.setattr(regularized, "_DRIFT_SLACK", np.inf)
+        solve(generate_grid(GridSpec(64)), _DESK)
+        assert calls[0] == 679
 
 
 class TestOverRelaxation:
