@@ -21,7 +21,8 @@ quantity (1/eta) * log(max_j s_j / min_j s_j) equals the Hilbert distance
 between the plan's column sums and c, giving a stopping criterion for
 free.
 
-The iteration is one dense kernel, and ``solve`` runs this loop::
+The iteration is one dense kernel, ``z_step``, and on problems with a
+side below 4 ``solve`` runs this loop::
 
     s = column_multipliers(z, c, eta)           # at each stage start
     z, t, s = z_step(z, s**omega, r, c, eta)    # per iteration
@@ -29,6 +30,8 @@ The iteration is one dense kernel, and ``solve`` runs this loop::
 ``z_step`` returns the column multipliers of the new z alongside it, so
 each norm is computed once per step: ``s`` is both the stopping
 measurement of the step just taken and the column fit of the next one.
+Larger problems run the same loop on a stage kernel (below), which takes
+the same norms by matrix-vector products.
 
 The column fit is over-relaxed.  Each stage takes 8 plain steps
 (omega = 1), estimates the criterion's contraction rate as
@@ -48,12 +51,13 @@ to 1 for the rest of the stage (Thibault, Chizat, Dossal and Papadakis,
 transport", Algorithms 2021).  On the paper grids and the desk problems
 this takes about a third fewer steps than the plain iteration.
 
-Between dense steps a stage runs on a kernel of the powered matrix, the
-stabilized scaling of Schmitzer (SIAM J. Sci. Comput. 2019): z is held
-as z_base_ij * V_j * U_i, with z_base the z of the stage's last dense step
-and U, V the row and column multipliers since.  The kernel is built after
-the stage's first step and after every dense fallback.  With R and C the
-row and column maxima of z_base, it stores
+On problems with at least 4 rows and columns a stage runs on a kernel of
+the powered matrix, the stabilized scaling of Schmitzer (SIAM J. Sci.
+Comput. 2019): z is held as z_base_ij * V_j * U_i, with z_base the z the
+kernel was built from and U, V the row and column multipliers since.
+Each stage builds its kernel from the z it starts from, carried or
+predicted, and takes its first column multipliers from it at U = V = 1.
+With R and C the row and column maxima of z_base, the kernel stores
 
     K_row = (z_base / R[:, None])^(1/eta),   K_col = (z_base / C)^(1/eta),
 
@@ -70,33 +74,39 @@ truncated by the dense kernel, and each norm is one matrix-vector product
     cols = V * C * max U * ((U / max U)^(1/eta) @ K_col)^eta
 
 A step costs two matrix-vector products and pow on two vectors, instead
-of pow on every live cell twice.  It agrees with
-``z_step`` up to the order of summation and of the scalar products.  A
-column fit that would break the drift bound on V leaves the kernel and
-steps densely; a row fit that breaks it on U materializes z, takes its
-column multipliers densely, and the kernel is rebuilt.  An over-relaxed
-step moves V by s^omega, under the same bound.  Kernel steps run on
-every problem with at least 4 rows and columns, whatever share of the
-cells is live, since a matrix-vector product costs the same at any
-share.  Smaller problems step densely throughout, so their iterates are
-``z_step``'s bit for bit; a kernel step would save little there (about
-a tenth of a 3x3 dense step).
+of pow on every live cell twice.  It agrees with ``z_step`` up to the
+order of summation and of the scalar products.  Drift is absorbed, not
+stepped around: a column fit that would break the drift bound on V
+materializes z, rebuilds the kernel from it and is retried there, and a
+row fit that breaks it on U materializes z and rebuilds the kernel,
+which gives the column multipliers.  Only a fit that a fresh kernel
+cannot take, with a log spread above delta/2 by itself, steps densely,
+and the kernel is rebuilt from the step's z; on the paper grids and the
+desk problems that is the first step of the first stage alone.  An
+over-relaxed step moves V by s^omega, under the same bound.  Kernel
+stages run on every problem with at least 4 rows and columns, whatever
+share of the cells is live, since a matrix-vector product costs the
+same at any share.  Smaller problems step densely throughout, so their
+iterates are ``z_step``'s bit for bit; a kernel step would save little
+there (about a tenth of a 3x3 dense step).
 
 The two log spreads are not taken at every step but bounded from
 numbers the loop already has, each bound reset to 0 at every build.  The
 column fit f = s^omega moves V's spread by at most
 spread(f) = omega * eta * crit, with crit the criterion already measured
-on s.  The z held before a kernel step has its rows fit exactly at this
-stage's eta (a stage's first step is dense, a build follows only a row
-fit, and the prediction runs before the first step), so the row norms of
-z * f lie within [min f, max f] times r^eta, the row multipliers t
-within [1 / max f, 1 / min f], and U's spread also moves by at most
-spread(f) (the Hilbert-metric contraction of a row fit; Franklin and
-Lorenz, "On the scaling of multidimensional matrices", Linear Algebra
-Appl. 1989).  Each bound also grows by a rounding slack of 64 ulp of
-max(1, delta/2) per step.  Only a bound that passes delta/2 takes the
-exact spread, which then replaces it, so every decision is the one the
-exact checks would make.
+on s.  When the z held before a kernel step has its rows fit exactly at
+this stage's eta, the row norms of z * f lie within [min f, max f] times
+r^eta, the row multipliers t within [1 / max f, 1 / min f], and U's
+spread also moves by at most spread(f) (the Hilbert-metric contraction
+of a row fit; Franklin and Lorenz, "On the scaling of multidimensional
+matrices", Linear Algebra Appl. 1989).  Every kernel step ends with a
+row fit, and an absorption or a dense step rebuilds from a z whose rows
+are fit, but a stage's first kernel starts from the last stage's z or
+its prediction, whose rows are fit at another eta or not at all.  So the
+first step on that kernel takes U's exact spread.  Each bound also grows
+by a rounding slack of 64 ulp of max(1, delta/2) per step.  Only a bound
+that passes delta/2 takes the exact spread, which then replaces it, so
+every decision is the one the exact checks would make.
 
 Annealing runs the iteration over a decreasing temperature ladder, and
 each colder stage starts from the potentials the last one reached: z
@@ -383,15 +393,17 @@ class _StageKernel:
 
     Those two log spreads are tracked by upper bounds, ``u_drift`` and
     ``v_drift``, both 0 at the build.  A column fit f moves V's spread by
-    at most spread(f) = log(max f / min f).  The z held before each step
-    has its rows fit exactly: a kernel is built only after a row fit at
-    this stage's eta, dense or on the kernel, and each kernel step ends
-    with one.  The row norms of z * f then lie within [min f, max f] times
-    r^eta, so t_i lies in [1 / max f, 1 / min f] and U's spread also moves
-    by at most spread(f) (Franklin and Lorenz, "On the scaling of
-    multidimensional matrices", Linear Algebra Appl. 1989).  The exact
-    spread is taken only when a bound passes delta/2, and then replaces
-    the bound.
+    at most spread(f) = log(max f / min f).  When the z held before a step
+    has its rows fit exactly at the kernel's eta, the row norms of z * f
+    lie within [min f, max f] times r^eta, so t_i lies in
+    [1 / max f, 1 / min f] and U's spread also moves by at most spread(f)
+    (Franklin and Lorenz, "On the scaling of multidimensional matrices",
+    Linear Algebra Appl. 1989).  Each step ends with a row fit, so this
+    holds from the second step on, and from the first when the kernel is
+    built from a row-fit z.  On a kernel built from any other z,
+    ``_Stage`` starts ``u_drift`` at infinity, so that its first step
+    takes U's exact spread.  The exact spread is taken only when a bound
+    passes delta/2, and then replaces the bound.
     """
 
     def __init__(self, z: np.ndarray, eta: float):
@@ -469,50 +481,85 @@ def kernel_power_norm(kernel: _StageKernel, axis: int) -> np.ndarray:
 class _Stage:
     """One annealing stage's iterate, stepped as ``z_step`` steps z.
 
-    The stage starts on z itself.  On problems with at least 4 rows and
-    columns, each dense step, the stage's first and every fallback, is
-    followed by a kernel build, and the following steps run on the kernel.
+    On problems with at least 4 rows and columns the stage lives on a
+    kernel, built from the z it starts from.  A kernel whose drift bound
+    would break is absorbed: z is materialized and the kernel rebuilt from
+    it.  A column fit that breaks the bound on V is then retried on the
+    fresh kernel, and only a fit that a fresh kernel cannot take steps
+    densely, after which the kernel is rebuilt from the step's z.  Smaller
+    problems step densely throughout.
     """
 
     def __init__(self, z: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float):
-        self.z, self.r, self.c, self.eta = z, r, c, eta
+        self.z, self.r, self.c, self.eta = z, r, c, eta  # z is current only without a kernel
         self.r_eta, self.c_eta = r**eta, c**eta
         self.kernel: Optional[_StageKernel] = None
-        self.rebuild = False
-        self.z_before: Optional[np.ndarray] = None  # the last step's input, if it was dense
+        self.before: Optional[Tuple[np.ndarray, np.ndarray]] = None  # see ``unmoved``
+        if min(z.shape) >= _KERNEL_MIN_SIDE:
+            self.kernel = _StageKernel(z, eta)
+            self.kernel.u_drift = np.inf  # z's rows are not fit at this eta
+
+    def column_fit(self) -> np.ndarray:
+        """The column multipliers of the z the stage starts from."""
+        if self.kernel is None:
+            return column_multipliers(self.z, self.c, self.eta)
+        return self.c_eta / kernel_power_norm(self.kernel, 0)
 
     def step(self, s: np.ndarray, spread: float) -> Tuple[np.ndarray, np.ndarray]:
         """``z_step`` with column fit s, whose log spread is ``spread``: (t, s_next)."""
-        if self.rebuild:
-            self.kernel, self.rebuild = _StageKernel(self.z, self.eta), False
+        self.before = None
         kernel = self.kernel
-        if kernel is not None:
-            stepped = kernel.step(s, spread, self.r_eta, self.c_eta)
-            if stepped is not None:
-                t, s_next = stepped
-                self.z_before = None
-                if s_next is None:
-                    self.z, self.kernel, self.rebuild = kernel.materialize(), None, True
-                    s_next = column_multipliers(self.z, self.c, self.eta)
-                return t, s_next
-            self.z, self.kernel = kernel.materialize(), None
-        self.z_before = self.z
-        self.z, t, s = z_step(self.z, s, self.r, self.c, self.eta)
-        self.rebuild = min(self.z.shape) >= _KERNEL_MIN_SIDE
-        return t, s
+        if kernel is None:
+            return self._dense_step(self.z, s)
+        stepped = kernel.step(s, spread, self.r_eta, self.c_eta)
+        if stepped is None:
+            z = kernel.materialize()
+            if not np.array_equal(z, kernel.z_base):  # else a rebuild would give this kernel again
+                kernel = self.kernel = _StageKernel(z, self.eta)
+                stepped = kernel.step(s, spread, self.r_eta, self.c_eta)
+            if stepped is None:
+                return self._dense_step(z, s)
+        t, s_next = stepped
+        if s_next is None:
+            z = kernel.materialize()
+            self.before = (kernel.z_base, z)
+            self.kernel = _StageKernel(z, self.eta)
+            s_next = self.c_eta / kernel_power_norm(self.kernel, 0)
+        return t, s_next
+
+    def _dense_step(self, z: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        z_next, t, s_next = z_step(z, s, self.r, self.c, self.eta)
+        self.before = (z, z_next)
+        if self.kernel is None:
+            self.z = z_next
+        else:
+            self.kernel = _StageKernel(z_next, self.eta)
+        return t, s_next
 
     def unmoved(self) -> bool:
-        """Whether the last step was dense and left z bit for bit unchanged.
+        """Whether the last step left z bit for bit where it was.
 
-        A kernel step never counts as unmoved: a z that stops moving while
-        the criterion stays above tol leaves s non-uniform, so V drifts until
-        the stage falls back to a dense step, and that step's comparison of
-        the whole z decides.
+        A dense step compares z with its input.  A kernel step that is
+        absorbed after its row fit compares the materialized z with the z
+        the absorbed kernel was built from: an equal one has not moved
+        since that build.  Any other kernel step counts as moved, since
+        comparing would cost a materialization; a stage whose z stops
+        moving there still moves U and V by rounding.
         """
-        return self.z_before is not None and np.array_equal(self.z_before, self.z)
+        return self.before is not None and np.array_equal(*self.before)
 
     def materialized(self) -> np.ndarray:
         return self.z if self.kernel is None else self.kernel.materialize()
+
+
+def _plan(z: np.ndarray, eta: float) -> np.ndarray:
+    """The plan z^(1/eta), with pow taken only where it does not underflow to 0.
+
+    An entry at or below 2^(-1080 * eta) has a power at or below about
+    2^-1080, under half the smallest subnormal, so pow would round it to 0
+    anyway, through its slow path.  Equal bit for bit to ``z ** (1/eta)``.
+    """
+    return np.power(z, 1.0 / eta, out=np.zeros(z.shape), where=z > 2.0 ** (-1080.0 * eta))
 
 
 def criterion(s: np.ndarray, eta: float) -> float:
@@ -618,20 +665,22 @@ def solve(
     x_ij = (alpha_i b_ij / beta_j)^(1/eta_final) with b the internal
     (sense-adjusted) coefficients.
 
-    On problems with at least 4 rows and columns, a stage steps on its
-    kernel of z^(1/eta) between dense steps (see the module docstring);
-    the iterates then agree with those of ``z_step`` under the same omegas
+    On problems with at least 4 rows and columns, each stage builds a
+    kernel of z^(1/eta) from the z it starts from and steps on it,
+    absorbing drift into rebuilt kernels (see the module docstring); the
+    iterates then agree with those of ``z_step`` under the same omegas
     to rounding, and the per-stage iteration counts are the same on the
     paper grids and the annealed desk problems.  z is materialized for
-    snapshots and at each stage end.
+    snapshots and at each stage end.  The plan is z^(1/eta) with pow
+    skipped on the entries whose power underflows to 0 (``_plan``).
 
     ``max_iters`` bounds each stage; on an exhausted budget the iterate
     reached is returned with ``converged=False``.  ``snapshot_stride``
     records the plan every that many iterations in ``trace.snapshots``.
     An overflow, division by zero or invalid operation while iterating
-    or predicting raises NonFiniteEntry, naming the stage's eta.  A dense
-    step that repeats the criterion and leaves z unchanged raises
-    NumericalDegeneracy.
+    or predicting raises NonFiniteEntry, naming the stage's eta.  A step
+    that repeats the criterion and is found to leave z unchanged raises
+    NumericalDegeneracy (see ``_Stage.unmoved``).
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
@@ -655,7 +704,7 @@ def solve(
             for k, (eta, tol) in enumerate(schedule.stages):
                 iters = 0
                 stage = _Stage(z, r, c, eta)
-                s = column_multipliers(z, c, eta)
+                s = stage.column_fit()
                 crit = _log_spread(s, eta)
                 crits: List[float] = []
                 omega = 1.0
@@ -671,7 +720,7 @@ def solve(
                     crits.append(crit)
                     trace.record(k_global, eta, crit, time.perf_counter() - t0)
                     if snapshot_stride and k_global % snapshot_stride == 0:
-                        trace.snapshots.append((k_global, stage.materialized() ** (1.0 / eta)))
+                        trace.snapshots.append((k_global, _plan(stage.materialized(), eta)))
                     if crit < tol:
                         break
                     # An unmoved z recomputes the same s, hence the same criterion,
@@ -700,8 +749,7 @@ def solve(
     except FloatingPointError as exc:
         raise NonFiniteEntry(f"{exc} at eta={eta} in iteration {k_global + 1}") from exc
     eta_final = schedule.stages[len(stage_iterations) - 1][0]
-    x = z ** (1.0 / eta_final)
-    plan = TransportPlan.against(x, problem.row_marginals, problem.col_marginals)
+    plan = TransportPlan.against(_plan(z, eta_final), problem.row_marginals, problem.col_marginals)
     return SolveResult(
         plan=plan,
         scalings=Scalings(alpha, beta),

@@ -616,8 +616,34 @@ def _materialized_norm_solve(monkeypatch, problem: OTProblem, schedule: Annealin
         return solve(problem, schedule)
 
 
+def _lockstep_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule):
+    """solve, with each of its steps redone by z_step from the z that step started from.
+
+    Returns solve's result and, in ``_dense_solve``'s form, the outcome,
+    the criteria of the z_step redos and the last one's z.  Each redo
+    starts where solve stands, so rounding differences do not compound
+    from step to step, and each step's z must agree with its redo's.
+    """
+    crits, zs = [], []
+
+    class Lockstep(regularized._Stage):
+        def step(self, s, spread):
+            z, _, s_ref = z_step(self.materialized(), s, self.r, self.c, self.eta)
+            stepped = super().step(s, spread)
+            assert np.max(np.abs(self.materialized() - z) / z) <= 1e-12
+            crits.append(criterion(s_ref, self.eta))
+            zs[:] = [z]
+            return stepped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(regularized, "_Stage", Lockstep)
+        result = solve(problem, schedule)
+    outcome = "converged" if result.converged else "max_iters"
+    return result, (outcome, result.stage_iterations, np.array(crits), zs[0])
+
+
 class TestShortlist:
-    """Steps between dense ones run on the stage kernel; dense iterations are the reference."""
+    """Stages run on the stage kernel; dense iterations are the reference."""
 
     @pytest.mark.parametrize(
         "problem, schedule, pinned",
@@ -632,13 +658,13 @@ class TestShortlist:
              make_schedule(1e-4, 12, 1.5, 1e-2), None),
             # One cold stage on a random problem, whose lines peak at many
             # scales.  Near step 580 its criterion sits on a plateau (1.70503)
-            # that amplifies rounding about 3x per step: the z_step loop itself,
-            # fed one-ulp noise in s, can end a few steps early.  Holding z as
-            # z_base * V * U lands one step before the z_step loop whichever
-            # way the norms are summed, so the count is pinned and only the
-            # materialized-norm reference is compared.
+            # that amplifies rounding about 3x per step, so two whole runs
+            # that sum their norms in different orders part there: solve
+            # ends at 4445, and both the materialized-norm reference and the
+            # z_step loop at 4446.  Each count is pinned, and solve is
+            # compared step by step with z_step taken from its own z.
             (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
-             AnnealingSchedule(((1e-3, 1e-2),)), (4445,)),
+             AnnealingSchedule(((1e-3, 1e-2),)), ((4445,), (4446,))),
         ],
         ids=["grid64-annealed", "grid64-cold", "24x40-max", "32x32-min", "48x36-max", "24x40-cold"],
     )
@@ -646,15 +672,20 @@ class TestShortlist:
         # The kernel sums the kept terms in another order than the dense
         # kernel, so the iterates agree to rounding and the counts exactly.
         problem = problem()
-        result = solve(problem, schedule)
-        assert kernel_calls[0] > 0
         reference = _materialized_norm_solve(monkeypatch, problem, schedule)
-        references = [("converged" if reference.converged else "max_iters", reference.stage_iterations,
-                       np.array(reference.trace.criteria), reference.final_z)]
+        reference = ("converged" if reference.converged else "max_iters", reference.stage_iterations,
+                     np.array(reference.trace.criteria), reference.final_z)
         if pinned is None:
-            references.append(_dense_solve(problem, schedule))
+            result = solve(problem, schedule)
+            references = [reference, _dense_solve(problem, schedule)]
         else:
-            assert result.stage_iterations == pinned
+            solve_counts, reference_counts = pinned
+            for outcome, counts, _, _ in (reference, _dense_solve(problem, schedule)):
+                assert (outcome, counts) == ("converged", reference_counts)
+            result, lockstep = _lockstep_solve(monkeypatch, problem, schedule)
+            assert result.stage_iterations == solve_counts
+            references = [lockstep]
+        assert kernel_calls[0] > 0
         for outcome, counts, crits, z in references:
             assert outcome == "converged"
             assert result.stage_iterations == counts
@@ -699,6 +730,66 @@ class TestShortlist:
         assert kernel_calls[0] > 0
         assert not result.converged
         assert _dense_solve(prob, schedule, max_iters=300)[:2] == ("max_iters", result.stage_iterations)
+
+    def test_an_absorption_that_finds_z_unmoved_is_a_freeze(self, monkeypatch):
+        # Every kernel step is absorbed after its row fit, so each absorption
+        # compares the z one step reached with the z that step started from,
+        # as a dense step does.  At step 89 the two are equal bit for bit
+        # while the criterion repeats; unchecked, the stage would run on to
+        # max_iters with its criterion at 2.2e-16.
+        rng = np.random.default_rng(1)
+        prob = random_problem(rng, *(int(k) for k in rng.integers(4, 6, size=2)))
+        assert prob.weights.shape == (4, 5)
+        schedule = AnnealingSchedule(((1.0, 1e-300),))
+        found = []
+
+        class Absorbing(regularized._StageKernel):
+            def step(self, *args):
+                stepped = super().step(*args)
+                return stepped if stepped is None else (stepped[0], None)
+
+            def materialize(self):
+                z = super().materialize()
+                found.append(np.array_equal(z, self.z_base))
+                return z
+
+        monkeypatch.setattr(regularized, "_StageKernel", Absorbing)
+        with pytest.raises(NumericalDegeneracy, match="eta=1.0 while the criterion is 2.22e-16"):
+            solve(prob, schedule, max_iters=300)
+        assert len(found) == 89 and found.index(True) == 88
+        monkeypatch.setattr(regularized._Stage, "unmoved", lambda stage: False)
+        result = solve(prob, schedule, max_iters=300)
+        assert result.stage_iterations == (300,) and not result.converged
+
+    def test_grid64_annealed_build_and_dense_traffic(self, monkeypatch):
+        # Each stage builds its kernel from the z it starts from.  Stage 0's
+        # first fit is too wide for a fresh kernel, so it alone steps
+        # densely, and the kernel is rebuilt from its z; every other exit
+        # of V's drift bound is absorbed by a rebuild.  U's bound never
+        # breaks here.
+        counts = dict.fromkeys(["builds", "v_exits", "u_exits", "dense"], 0)
+        z_step_ = regularized.z_step
+
+        class Counting(regularized._StageKernel):
+            def __init__(self, *args):
+                counts["builds"] += 1
+                super().__init__(*args)
+
+            def step(self, *args):
+                stepped = super().step(*args)
+                counts["v_exits"] += stepped is None
+                counts["u_exits"] += stepped is not None and stepped[1] is None
+                return stepped
+
+        def dense(*args):
+            counts["dense"] += 1
+            return z_step_(*args)
+
+        monkeypatch.setattr(regularized, "_StageKernel", Counting)
+        monkeypatch.setattr(regularized, "z_step", dense)
+        result = solve(generate_grid(GridSpec(64)), _DESK)
+        assert result.iterations == 355
+        assert counts == {"builds": 12 + 1 + 8, "v_exits": 1 + 8, "u_exits": 0, "dense": 1}
 
     @pytest.mark.parametrize(
         "problem",
@@ -797,7 +888,7 @@ class TestDriftBounds:
             (lambda: random_problem(np.random.default_rng(3), 48, 36, gaussian=True), _DESK, None),
             (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
              AnnealingSchedule(((1e-3, 1e-2),)), (4445,)),
-            (lambda: random_problem(np.random.default_rng(1078), 23, 32, gaussian=True), _DESK, (419,)),
+            (lambda: random_problem(np.random.default_rng(1078), 23, 32, gaussian=True), _DESK, (238,)),
         ],
         ids=["grid64-annealed", "24x40-max", "32x32-min", "48x36-max", "24x40-cold", "23x32-1078"],
     )
@@ -820,8 +911,9 @@ class TestDriftBounds:
 
     def test_grid64_annealed_exact_spread_traffic(self, monkeypatch):
         # The kernel's exact checks are the log spreads taken at eta 1.
-        # Taken at every kernel step they are two per step (679); the
-        # bounds leave 9.
+        # Taken at every kernel step they are two per step (717); the
+        # bounds leave 24, 12 of them the first step of each stage, whose
+        # z's rows are not fit at the stage's eta.
         calls, spread = [0], regularized._log_spread
 
         def counting(s, eta):
@@ -830,11 +922,11 @@ class TestDriftBounds:
 
         monkeypatch.setattr(regularized, "_log_spread", counting)
         solve(generate_grid(GridSpec(64)), _DESK)
-        assert calls[0] == 9
+        assert calls[0] == 24
         calls[0] = 0
         monkeypatch.setattr(regularized, "_DRIFT_SLACK", np.inf)
         solve(generate_grid(GridSpec(64)), _DESK)
-        assert calls[0] == 679
+        assert calls[0] == 717
 
 
 class TestOverRelaxation:
@@ -994,6 +1086,53 @@ class TestSecantPrediction:
         schedule = AnnealingSchedule(((2.0, 1.0), (1.0, 0.1), (0.25, 100.0)))
         with pytest.raises(NonFiniteEntry, match=r"overflow .* at eta=1\.0 in the prediction of the next stage's start"):
             solve(problem, schedule)
+
+
+class TestPlanExtraction:
+    """The plan z^(1/eta) is taken by pow only where it does not underflow to 0."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            lambda: generate_grid(GridSpec(64)),
+            lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
+            lambda: random_problem(np.random.default_rng(2), 32, 32, MINIMIZE, gaussian=True),
+            lambda: random_problem(np.random.default_rng(3), 48, 36, gaussian=True),
+        ],
+        ids=["grid64", "24x40-max", "32x32-min", "48x36-max"],
+    )
+    def test_bit_identical_to_the_full_power(self, problem):
+        result = solve(problem(), _DESK, snapshot_stride=50)
+        assert result.trace.snapshots
+        with np.errstate(under="ignore"):
+            full = result.final_z ** (1.0 / _DESK.eta_final)
+        assert np.array_equal(result.plan.values, full)
+        assert 0 < np.count_nonzero(full == 0.0) < full.size
+        for k, snapshot in result.trace.snapshots:
+            assert snapshot.shape == full.shape and np.all(np.isfinite(snapshot))
+
+    @given(
+        st.floats(min_value=-8.0, max_value=0.0),
+        st.floats(min_value=-12.0, max_value=12.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(log_eta=0.0, bits=0.0, seed=0)
+    @example(log_eta=-8.0, bits=0.0, seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_near_the_underflow_threshold(self, log_eta, bits, seed):
+        # Plans from 2^-12 to 2^12 times 2^-1080, the plan at the threshold
+        # z = 2^(-1080 eta), with the threshold and its float neighbours.
+        eta = 10.0**log_eta
+        threshold = 2.0 ** (-1080.0 * eta)
+        offsets = np.random.default_rng(seed).uniform(-12.0, 12.0, size=63)
+        z = np.concatenate([
+            2.0 ** ((-1080.0 + offsets) * eta),
+            2.0 ** ((-1080.0 + bits) * eta) * np.ones(1),
+            np.nextafter(threshold, [0.0, np.inf]),
+            [threshold, 1.0],
+        ]).reshape(4, 17)
+        with np.errstate(under="ignore"):
+            assert np.array_equal(regularized._plan(z, eta), z ** (1.0 / eta))
 
 
 class TestIsoelasticUtility:
