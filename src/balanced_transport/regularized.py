@@ -51,12 +51,13 @@ to 1 for the rest of the stage (Thibault, Chizat, Dossal and Papadakis,
 transport", Algorithms 2021).  On the paper grids and the desk problems
 this takes about a third fewer steps than the plain iteration.
 
-On problems with at least 4 rows and columns a stage runs on a kernel of
-the powered matrix, the stabilized scaling of Schmitzer (SIAM J. Sci.
-Comput. 2019): z is held as z_base_ij * V_j * U_i, with z_base the z the
-kernel was built from and U, V the row and column multipliers since.
-Each stage builds its kernel from the z it starts from, carried or
-predicted, and takes its first column multipliers from it at U = V = 1.
+On problems with at least 4 rows and columns a stage (``_Stage``) runs on
+a kernel of the powered matrix, the stabilized scaling of Schmitzer (SIAM
+J. Sci. Comput. 2019): z is held as z_base_ij * V_j * U_i, with z_base
+the z the kernel was built from and U, V the row and column multipliers
+since.  One build method makes every kernel.  Each stage builds its
+kernel from the z it starts from, carried or predicted, and takes its
+first column multipliers from it at U = V = 1.
 With R and C the row and column maxima of z_base, the kernel stores
 
     K_row = (z_base / R[:, None])^(1/eta),   K_col = (z_base / C)^(1/eta),
@@ -192,8 +193,11 @@ def power_norm(values: np.ndarray, eta: float, axis: Optional[int] = None) -> np
     ``np.sum``, called directly: the same reductions in the same order,
     without the wrappers' per-call dispatch, which dominates at desk sizes.
     Row maxima (``axis=1``) are broadcast back as a column, ``vmax[:, None]``,
-    so ``axis`` is None, 0, or 1 on a matrix.
+    so ``axis`` is None, 0, or 1 on a matrix; any other axis raises
+    ValidationError.
     """
+    if axis not in (None, 0, 1):
+        raise ValidationError(f"axis must be None, 0 or 1, got {axis}")
     v = np.asarray(values, dtype=float)
     vmax = np.maximum.reduce(v, axis=axis)
     ratio = v / (vmax[:, None] if axis == 1 else vmax)
@@ -372,82 +376,8 @@ def z_step(
 
 
 #: Rounding slack added to each drift bound per kernel step, relative to
-#: the larger of 1 and the bound's limit (see ``_StageKernel.step``).
+#: the larger of 1 and the bound's limit (see ``_Stage``).
 _DRIFT_SLACK = 64 * np.finfo(float).eps
-
-
-class _StageKernel:
-    """A stage's z, held as z_base_ij * V_j * U_i with z_base^(1/eta) precomputed.
-
-    z_base is the z the kernel was built from, and U, V are the products of
-    the row and column multipliers since.  ``K_row`` holds the row ratios of
-    z_base raised to 1/eta, ``(z_base / R[:, None])^(1/eta)`` with R its row
-    maxima, and ``K_colT`` the column ratios, ``(z_base / C)^(1/eta)`` with C
-    its column maxima, stored transposed, so that each norm of the stage's z
-    is one matrix-vector product (see ``kernel_power_norm``).  A ratio at or
-    below its line's cutoff times e^-delta is stored as zero.  A row ratio
-    moves only with V and a column ratio only with U, so while both
-    log(max U / min U) and log(max V / min V) are at most delta/2, every
-    zeroed term stays at or below its cutoff, and the dense kernel drops
-    it too.
-
-    Those two log spreads are tracked by upper bounds, ``u_drift`` and
-    ``v_drift``, both 0 at the build.  A column fit f moves V's spread by
-    at most spread(f) = log(max f / min f).  When the z held before a step
-    has its rows fit exactly at the kernel's eta, the row norms of z * f
-    lie within [min f, max f] times r^eta, so t_i lies in
-    [1 / max f, 1 / min f] and U's spread also moves by at most spread(f)
-    (Franklin and Lorenz, "On the scaling of multidimensional matrices",
-    Linear Algebra Appl. 1989).  Each step ends with a row fit, so this
-    holds from the second step on, and from the first when the kernel is
-    built from a row-fit z.  On a kernel built from any other z,
-    ``_Stage`` starts ``u_drift`` at infinity, so that its first step
-    takes U's exact spread.  The exact spread is taken only when a bound
-    passes delta/2, and then replaces the bound.
-    """
-
-    def __init__(self, z: np.ndarray, eta: float):
-        n, m = z.shape
-        col_cut, row_cut = _cutoff(n, eta), _cutoff(m, eta)
-        band = min(col_cut, row_cut)  # e^-delta
-        self.z_base, self.eta, self.max_drift = z, eta, -0.5 * np.log(band)
-        self.slack = _DRIFT_SLACK * max(1.0, self.max_drift)
-        self.R, self.C = np.maximum.reduce(z, axis=1), np.maximum.reduce(z, axis=0)
-        self.K_row = _truncated_power(z / self.R[:, None], eta, row_cut * band)
-        col_ratio = np.divide(z.T, self.C[:, None], out=np.empty((m, n)))  # rows of K_colT are z's columns
-        self.K_colT = _truncated_power(col_ratio, eta, col_cut * band)
-        self.U, self.V = np.ones(n), np.ones(m)
-        self.u_drift = self.v_drift = 0.0
-
-    def step(self, s: np.ndarray, spread: float, r_eta: np.ndarray, c_eta: np.ndarray):
-        """``z_step`` on the held z: (t, s_next), or None.
-
-        ``spread`` is log(max s / min s), up to rounding, which the drift
-        bounds grow by.  None, with nothing changed, when V would drift too
-        far for the row norms.  s_next is None when the row fit is done but
-        U has drifted too far for the column norms.
-        """
-        grow = spread + self.slack
-        V = self.V * s
-        v_drift = self.v_drift + grow
-        if v_drift > self.max_drift:
-            v_drift = _log_spread(V, 1.0)
-            if v_drift > self.max_drift:
-                return None
-        self.V, self.v_drift = V, v_drift
-        t = r_eta / kernel_power_norm(self, 1)
-        self.U *= t
-        self.u_drift += grow
-        if self.u_drift > self.max_drift:
-            self.u_drift = _log_spread(self.U, 1.0)
-            if self.u_drift > self.max_drift:
-                return t, None
-        return t, c_eta / kernel_power_norm(self, 0)
-
-    def materialize(self) -> np.ndarray:
-        z = self.z_base * self.V
-        z *= self.U[:, None]
-        return z
 
 
 def _truncated_power(ratio: np.ndarray, eta: float, cut: float) -> np.ndarray:
@@ -455,8 +385,8 @@ def _truncated_power(ratio: np.ndarray, eta: float, cut: float) -> np.ndarray:
     return np.power(ratio, 1.0 / eta, out=np.zeros(ratio.shape), where=ratio > cut)
 
 
-def kernel_power_norm(kernel: _StageKernel, axis: int) -> np.ndarray:
-    """``power_norm(kernel.materialize(), kernel.eta, axis)`` from the kernel.
+def kernel_power_norm(stage: _Stage, axis: int) -> np.ndarray:
+    """``power_norm(stage.materialized(), stage.eta, axis)`` from the stage's kernel.
 
     Row i's norm (axis 1) is U_i R_i max V (sum_j K_row_ij (V_j / max V)^(1/eta))^eta,
     and column j's (axis 0) the same with the roles of rows and columns
@@ -466,12 +396,12 @@ def kernel_power_norm(kernel: _StageKernel, axis: int) -> np.ndarray:
     order of summation and of the scalar products.
     """
     if axis == 1:
-        own, across, K, line_max = kernel.U, kernel.V, kernel.K_row, kernel.R
+        own, across, K, line_max = stage.U, stage.V, stage.K_row, stage.R
     else:
-        own, across, K, line_max = kernel.V, kernel.U, kernel.K_colT, kernel.C
+        own, across, K, line_max = stage.V, stage.U, stage.K_colT, stage.C
     top = np.maximum.reduce(across)
-    norms = K @ np.power(across / top, 1.0 / kernel.eta)
-    np.power(norms, kernel.eta, out=norms)
+    norms = K @ np.power(across / top, 1.0 / stage.eta)
+    np.power(norms, stage.eta, out=norms)
     norms *= top
     norms *= line_max
     norms *= own
@@ -481,59 +411,116 @@ def kernel_power_norm(kernel: _StageKernel, axis: int) -> np.ndarray:
 class _Stage:
     """One annealing stage's iterate, stepped as ``z_step`` steps z.
 
-    On problems with at least 4 rows and columns the stage lives on a
-    kernel, built from the z it starts from.  A kernel whose drift bound
-    would break is absorbed: z is materialized and the kernel rebuilt from
-    it.  A column fit that breaks the bound on V is then retried on the
-    fresh kernel, and only a fit that a fresh kernel cannot take steps
-    densely, after which the kernel is rebuilt from the step's z.  Smaller
-    problems step densely throughout.
+    On problems with at least 4 rows and columns z is held on a kernel, as
+    z_base_ij * V_j * U_i: z_base is the z the kernel was built from, and
+    U, V are the products of the row and column multipliers since.
+    ``K_row`` holds the row ratios of z_base raised to 1/eta,
+    ``(z_base / R[:, None])^(1/eta)`` with R its row maxima, and ``K_colT``
+    the column ratios, ``(z_base / C)^(1/eta)`` with C its column maxima,
+    stored transposed, so that each norm of z is one matrix-vector product
+    (see ``kernel_power_norm``).  A ratio at or below its line's cutoff
+    times e^-delta is stored as zero.  A row ratio moves only with V and a
+    column ratio only with U, so while both log(max U / min U) and
+    log(max V / min V) are at most delta/2, every zeroed term stays at or
+    below its cutoff, and the dense kernel drops it too.
+
+    Those two log spreads are tracked by upper bounds, ``u_drift`` and
+    ``v_drift``, both 0 at a build.  A column fit f moves V's spread by at
+    most spread(f) = log(max f / min f).  When the z held before a step has
+    its rows fit exactly at the stage's eta, the row norms of z * f lie
+    within [min f, max f] times r^eta, so t_i lies in [1 / max f, 1 / min f]
+    and U's spread also moves by at most spread(f) (Franklin and Lorenz,
+    "On the scaling of multidimensional matrices", Linear Algebra Appl.
+    1989).  Each step ends with a row fit, so this holds from the second
+    step on, and from the first on a kernel built from a row-fit z.  The
+    stage's first kernel is built from a z whose rows are not fit at this
+    eta, so its ``u_drift`` starts at infinity and the first step takes U's
+    exact spread.  The exact spread is taken only when a bound passes
+    delta/2, and then replaces the bound.
+
+    Drift is absorbed by a rebuild (``_build``) from the materialized z.  A
+    column fit that breaks the bound on V is retried on the fresh kernel,
+    and only a fit that a fresh kernel cannot take steps densely, after
+    which the kernel is rebuilt from the step's z.  A row fit that breaks
+    the bound on U is kept, and the column norms are taken on the rebuilt
+    kernel.  Smaller problems step densely throughout, with z_base the
+    current z.
     """
 
     def __init__(self, z: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float):
-        self.z, self.r, self.c, self.eta = z, r, c, eta  # z is current only without a kernel
+        self.r, self.c, self.eta = r, c, eta
         self.r_eta, self.c_eta = r**eta, c**eta
-        self.kernel: Optional[_StageKernel] = None
         self.before: Optional[Tuple[np.ndarray, np.ndarray]] = None  # see ``unmoved``
-        if min(z.shape) >= _KERNEL_MIN_SIDE:
-            self.kernel = _StageKernel(z, eta)
-            self.kernel.u_drift = np.inf  # z's rows are not fit at this eta
+        self.on_kernel = min(z.shape) >= _KERNEL_MIN_SIDE
+        col_cut, row_cut = _cutoff(z.shape[0], eta), _cutoff(z.shape[1], eta)
+        band = min(col_cut, row_cut)  # e^-delta
+        self.row_cut, self.col_cut = row_cut * band, col_cut * band  # one cutoff band lower
+        self.max_drift = -0.5 * np.log(band)
+        self.slack = _DRIFT_SLACK * max(1.0, self.max_drift)
+        self._build(z)
+        self.u_drift = np.inf  # z's rows are not fit at this eta
+
+    def _build(self, z: np.ndarray) -> None:
+        """Hold z as z_base; on a kernel, build it from z, with U = V = 1 and both bounds 0."""
+        self.z_base = z
+        if not self.on_kernel:
+            return
+        n, m = z.shape
+        self.U, self.V = np.ones(n), np.ones(m)
+        self.u_drift = self.v_drift = 0.0
+        self.R, self.C = np.maximum.reduce(z, axis=1), np.maximum.reduce(z, axis=0)
+        self.K_row = _truncated_power(z / self.R[:, None], self.eta, self.row_cut)
+        col_ratio = np.divide(z.T, self.C[:, None], out=np.empty((m, n)))  # rows of K_colT are z's columns
+        self.K_colT = _truncated_power(col_ratio, self.eta, self.col_cut)
 
     def column_fit(self) -> np.ndarray:
-        """The column multipliers of the z the stage starts from."""
-        if self.kernel is None:
-            return column_multipliers(self.z, self.c, self.eta)
-        return self.c_eta / kernel_power_norm(self.kernel, 0)
+        """The column multipliers of the stage's z."""
+        if not self.on_kernel:
+            return column_multipliers(self.z_base, self.c, self.eta)
+        return self.c_eta / kernel_power_norm(self, 0)
 
     def step(self, s: np.ndarray, spread: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``z_step`` with column fit s, whose log spread is ``spread``: (t, s_next)."""
+        """``z_step`` with column fit s, whose log spread is ``spread``: (t, s_next).
+
+        ``spread`` is log(max s / min s), up to rounding, which the drift
+        bounds grow by.
+        """
         self.before = None
-        kernel = self.kernel
-        if kernel is None:
-            return self._dense_step(self.z, s)
-        stepped = kernel.step(s, spread, self.r_eta, self.c_eta)
-        if stepped is None:
-            z = kernel.materialize()
-            if not np.array_equal(z, kernel.z_base):  # else a rebuild would give this kernel again
-                kernel = self.kernel = _StageKernel(z, self.eta)
-                stepped = kernel.step(s, spread, self.r_eta, self.c_eta)
-            if stepped is None:
+        if not self.on_kernel:
+            return self._dense_step(self.z_base, s)
+        grow = spread + self.slack
+        if not self._fit_columns(s, grow):
+            z = self.materialized()
+            if np.array_equal(z, self.z_base):  # a rebuild would give this kernel again
                 return self._dense_step(z, s)
-        t, s_next = stepped
-        if s_next is None:
-            z = kernel.materialize()
-            self.before = (kernel.z_base, z)
-            self.kernel = _StageKernel(z, self.eta)
-            s_next = self.c_eta / kernel_power_norm(self.kernel, 0)
-        return t, s_next
+            self._build(z)
+            if not self._fit_columns(s, grow):
+                return self._dense_step(z, s)
+        t = self.r_eta / kernel_power_norm(self, 1)
+        self.U *= t
+        self.u_drift = self._drift(self.u_drift + grow, self.U)
+        if self.u_drift > self.max_drift:
+            self.before = (self.z_base, self.materialized())
+            self._build(self.before[1])
+        return t, self.column_fit()
+
+    def _fit_columns(self, s: np.ndarray, grow: float) -> bool:
+        """Whether V takes the column fit s within its drift bound; V moves only if so."""
+        V = self.V * s
+        v_drift = self._drift(self.v_drift + grow, V)
+        if v_drift > self.max_drift:
+            return False
+        self.V, self.v_drift = V, v_drift
+        return True
+
+    def _drift(self, bound: float, multipliers: np.ndarray) -> float:
+        """A grown drift bound, or the multipliers' exact log spread once it passes delta/2."""
+        return _log_spread(multipliers, 1.0) if bound > self.max_drift else bound
 
     def _dense_step(self, z: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         z_next, t, s_next = z_step(z, s, self.r, self.c, self.eta)
         self.before = (z, z_next)
-        if self.kernel is None:
-            self.z = z_next
-        else:
-            self.kernel = _StageKernel(z_next, self.eta)
+        self._build(z_next)
         return t, s_next
 
     def unmoved(self) -> bool:
@@ -549,7 +536,11 @@ class _Stage:
         return self.before is not None and np.array_equal(*self.before)
 
     def materialized(self) -> np.ndarray:
-        return self.z if self.kernel is None else self.kernel.materialize()
+        if not self.on_kernel:
+            return self.z_base
+        z = self.z_base * self.V
+        z *= self.U[:, None]
+        return z
 
 
 def _plan(z: np.ndarray, eta: float) -> np.ndarray:
@@ -559,7 +550,7 @@ def _plan(z: np.ndarray, eta: float) -> np.ndarray:
     2^-1080, under half the smallest subnormal, so pow would round it to 0
     anyway, through its slow path.  Equal bit for bit to ``z ** (1/eta)``.
     """
-    return np.power(z, 1.0 / eta, out=np.zeros(z.shape), where=z > 2.0 ** (-1080.0 * eta))
+    return _truncated_power(z, eta, 2.0 ** (-1080.0 * eta))
 
 
 def criterion(s: np.ndarray, eta: float) -> float:

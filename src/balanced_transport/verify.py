@@ -219,9 +219,10 @@ def verify_balanced(
     gap_matrix = a - duals.lam[:, None] - duals.mu[None, :]  # log(alpha b / beta)
     if problem.sense == MINIMIZE:
         gap_matrix = -gap_matrix
-    slack = float(np.max(np.abs(np.expm1(gap_matrix[mask])))) if np.any(mask) else 0.0
     off = ~mask
-    infeas = float(np.max(np.clip(np.expm1(gap_matrix[off]), 0.0, None))) if np.any(off) else 0.0
+    with np.errstate(over="ignore"):  # a gap past log(max float) is an infinite violation
+        slack = float(np.max(np.abs(np.expm1(gap_matrix[mask])))) if np.any(mask) else 0.0
+        infeas = float(np.max(np.clip(np.expm1(gap_matrix[off]), 0.0, None))) if np.any(off) else 0.0
     row_res = float(np.max(np.abs(plan.values.sum(axis=1) / problem.row_marginals - 1.0)))
     col_res = float(np.max(np.abs(plan.values.sum(axis=0) / problem.col_marginals - 1.0)))
     primal = plan.objective(problem)
@@ -245,8 +246,9 @@ def greedy_northwest(problem: Problem) -> TransportPlan:
     x_ij = min(remaining row mass, remaining column mass).  Ignores the
     weights entirely; optimal exactly on problems passing monge_check.
     """
-    x, _ = _northwest_basis(problem.row_marginals, problem.col_marginals)
-    return TransportPlan.against(x, problem.row_marginals, problem.col_marginals)
+    r, c = problem.row_marginals, problem.col_marginals
+    x, _ = _least_cost_basis(np.zeros((r.shape[0], c.shape[0])), r, c)  # all ties: row-major order
+    return TransportPlan.against(x, r, c)
 
 
 @dataclass(frozen=True)
@@ -267,33 +269,6 @@ class OracleResult:
 
     def is_unique(self, threshold: float = 1e-9) -> bool:
         return self.min_offbasis_reduced_cost > threshold
-
-
-def _northwest_basis(r: np.ndarray, c: np.ndarray):
-    """Northwest-corner start: allocations plus exactly n+m-1 basic cells."""
-    n, m = r.shape[0], c.shape[0]
-    x = np.zeros((n, m))
-    basis: List[Tuple[int, int]] = []
-    rr = r.copy()
-    cc = c.copy()
-    i = j = 0
-    while True:
-        q = min(rr[i], cc[j])
-        x[i, j] = q
-        basis.append((i, j))
-        rr[i] -= q
-        cc[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
-        if rr[i] == 0 and i < n - 1:
-            i += 1
-        elif cc[j] == 0 and j < m - 1:
-            j += 1
-        elif i < n - 1:
-            i += 1
-        else:
-            j += 1
-    return x, basis
 
 
 def _least_cost_basis(cost: np.ndarray, r: np.ndarray, c: np.ndarray):

@@ -58,6 +58,14 @@ class TestPowerNorm:
         assert cols.shape == (4,)
         assert cols[1] == pytest.approx(np.linalg.norm(mat[:, 1], ord=2.0), rel=1e-13)
 
+    def test_an_axis_other_than_none_0_or_1_is_rejected(self):
+        mat = np.array([[1.0, 2.0], [30.0, 4.0]])
+        assert power_norm(mat, 0.5, axis=1) == pytest.approx([math.sqrt(5.0), math.sqrt(916.0)], rel=1e-15)
+        for values in (mat, np.ones((2, 3))):
+            for axis in (-1, -2, 2):
+                with pytest.raises(ValidationError, match="axis"):
+                    power_norm(values, 0.5, axis=axis)
+
     def test_ties_in_the_maximum_are_fine(self):
         assert power_norm(np.array([3.0, 3.0]), 1.0) == pytest.approx(6.0, rel=1e-15)
 
@@ -612,7 +620,7 @@ def _materialized_norm_solve(monkeypatch, problem: OTProblem, schedule: Annealin
     """
     with monkeypatch.context() as patch:
         patch.setattr(regularized, "kernel_power_norm",
-                      lambda kernel, axis: power_norm(kernel.materialize(), kernel.eta, axis))
+                      lambda stage, axis: power_norm(stage.materialized(), stage.eta, axis))
         return solve(problem, schedule)
 
 
@@ -640,6 +648,41 @@ def _lockstep_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule
         result = solve(problem, schedule)
     outcome = "converged" if result.converged else "max_iters"
     return result, (outcome, result.stage_iterations, np.array(crits), zs[0])
+
+
+def _count_kernel_traffic(monkeypatch):
+    """Counts kernel builds, V and U drift exits and dense steps of every solve that follows.
+
+    A V exit is a column fit that a kernel refuses; a U exit is a step
+    absorbed after its row fit, which records its ``before`` pair without
+    a dense step.
+    """
+    counts = dict.fromkeys(["builds", "v_exits", "u_exits", "dense"], 0)
+    z_step_ = regularized.z_step
+
+    class Counting(regularized._Stage):
+        def _build(self, z):
+            counts["builds"] += self.on_kernel
+            super()._build(z)
+
+        def _fit_columns(self, s, grow):
+            fitted = super()._fit_columns(s, grow)
+            counts["v_exits"] += not fitted
+            return fitted
+
+        def step(self, s, spread):
+            dense = counts["dense"]
+            stepped = super().step(s, spread)
+            counts["u_exits"] += self.before is not None and counts["dense"] == dense
+            return stepped
+
+    def counting_dense(*args):
+        counts["dense"] += 1
+        return z_step_(*args)
+
+    monkeypatch.setattr(regularized, "_Stage", Counting)
+    monkeypatch.setattr(regularized, "z_step", counting_dense)
+    return counts
 
 
 class TestShortlist:
@@ -708,14 +751,16 @@ class TestShortlist:
         # Plan-domain depths of up to 2000 nats: most cells fall far below the
         # cutoff, as in the late annealing stages.
         z = np.exp(eta * rng.uniform(-2000.0, 0.0, size=(n, m)) + rng.uniform(-50.0, 50.0))
-        kernel = regularized._StageKernel(z, eta)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regularized, "_KERNEL_MIN_SIDE", 2)  # a kernel at every side drawn
+            stage = regularized._Stage(z, np.ones(n), np.ones(m), eta)
         # Row and column multipliers whose log spreads reach drift * delta/2.
-        kernel.U = np.exp(drift * kernel.max_drift * rng.uniform(size=n))
-        kernel.V = np.exp(drift * kernel.max_drift * rng.uniform(size=m))
-        kernel.U[0], kernel.V[0] = 1.0, np.exp(drift * kernel.max_drift)
-        full = kernel.materialize()
+        stage.U = np.exp(drift * stage.max_drift * rng.uniform(size=n))
+        stage.V = np.exp(drift * stage.max_drift * rng.uniform(size=m))
+        stage.U[0], stage.V[0] = 1.0, np.exp(drift * stage.max_drift)
+        full = stage.materialized()
         for axis in (1, 0):
-            got, want = regularized.kernel_power_norm(kernel, axis), power_norm(full, eta, axis=axis)
+            got, want = regularized.kernel_power_norm(stage, axis), power_norm(full, eta, axis=axis)
             assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
     def test_a_frozen_shortlist_ends_as_the_dense_iteration(self, kernel_calls):
@@ -743,17 +788,17 @@ class TestShortlist:
         schedule = AnnealingSchedule(((1.0, 1e-300),))
         found = []
 
-        class Absorbing(regularized._StageKernel):
-            def step(self, *args):
-                stepped = super().step(*args)
-                return stepped if stepped is None else (stepped[0], None)
+        class Absorbing(regularized._Stage):
+            def _drift(self, bound, multipliers):
+                # U's bound breaks at every row fit; V's is checked as usual.
+                return np.inf if multipliers is self.U else super()._drift(bound, multipliers)
 
-            def materialize(self):
-                z = super().materialize()
+            def materialized(self):
+                z = super().materialized()
                 found.append(np.array_equal(z, self.z_base))
                 return z
 
-        monkeypatch.setattr(regularized, "_StageKernel", Absorbing)
+        monkeypatch.setattr(regularized, "_Stage", Absorbing)
         with pytest.raises(NumericalDegeneracy, match="eta=1.0 while the criterion is 2.22e-16"):
             solve(prob, schedule, max_iters=300)
         assert len(found) == 89 and found.index(True) == 88
@@ -767,29 +812,24 @@ class TestShortlist:
         # densely, and the kernel is rebuilt from its z; every other exit
         # of V's drift bound is absorbed by a rebuild.  U's bound never
         # breaks here.
-        counts = dict.fromkeys(["builds", "v_exits", "u_exits", "dense"], 0)
-        z_step_ = regularized.z_step
-
-        class Counting(regularized._StageKernel):
-            def __init__(self, *args):
-                counts["builds"] += 1
-                super().__init__(*args)
-
-            def step(self, *args):
-                stepped = super().step(*args)
-                counts["v_exits"] += stepped is None
-                counts["u_exits"] += stepped is not None and stepped[1] is None
-                return stepped
-
-        def dense(*args):
-            counts["dense"] += 1
-            return z_step_(*args)
-
-        monkeypatch.setattr(regularized, "_StageKernel", Counting)
-        monkeypatch.setattr(regularized, "z_step", dense)
+        counts = _count_kernel_traffic(monkeypatch)
         result = solve(generate_grid(GridSpec(64)), _DESK)
         assert result.iterations == 355
         assert counts == {"builds": 12 + 1 + 8, "v_exits": 1 + 8, "u_exits": 0, "dense": 1}
+
+    def test_a_u_drift_absorption_keeps_the_dense_iteration(self, monkeypatch):
+        # A 23x7 problem whose U bound breaks once, at a step whose V fit
+        # holds: the row fit is kept, z is materialized, and the column
+        # norms come from the rebuilt kernel.  Every step must still agree
+        # with z_step redone from that step's own z.
+        counts = _count_kernel_traffic(monkeypatch)
+        problem = random_problem(np.random.default_rng(1005), 23, 7)
+        result, (outcome, stage_counts, crits, z) = _lockstep_solve(monkeypatch, problem, _DESK)
+        assert result.iterations == 340
+        assert counts == {"builds": 12 + 1, "v_exits": 0, "u_exits": 1, "dense": 0}
+        assert outcome == "converged" and stage_counts == result.stage_iterations
+        assert np.max(np.abs(result.final_z - z) / z) <= 1e-12
+        assert np.max(np.abs(np.array(result.trace.criteria) - crits)) <= 1e-10
 
     @pytest.mark.parametrize(
         "problem",
@@ -804,21 +844,28 @@ class TestShortlist:
     def test_the_kernel_raises_no_floating_point_exception(self, monkeypatch, problem):
         # solve raises on overflow, division by zero and invalid operations;
         # the kernel's build and steps also never underflow, so they run
-        # cleanly with every exception raised.
+        # cleanly with every exception raised.  The dense fallback keeps
+        # solve's own handling, which lets an underflow pass.
         counts = {"builds": 0, "steps": 0}
+        z_step_ = regularized.z_step
 
-        class Raising(regularized._StageKernel):
-            def __init__(self, *args):
+        class Raising(regularized._Stage):
+            def _build(self, z):
                 counts["builds"] += 1
                 with np.errstate(all="raise"):
-                    super().__init__(*args)
+                    super()._build(z)
 
             def step(self, *args):
                 counts["steps"] += 1
                 with np.errstate(all="raise"):
                     return super().step(*args)
 
-        monkeypatch.setattr(regularized, "_StageKernel", Raising)
+        def dense(*args):
+            with np.errstate(under="ignore"):
+                return z_step_(*args)
+
+        monkeypatch.setattr(regularized, "_Stage", Raising)
+        monkeypatch.setattr(regularized, "z_step", dense)
         result = solve(problem(), make_schedule(1e-4, 12, 1.5, 1e-2))
         assert result.converged
         assert counts["builds"] >= 12
@@ -865,7 +912,7 @@ class TestDriftBounds:
     def test_the_bounds_hold_at_every_kernel_step(self, n, m, sense, gaussian, schedule, seed):
         steps = [0]
 
-        class Checked(regularized._StageKernel):
+        class Checked(regularized._Stage):
             def step(self, *args):
                 stepped = super().step(*args)
                 steps[0] += 1
@@ -875,7 +922,7 @@ class TestDriftBounds:
 
         problem = random_problem(np.random.default_rng(seed), n, m, sense, gaussian)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(regularized, "_StageKernel", Checked)
+            patch.setattr(regularized, "_Stage", Checked)
             result = solve(problem, schedule, max_iters=20_000)
         assert steps[0] > result.iterations // 2
 

@@ -10,6 +10,7 @@ from balanced_transport import (
     LengthMismatch,
     MAXIMIZE,
     MINIMIZE,
+    DualPotentials,
     MOMAProblem,
     NonPositiveEntry,
     OTProblem,
@@ -228,6 +229,14 @@ class TestVerifyBalanced:
         assert report.is_balanced
         assert abs(report.duality_gap) <= 1e-9
 
+    def test_a_gap_past_the_exp_range_is_an_infinite_violation(self):
+        # expm1(800) overflows; the violation reads inf, with no warning.
+        prob = OTProblem([[800.0, 0.0], [0.0, 800.0]], np.ones(2), np.ones(2))
+        report = verify_balanced(prob, lp_oracle(prob).plan, duals=DualPotentials(np.zeros(2), np.zeros(2)))
+        assert report.max_slackness_violation == np.inf
+        assert report.max_dual_infeasibility == 0.0
+        assert not report.is_balanced
+
     def test_weak_duality_on_random_instances(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -413,7 +422,8 @@ class TestLPOracle:
 
 def highs_optimum(prob):
     """Optimal value (in the problem's sense) and plan from scipy's HiGHS."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
+    from scipy.optimize import linprog  # a declared test dependency: missing, these checks fail
+
     n, m = prob.n, prob.m
     rows = np.kron(np.eye(n), np.ones(m))  # sums of x.ravel() over each row
     cols = np.kron(np.ones(n), np.eye(m))  # and over each column
@@ -494,6 +504,44 @@ class TestGreedyNorthwest:
         plan = greedy_northwest(small_problem)
         assert plan.objective(small_problem) == pytest.approx(0.265, abs=1e-12)
         assert plan.objective(small_problem) < 0.545
+
+    @staticmethod
+    def staircase(r, c):
+        """The northwest-corner rule as a loop: allocate, then step down or right."""
+        n, m = len(r), len(c)
+        x, basis, rr, cc = np.zeros((n, m)), [], list(r), list(c)
+        i = j = 0
+        while True:
+            q = min(rr[i], cc[j])
+            x[i, j] = q
+            basis.append((i, j))
+            rr[i] -= q
+            cc[j] -= q
+            if (i, j) == (n - 1, m - 1):
+                return x, basis
+            if j == m - 1 or (rr[i] == 0 and i < n - 1):
+                i += 1
+            else:
+                j += 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(st.integers(1, 11), max_size=7), st.sets(st.integers(1, 11), max_size=7),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_the_staircase_rule(self, row_cuts, col_cuts, seed, tied):
+        # Tied: integer marginals cut from one total of 12, so a row and a
+        # column often run out together.  Otherwise uniform marginals.
+        n, m = len(row_cuts) + 1, len(col_cuts) + 1
+        rng = np.random.default_rng(seed)
+        if tied:
+            r = np.diff([0, *sorted(row_cuts), 12]).astype(float)
+            c = np.diff([0, *sorted(col_cuts), 12]).astype(float)
+        else:
+            r = rng.uniform(0.5, 1.5, size=n)
+            c = rng.uniform(0.5, 1.5, size=m)
+            c *= r.sum() / c.sum()
+        x, basis = self.staircase(r, c)
+        assert np.array_equal(greedy_northwest(OTProblem(rng.standard_normal((n, m)), r, c)).values, x)
+        assert _least_cost_basis(np.zeros((n, m)), r, c)[1] == basis
 
     def test_monge_implies_greedy_optimal(self):
         rng = np.random.default_rng(15)
