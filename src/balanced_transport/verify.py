@@ -245,6 +245,8 @@ def greedy_northwest(problem: Problem) -> TransportPlan:
 
     x_ij = min(remaining row mass, remaining column mass).  Ignores the
     weights entirely; optimal exactly on problems passing monge_check.
+    Runs ``_least_cost_basis`` on a zero cost, so it sorts and visits all
+    n*m cells in Python: meant for desk-scale problems, like the oracle.
     """
     r, c = problem.row_marginals, problem.col_marginals
     x, _ = _least_cost_basis(np.zeros((r.shape[0], c.shape[0])), r, c)  # all ties: row-major order
