@@ -3,7 +3,7 @@
 
 At full scale (256 x 256) the staged computation needs about 34 times
 fewer iterations (277 against 9311); the default 64 x 64 grid shows the
-same effect, about 43 times (355 against 15,246).
+same effect, about 37 times (355 against 13,231).
 """
 
 import argparse

@@ -102,11 +102,15 @@ def trajectory_study(
 
     Distance is the max-entry absolute deviation.  Snapshots are taken
     every iteration for problems of at most 100 cells and every 10th
-    iteration otherwise.
+    iteration otherwise; the final plan counts as one more when the last
+    iteration was not a snapshot, so a run shorter than the stride still
+    has a path.
     """
     stride = 1 if problem.n * problem.m <= 100 else 10
     result = run_single_stage(problem, eta, tol, max_iters, snapshot_stride=stride)
     snapshots = result.trace.snapshots
+    if result.iterations % stride:
+        snapshots = snapshots + [(result.iterations, result.plan.values)]
     stacked = np.stack([snap for _, snap in snapshots])
     visits = []
     for idx, target in enumerate(targets):

@@ -43,11 +43,12 @@ row fit stays exact, and the criterion is still measured on the exact
 column multipliers s of the post-step z, which ``z_step`` returns
 whatever column fit it was given.  So a stage stops on the same
 condition as the plain iteration, the criterion is still the Hilbert
-distance of the plan's column sums to c, and beta, divided by s^omega,
-still gives x = (alpha b / beta)^(1/eta).  As a safeguard, a criterion
-that is not below its value 10 steps earlier while omega > 1 drops omega
-to 1 for the rest of the stage (Thibault, Chizat, Dossal and Papadakis,
-"Overrelaxed Sinkhorn-Knopp algorithm for regularized optimal
+distance of the plan's column sums to c, and x = (alpha b / beta)^(1/eta)
+still holds with beta divided by the fit as applied, s^omega, which the
+stage folds in with its other multipliers (below).  As a safeguard, a
+criterion that is not below its value 10 steps earlier while omega > 1
+drops omega to 1 for the rest of the stage (Thibault, Chizat, Dossal and
+Papadakis, "Overrelaxed Sinkhorn-Knopp algorithm for regularized optimal
 transport", Algorithms 2021).  On the paper grids and the desk problems
 this takes about a third fewer steps than the plain iteration.
 
@@ -57,7 +58,10 @@ J. Sci. Comput. 2019): z is held as z_base_ij * V_j * U_i, with z_base
 the z the kernel was built from and U, V the row and column multipliers
 since.  One build method makes every kernel.  Each stage builds its
 kernel from the z it starts from, carried or predicted, and takes its
-first column multipliers from it at U = V = 1.
+first column multipliers from it at U = V = 1.  The stage owns the
+scalings: each build folds U and V into them, alpha * U and beta / V,
+before it resets both, and a dense step folds its own t and s, so
+alpha * U and beta / V are the scalings of the stage's z at any step.
 With R and C the row and column maxima of z_base, the kernel stores
 
     K_row = (z_base / R[:, None])^(1/eta),   K_col = (z_base / C)^(1/eta),
@@ -138,6 +142,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import (
+    LengthMismatch,
     NonFiniteEntry,
     NonPositiveEntry,
     NumericalDegeneracy,
@@ -413,7 +418,13 @@ class _Stage:
 
     On problems with at least 4 rows and columns z is held on a kernel, as
     z_base_ij * V_j * U_i: z_base is the z the kernel was built from, and
-    U, V are the products of the row and column multipliers since.
+    U, V are the products of the row and column multipliers since.  The
+    stage owns the scalings alpha and beta of its z, with
+    x = (alpha b / beta)^(1/eta): each build folds U and V into them,
+    alpha * U and beta / V, before it resets both to 1, and a dense step
+    folds its own t and s (one multiply and one divide, so a small
+    problem's scalings are those of a loop over ``z_step`` bit for bit).
+    ``scalings`` gives them for the current z.
     ``K_row`` holds the row ratios of z_base raised to 1/eta,
     ``(z_base / R[:, None])^(1/eta)`` with R its row maxima, and ``K_colT``
     the column ratios, ``(z_base / C)^(1/eta)`` with C its column maxima,
@@ -444,12 +455,14 @@ class _Stage:
     which the kernel is rebuilt from the step's z.  A row fit that breaks
     the bound on U is kept, and the column norms are taken on the rebuilt
     kernel.  Smaller problems step densely throughout, with z_base the
-    current z.
+    current z and U = V = 1.
     """
 
-    def __init__(self, z: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float):
+    def __init__(self, z: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float, alpha: np.ndarray, beta: np.ndarray):
         self.r, self.c, self.eta = r, c, eta
         self.r_eta, self.c_eta = r**eta, c**eta
+        self.alpha, self.beta = alpha, beta
+        self.U = self.V = 1.0  # multipliers since the last build: none yet, and none ever on a dense stage
         self.before: Optional[Tuple[np.ndarray, np.ndarray]] = None  # see ``unmoved``
         self.on_kernel = min(z.shape) >= _KERNEL_MIN_SIDE
         col_cut, row_cut = _cutoff(z.shape[0], eta), _cutoff(z.shape[1], eta)
@@ -461,10 +474,14 @@ class _Stage:
         self.u_drift = np.inf  # z's rows are not fit at this eta
 
     def _build(self, z: np.ndarray) -> None:
-        """Hold z as z_base; on a kernel, build it from z, with U = V = 1 and both bounds 0."""
+        """Hold z as z_base; on a kernel, fold U and V into alpha and beta, then build it from z.
+
+        The fresh kernel has U = V = 1 and both drift bounds 0.
+        """
         self.z_base = z
         if not self.on_kernel:
             return
+        self.alpha, self.beta = self.scalings()
         n, m = z.shape
         self.U, self.V = np.ones(n), np.ones(m)
         self.u_drift = self.v_drift = 0.0
@@ -479,8 +496,12 @@ class _Stage:
             return column_multipliers(self.z_base, self.c, self.eta)
         return self.c_eta / kernel_power_norm(self, 0)
 
-    def step(self, s: np.ndarray, spread: float) -> Tuple[np.ndarray, np.ndarray]:
-        """``z_step`` with column fit s, whose log spread is ``spread``: (t, s_next).
+    def scalings(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The stage's (alpha, beta), with x = (alpha b / beta)^(1/eta) for its z; new arrays."""
+        return self.alpha * self.U, self.beta / self.V
+
+    def step(self, s: np.ndarray, spread: float) -> np.ndarray:
+        """``z_step`` with column fit s, whose log spread is ``spread``: the next column multipliers.
 
         ``spread`` is log(max s / min s), up to rounding, which the drift
         bounds grow by.
@@ -496,13 +517,12 @@ class _Stage:
             self._build(z)
             if not self._fit_columns(s, grow):
                 return self._dense_step(z, s)
-        t = self.r_eta / kernel_power_norm(self, 1)
-        self.U *= t
+        self.U *= self.r_eta / kernel_power_norm(self, 1)
         self.u_drift = self._drift(self.u_drift + grow, self.U)
         if self.u_drift > self.max_drift:
             self.before = (self.z_base, self.materialized())
             self._build(self.before[1])
-        return t, self.column_fit()
+        return self.column_fit()
 
     def _fit_columns(self, s: np.ndarray, grow: float) -> bool:
         """Whether V takes the column fit s within its drift bound; V moves only if so."""
@@ -517,11 +537,13 @@ class _Stage:
         """A grown drift bound, or the multipliers' exact log spread once it passes delta/2."""
         return _log_spread(multipliers, 1.0) if bound > self.max_drift else bound
 
-    def _dense_step(self, z: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _dense_step(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
         z_next, t, s_next = z_step(z, s, self.r, self.c, self.eta)
+        # Not in place: the alpha and beta a stage starts from may be a stage end ``solve`` keeps.
+        self.alpha, self.beta = self.alpha * t, self.beta / s
         self.before = (z, z_next)
         self._build(z_next)
-        return t, s_next
+        return s_next
 
     def unmoved(self) -> bool:
         """Whether the last step left z bit for bit where it was.
@@ -558,9 +580,11 @@ def criterion(s: np.ndarray, eta: float) -> float:
 
     Equals the Hilbert distance between the column sums of the plan
     z^(1/eta) and the prescribed column sums, for s the column multipliers
-    of z.
+    of z.  An empty s raises LengthMismatch.
     """
     s = np.asarray(s, dtype=float)
+    if s.size == 0:
+        raise LengthMismatch("column multipliers must not be empty")
     if not np.all(np.isfinite(s)):
         raise NonFiniteEntry("column multipliers must be finite")
     if not np.all(s > 0):
@@ -649,12 +673,14 @@ def solve(
     plain iteration.  From the end of the second stage on, z, alpha and
     beta are extrapolated along the secant of the last two stage ends
     before the next stage starts (see ``_secant_prediction``); the first
-    two stages start from z as the previous stage left it.  The
-    returned scalings are the cumulative products of the step multipliers
-    (the column ones as applied, s**omega) and the predictions' scalings,
-    together with the equilibration, and satisfy
-    x_ij = (alpha_i b_ij / beta_j)^(1/eta_final) with b the internal
-    (sense-adjusted) coefficients.
+    two stages start from z as the previous stage left it.  Each stage
+    owns alpha and beta while it runs, folding its step multipliers (the
+    column ones as applied, s**omega) into them at each kernel build and
+    each dense step; ``solve`` reads them from the stage at its end
+    (``_Stage.scalings``) for the prediction and, after the last stage,
+    returns them.  Together with the equilibration and the predictions'
+    scalings they satisfy x_ij = (alpha_i b_ij / beta_j)^(1/eta_final)
+    with b the internal (sense-adjusted) coefficients.
 
     On problems with at least 4 rows and columns, each stage builds a
     kernel of z^(1/eta) from the z it starts from and steps on it,
@@ -679,22 +705,18 @@ def solve(
         raise ValidationError("snapshot_stride must be >= 1 when given")
     moma = ot_to_moma(problem if problem.sense == MAXIMIZE else OTProblem(
         -problem.weights, problem.row_marginals, problem.col_marginals, MAXIMIZE))
-    r = moma.row_marginals
-    c = moma.col_marginals
+    r, c = moma.row_marginals, moma.col_marginals
     z, alpha = row_equilibrate(moma.coefficients)
     beta = np.ones(moma.m)
     trace = ConvergenceTrace()
     stage_iterations: List[int] = []
-    converged = True
-    crit = np.inf
     k_global = 0
     ends: List[Tuple[np.ndarray, np.ndarray]] = []
     t0 = time.perf_counter()
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for k, (eta, tol) in enumerate(schedule.stages):
-                iters = 0
-                stage = _Stage(z, r, c, eta)
+                stage = _Stage(z, r, c, eta, alpha, beta)
                 s = stage.column_fit()
                 crit = _log_spread(s, eta)
                 crits: List[float] = []
@@ -702,10 +724,7 @@ def solve(
                 while True:
                     crit_before = crit
                     fit = s if omega == 1.0 else s**omega  # pow(x, 1) == x
-                    beta /= fit
-                    t, s = stage.step(fit, omega * eta * crit)
-                    alpha *= t
-                    iters += 1
+                    s = stage.step(fit, omega * eta * crit)
                     k_global += 1
                     crit = _log_spread(s, eta)
                     crits.append(crit)
@@ -721,15 +740,16 @@ def solve(
                             f"updates no longer move z at eta={eta} while the criterion is {crit:.3g};"
                             " the temperature is below usable resolution"
                         )
-                    if iters >= max_iters:
-                        converged = False
+                    if len(crits) >= max_iters:
                         break
                     omega = _relaxation(crits, omega)
                 z = stage.materialized()
-                stage_iterations.append(iters)
+                alpha, beta = stage.scalings()
+                stage_iterations.append(len(crits))
+                converged = crit < tol  # else the stage's budget ran out
                 if not converged:
                     break
-                ends = ends[-1:] + [(alpha.copy(), beta.copy())]
+                ends = ends[-1:] + [(alpha, beta)]
                 if k >= 1 and k + 1 < len(schedule.stages):
                     etas = (schedule.stages[k - 1][0], eta, schedule.stages[k + 1][0])
                     try:

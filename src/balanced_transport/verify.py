@@ -62,8 +62,8 @@ def hilbert_distance(x: np.ndarray, y: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatch(f"vectors must share one length, got {x.shape} and {y.shape}")
+    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
+        raise LengthMismatch(f"vectors must share one nonzero length, got {x.shape} and {y.shape}")
     if not (np.all(x > 0) and np.all(y > 0)):
         raise NonPositiveEntry("Hilbert distance requires strictly positive vectors")
     ratios = x / y

@@ -3,6 +3,7 @@ import pytest
 
 from balanced_transport import (
     GridSpec,
+    OTProblem,
     TrajectoryVisit,
     ValidationError,
     ZeroMarginal,
@@ -92,6 +93,16 @@ class TestTrajectoryStudy:
         arrival = [v.at_iteration for v in visits]
         assert arrival == sorted(arrival)
         assert len(set(arrival)) == len(arrival)
+
+    def test_a_run_shorter_than_the_stride_uses_the_final_plan(self):
+        # 121 cells take a snapshot every 10th step; a uniform problem
+        # converges in 1 step, so the final plan is the whole path.
+        problem = OTProblem(np.zeros((11, 11)), np.ones(11), np.ones(11))
+        target = np.zeros((11, 11))
+        visits, result = trajectory_study(problem, [target])
+        assert result.converged and result.iterations < 10
+        assert result.trace.snapshots == []
+        assert visits == [TrajectoryVisit(0, float(np.max(result.plan.values)), result.iterations)]
 
     def test_distances_match_the_per_snapshot_loop(self):
         # One array pass over the stacked snapshots takes the same maxima as

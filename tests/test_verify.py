@@ -113,6 +113,8 @@ class TestHilbertDistance:
     def test_errors(self):
         with pytest.raises(LengthMismatch):
             hilbert_distance(np.ones(2), np.ones(3))
+        with pytest.raises(LengthMismatch):
+            hilbert_distance([], [])
         with pytest.raises(NonPositiveEntry):
             hilbert_distance(np.array([1.0, 0.0]), np.ones(2))
 
