@@ -200,15 +200,6 @@ class DualPotentials:
         object.__setattr__(self, "lam", _frozen_array(self.lam, 1, "lam"))
         object.__setattr__(self, "mu", _frozen_array(self.mu, 1, "mu"))
 
-    def to_scalings(self) -> Scalings:
-        """Multiplicative form: alpha = exp(-lambda), beta = exp(mu).
-
-        Potentials whose exponentials overflow raise NonFiniteEntry.
-        """
-        with np.errstate(over="ignore"):
-            alpha, beta = np.exp(-self.lam), np.exp(self.mu)
-        return Scalings(alpha, beta)
-
     def value(self, row_marginals, col_marginals) -> float:
         """Dual objective sum(lambda * r) + sum(mu * c)."""
         return float(np.dot(self.lam, row_marginals) + np.dot(self.mu, col_marginals))

@@ -260,7 +260,11 @@ def make_schedule(eta_final: float, stages: int, factor: float, tol: float = DEF
         raise ValidationError(f"stages must be >= 1, got {stages}")
     if not (factor > 1):
         raise ValidationError(f"factor must be > 1, got {factor}")
-    etas = [eta_final * factor ** (stages - 1 - k) for k in range(stages)]
+    try:
+        etas = [eta_final * factor ** (stages - 1 - k) for k in range(stages)]
+    except OverflowError:
+        raise ValidationError(f"ladder stages={stages},factor={factor},final={eta_final} overflows:"
+                              f" factor ** {stages - 1} is beyond the float range") from None
     etas[-1] = eta_final
     return AnnealingSchedule(tuple((e, tol) for e in etas))
 

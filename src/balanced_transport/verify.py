@@ -79,10 +79,9 @@ def support_mask(plan_values: np.ndarray) -> np.ndarray:
 def _support_tree(values: np.ndarray, mask: np.ndarray):
     """Maximum-mass spanning forest of the bipartite support graph.
 
-    Returns (tree adjacency per node, non-tree support edges in
-    descending-mass order).  Nodes 0..n-1 are rows, n..n+m-1 columns.
-    Heavier entries anchor the duals, so contradictions surface at the
-    lightest inconsistent cells.
+    Returns (forest cells, non-tree support cells), both as (i, j) lists
+    in descending-mass order.  Heavier entries anchor the duals, so
+    contradictions surface at the lightest inconsistent cells.
     """
     n, m = values.shape
     rows, cols = np.nonzero(mask)  # row-major, so the stable sort breaks ties by (i, j)
@@ -96,7 +95,7 @@ def _support_tree(values: np.ndarray, mask: np.ndarray):
             u = parent[u]
         return u
 
-    adjacency: List[List[Tuple[int, int, int]]] = [[] for _ in range(n + m)]
+    forest: List[Tuple[int, int]] = []
     non_tree: List[Tuple[int, int]] = []
     for i, j in cells:
         ru, rv = find(i), find(n + j)
@@ -104,9 +103,42 @@ def _support_tree(values: np.ndarray, mask: np.ndarray):
             non_tree.append((i, j))
         else:
             parent[ru] = rv
-            adjacency[i].append((n + j, i, j))
-            adjacency[n + j].append((i, i, j))
-    return adjacency, non_tree
+            forest.append((i, j))
+    return forest, non_tree
+
+
+def _empty_tree(nodes: int):
+    """Links, parents, depths and duals (None until hung) of a tree on ``nodes`` nodes."""
+    return [{} for _ in range(nodes)], [-1] * nodes, [0] * nodes, [None] * nodes
+
+
+def _hang(links: List[Dict[int, float]], parent: List[int], depth: List[int], duals: List[Optional[float]],
+          top: int, above: int, top_dual: float) -> None:
+    """Set parent, depth and dual on the subtree reached from ``above`` via ``top``.
+
+    Nodes 0..n-1 are rows and n..n+m-1 columns; ``links[node]`` maps each
+    tree neighbour to the weight of the connecting cell, and a child's dual
+    is that weight minus its parent's (u_i + v_j = weight_ij).  A dual is
+    fixed by the node's path from the root, so the visiting order does not
+    change it.  ``above`` is -1 at a root.
+    """
+    parent[top] = above
+    depth[top] = depth[above] + 1 if above >= 0 else 0
+    duals[top] = top_dual
+    stack = [top]
+    budget = len(links)
+    while stack:
+        budget -= 1
+        if budget < 0:
+            raise ValidationError("basis graph is not a spanning tree")  # internal invariant
+        node = stack.pop()
+        up, below, known = parent[node], depth[node] + 1, duals[node]
+        for other, weight in links[node].items():
+            if other != up:
+                parent[other] = node
+                depth[other] = below
+                duals[other] = weight - known
+                stack.append(other)
 
 
 def recover_duals(
@@ -116,61 +148,48 @@ def recover_duals(
 ) -> DualPotentials:
     """Potentials with lambda_i + mu_j = a_ij across the plan's support.
 
-    The support graph is traversed along a maximum-mass spanning forest,
-    anchoring lambda = 0 at the lowest-indexed row of each component.
-    Rows or columns without support get the tightest dual-feasible value.
-    With ``strict`` set, a support cell whose potentials disagree with
-    its weight beyond ``KKT_RTOL`` raises InconsistentSupport, certifying
-    that the plan is not optimal.
+    The duals are hung from a maximum-mass spanning forest of the support
+    by the oracle's tree walk (``_hang``), with lambda = 0 at the
+    lowest-indexed row of each component.  Rows or columns without
+    support get the tightest dual-feasible value; a plan without support
+    gets lambda = 0 first.  With ``strict`` set, a support cell whose
+    potentials disagree with its weight beyond ``KKT_RTOL`` raises
+    InconsistentSupport, certifying that the plan is not optimal.
     """
     a = additive_weights(problem)
     n, m = a.shape
     if plan.values.shape != (n, m):
         raise DimensionMismatch(f"plan shape {plan.values.shape} does not match problem ({n}, {m})")
-    mask = support_mask(plan.values)
-    adjacency, non_tree = _support_tree(plan.values, mask)
-    lam = np.full(n, np.nan)
-    mu = np.full(m, np.nan)
+    forest, non_tree = _support_tree(plan.values, support_mask(plan.values))
+    links, parent, depth, duals = _empty_tree(n + m)
+    for i, j in forest:
+        links[i][n + j] = links[n + j][i] = float(a[i, j])
     for root in range(n):  # lowest-indexed row of each component anchors it
-        if not np.isnan(lam[root]) or not adjacency[root]:
-            continue
-        lam[root] = 0.0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for other, i, j in adjacency[node]:
-                if node < n:  # row -> column
-                    if np.isnan(mu[j]):
-                        mu[j] = a[i, j] - lam[i]
-                        stack.append(other)
-                else:  # column -> row
-                    if np.isnan(lam[i]):
-                        lam[i] = a[i, j] - mu[j]
-                        stack.append(other)
+        if links[root] and duals[root] is None:
+            _hang(links, parent, depth, duals, root, -1, 0.0)
+    lam = np.array(duals[:n], dtype=float)  # None, for a line without support, reads nan
+    mu = np.array(duals[n:], dtype=float)
     # Tightest feasible values for unsupported columns, then rows.
-    sense_max = problem.sense == MAXIMIZE
-    assigned = ~np.isnan(lam)
-    if not np.any(assigned):
+    tightest = np.max if problem.sense == MAXIMIZE else np.min
+    if np.all(np.isnan(lam)):
         lam[:] = 0.0
-        assigned = ~np.isnan(lam)
-    for j in range(m):
-        if np.isnan(mu[j]):
-            gaps = a[assigned, j] - lam[assigned]
-            mu[j] = np.max(gaps) if sense_max else np.min(gaps)
-    for i in range(n):
-        if np.isnan(lam[i]):
-            gaps = a[i, :] - mu
-            lam[i] = np.max(gaps) if sense_max else np.min(gaps)
-    if strict:
-        scale = max(1.0, float(np.max(np.abs(a))))
-        for i, j in non_tree:
-            gap = a[i, j] - lam[i] - mu[j]
-            if abs(gap) > KKT_RTOL * scale:
-                raise InconsistentSupport(
-                    f"support entry ({i + 1}, {j + 1}) forces contradictory potentials"
-                    f" (residual {gap:.3e}); the plan is not optimal",
-                    entry=(i + 1, j + 1),
-                )
+    known = ~np.isnan(lam)
+    free = np.isnan(mu)
+    mu[free] = tightest(a[known][:, free] - lam[known, None], axis=0)
+    free = np.isnan(lam)
+    lam[free] = tightest(a[free] - mu, axis=1)
+    if strict and non_tree:
+        ti, tj = np.array(non_tree).T
+        gaps = a[ti, tj] - lam[ti] - mu[tj]
+        bad = np.abs(gaps) > KKT_RTOL * max(1.0, float(np.max(np.abs(a))))
+        if np.any(bad):
+            k = int(np.argmax(bad))  # the heaviest violating cell
+            i, j = non_tree[k]
+            raise InconsistentSupport(
+                f"support entry ({i + 1}, {j + 1}) forces contradictory potentials"
+                f" (residual {gaps[k]:.3e}); the plan is not optimal",
+                entry=(i + 1, j + 1),
+            )
     return DualPotentials(lam, mu)
 
 
@@ -215,6 +234,8 @@ def verify_balanced(
         raise ValidationError("plan contains negative entries")
     if duals is None:
         duals = recover_duals(problem, plan, strict=False)
+    elif duals.lam.shape != (n,) or duals.mu.shape != (m,):
+        raise LengthMismatch(f"duals have lengths {duals.lam.size} and {duals.mu.size}, the problem {n} and {m}")
     mask = support_mask(plan.values)
     gap_matrix = a - duals.lam[:, None] - duals.mu[None, :]  # log(alpha b / beta)
     if problem.sense == MINIMIZE:
@@ -365,38 +386,15 @@ def lp_oracle(problem: Problem) -> OracleResult:
     flows = x.tolist()
     cost_rows = cost.tolist()
     basic = np.zeros((n, m), dtype=bool)
-    links: List[Dict[int, float]] = [{} for _ in range(n + m)]
-    parent = [-1] * (n + m)
-    depth = [0] * (n + m)
-    duals: List[Optional[float]] = [None] * (n + m)
+    links, parent, depth, duals = _empty_tree(n + m)
 
     def link(i: int, j: int) -> None:
         basic[i, j] = True
         links[i][n + j] = links[n + j][i] = cost_rows[i][j]
 
-    def hang(top: int, above: int, top_dual: float) -> None:
-        """Set parent, depth and dual on the subtree reached from above via top."""
-        parent[top] = above
-        depth[top] = depth[above] + 1 if above >= 0 else 0
-        duals[top] = top_dual
-        stack = [top]
-        budget = n + m
-        while stack:
-            budget -= 1
-            if budget < 0:
-                raise ValidationError("basis graph is not a spanning tree")  # internal invariant
-            node = stack.pop()
-            up, below, known = parent[node], depth[node] + 1, duals[node]
-            for other, edge_cost in links[node].items():
-                if other != up:
-                    parent[other] = node
-                    depth[other] = below
-                    duals[other] = edge_cost - known  # u_i + v_j = cost_ij
-                    stack.append(other)
-
     for i, j in basis_list:
         link(i, j)
-    hang(0, -1, 0.0)
+    _hang(links, parent, depth, duals, 0, -1, 0.0)
     if None in duals:
         raise ValidationError("basis graph is not a spanning tree")  # internal invariant
     max_pivots = 10 * (n + m) * n * m + 1000  # the oracle terminates well before this
@@ -454,9 +452,9 @@ def lp_oracle(problem: Problem) -> OracleResult:
         # Re-hang the cut-off subtree from the entering cell's endpoint in it.
         cut = li if parent[li] == n + lj else n + lj
         if cut in from_col:
-            hang(n + ej, ei, cost_rows[ei][ej] - duals[ei])
+            _hang(links, parent, depth, duals, n + ej, ei, cost_rows[ei][ej] - duals[ei])
         else:
-            hang(ei, n + ej, cost_rows[ei][ej] - duals[n + ej])
+            _hang(links, parent, depth, duals, ei, n + ej, cost_rows[ei][ej] - duals[n + ej])
         pivots += 1
         if pivots > max_pivots:
             raise ValidationError("pivot budget exhausted; this should be unreachable")  # internal invariant

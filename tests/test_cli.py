@@ -165,6 +165,11 @@ class TestSolve:
     def test_malformed_schedule_flag(self, problem_file):
         assert main(["solve", str(problem_file), "--schedule", "stages=2;factor=2"]) == 1
 
+    def test_an_overflowing_ladder_exits_one(self, problem_file, capsys):
+        assert main(["solve", str(problem_file), "--schedule", "stages=3000,factor=1.5,final=1e-4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "stages=3000,factor=1.5" in err
+
 
 class TestVerify:
     def test_known_plan_passes(self, problem_file, tmp_path, capsys):
@@ -188,6 +193,13 @@ class TestVerify:
         assert main(["verify", str(problem_file), str(plan_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "[2, 2]" in err
+
+    def test_all_zero_plan_exits_three(self, problem_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.csv"
+        write_matrix_csv(np.zeros((3, 3)), plan_path)
+        assert main(["verify", str(problem_file), str(plan_path)]) == 3
+        out = capsys.readouterr().out
+        assert "is_balanced: False" in out and "row_residual: 1" in out
 
     def test_wrong_dimensions_exit_one(self, problem_file, tmp_path):
         plan_path = tmp_path / "plan.csv"

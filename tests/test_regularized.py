@@ -369,6 +369,10 @@ class TestSchedule:
         with pytest.raises(ValidationError):
             AnnealingSchedule(((1e-3, 1e-2), (1e-3, 1e-2)))  # not decreasing
 
+    def test_an_overflowing_ladder_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="stages=3000,factor=1.5,final=0.0001"):
+            make_schedule(1e-4, 3000, 1.5)
+
 
 class TestSolve:
     def test_scalar_problem_is_one_iteration(self):

@@ -17,6 +17,7 @@ from balanced_transport import (
     Overflow,
     SizeGuardExceeded,
     TransportPlan,
+    additive_weights,
     greedy_northwest,
     hilbert_distance,
     ipfp_matrix,
@@ -119,6 +120,90 @@ class TestHilbertDistance:
             hilbert_distance(np.array([1.0, 0.0]), np.ones(2))
 
 
+def kruskal_reference(values, mask):
+    """Kruskal over the support sorted by (-value, i, j): (forest cells, non-tree cells)."""
+    n, m = values.shape
+    cells = sorted((-values[i, j], i, j) for i in range(n) for j in range(m) if mask[i, j])
+    component = list(range(n + m))
+
+    def find(u):
+        while component[u] != u:
+            u = component[u]
+        return u
+
+    forest, non_tree = [], []
+    for _, i, j in cells:
+        ru, rv = find(i), find(n + j)
+        if ru == rv:
+            non_tree.append((i, j))
+        else:
+            component[ru] = rv
+            forest.append((i, j))
+    return forest, non_tree
+
+
+def loop_recover_duals(problem, plan, strict):
+    """recover_duals as per-node loops: a walk of its own with NaN
+    sentinels, one reduction per line without support, one check per cell."""
+    a = additive_weights(problem)
+    n, m = a.shape
+    forest, non_tree = kruskal_reference(plan.values, support_mask(plan.values))
+    adjacency = [[] for _ in range(n + m)]
+    for i, j in forest:
+        adjacency[i].append((n + j, i, j))
+        adjacency[n + j].append((i, i, j))
+    lam = np.full(n, np.nan)
+    mu = np.full(m, np.nan)
+    for root in range(n):
+        if not np.isnan(lam[root]) or not adjacency[root]:
+            continue
+        lam[root] = 0.0
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for other, i, j in adjacency[node]:
+                if node < n:
+                    if np.isnan(mu[j]):
+                        mu[j] = a[i, j] - lam[i]
+                        stack.append(other)
+                elif np.isnan(lam[i]):
+                    lam[i] = a[i, j] - mu[j]
+                    stack.append(other)
+    sense_max = problem.sense == MAXIMIZE
+    assigned = ~np.isnan(lam)
+    if not np.any(assigned):
+        lam[:] = 0.0
+        assigned = ~np.isnan(lam)
+    for j in range(m):
+        if np.isnan(mu[j]):
+            gaps = a[assigned, j] - lam[assigned]
+            mu[j] = np.max(gaps) if sense_max else np.min(gaps)
+    for i in range(n):
+        if np.isnan(lam[i]):
+            gaps = a[i, :] - mu
+            lam[i] = np.max(gaps) if sense_max else np.min(gaps)
+    if strict:
+        scale = max(1.0, float(np.max(np.abs(a))))
+        for i, j in non_tree:
+            gap = a[i, j] - lam[i] - mu[j]
+            if abs(gap) > KKT_RTOL * scale:
+                raise InconsistentSupport(
+                    f"support entry ({i + 1}, {j + 1}) forces contradictory potentials"
+                    f" (residual {gap:.3e}); the plan is not optimal",
+                    entry=(i + 1, j + 1),
+                )
+    return lam, mu
+
+
+def strict_outcome(recover, problem, plan):
+    """(entry, message) of the InconsistentSupport that strict recovery raises, or None."""
+    try:
+        recover(problem, plan, strict=True)
+    except InconsistentSupport as exc:
+        return exc.entry, str(exc)
+    return None
+
+
 class TestRecoverDuals:
     def test_small_example_plan(self, small_problem, known_plan):
         plan = TransportPlan.against(known_plan, small_problem.row_marginals, small_problem.col_marginals)
@@ -157,31 +242,53 @@ class TestRecoverDuals:
         assert mask.tolist() == [[True, False], [True, False]]
 
     def test_support_tree_orders_cells_by_mass_then_index(self):
-        # Reference: Kruskal over the support sorted by (-value, i, j).
         rng = np.random.default_rng(18)
         for _ in range(20):
             n, m = rng.integers(1, 9, size=2)
             values = rng.integers(0, 4, size=(n, m)) * 0.25  # many ties, some zeros
             mask = support_mask(values)
-            cells = sorted((-values[i, j], i, j) for i in range(n) for j in range(m) if mask[i, j])
-            component = list(range(n + m))
+            assert _support_tree(values, mask) == kruskal_reference(values, mask)
 
-            def find(u):
-                while component[u] != u:
-                    u = component[u]
-                return u
-
-            adjacency = [[] for _ in range(n + m)]
-            non_tree = []
-            for _, i, j in cells:
-                ru, rv = find(i), find(n + j)
-                if ru == rv:
-                    non_tree.append((i, j))
-                else:
-                    component[ru] = rv
-                    adjacency[i].append((n + j, i, j))
-                    adjacency[n + j].append((i, i, j))
-            assert _support_tree(values, mask) == (adjacency, non_tree)
+    def test_matches_the_loop_reference_bit_for_bit(self):
+        # Random plans in both senses, with rows and columns shrunk below
+        # SUPPORT_RTOL and all-zero plans, so that the fills for lines
+        # without support and the no-support branch run.
+        rng = np.random.default_rng(22)
+        seen = {"unsupported line": 0, "no support": 0, "inconsistent": 0, "consistent cycle": 0}
+        for case in range(400):
+            n, m = (int(k) for k in rng.integers(1, 7, size=2))
+            sense = (MAXIMIZE, MINIMIZE)[case % 2]
+            family = case % 3
+            if family == 0:  # every cycle consistent
+                weights = rng.integers(-3, 4, size=n)[:, None] + rng.integers(-3, 4, size=m)[None, :] + 0.5
+            elif family == 1:  # integer weights with many ties
+                weights = rng.integers(-3, 4, size=(n, m)) * 0.5
+            else:
+                weights = rng.normal(scale=10.0 ** rng.integers(-2, 4), size=(n, m))
+            prob = OTProblem(weights, np.full(n, float(m)), np.full(m, float(n)), sense)
+            values = rng.random((n, m)) * (rng.random((n, m)) < rng.uniform(0.2, 1.0))
+            if rng.random() < 0.4:
+                values[rng.integers(n)] *= 1e-12
+            if rng.random() < 0.4:
+                values[:, rng.integers(m)] *= 1e-12
+            if case % 25 == 0:
+                values[:] = 0.0
+            plan = TransportPlan.against(values, prob.row_marginals, prob.col_marginals)
+            mask = support_mask(values)
+            if not mask.any():
+                seen["no support"] += 1
+            elif not (mask.any(axis=1).all() and mask.any(axis=0).all()):
+                seen["unsupported line"] += 1
+            duals = recover_duals(prob, plan, strict=False)
+            lam, mu = loop_recover_duals(prob, plan, strict=False)
+            assert np.array_equal(duals.lam, lam) and np.array_equal(duals.mu, mu)
+            expected = strict_outcome(loop_recover_duals, prob, plan)
+            assert strict_outcome(recover_duals, prob, plan) == expected
+            if expected is not None:
+                seen["inconsistent"] += 1
+            elif kruskal_reference(values, mask)[1]:
+                seen["consistent cycle"] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 class TestVerifyBalanced:
@@ -210,9 +317,8 @@ class TestVerifyBalanced:
         report = verify_balanced(moma, plan)
         assert report.is_balanced
         duals = recover_duals(moma, plan)
-        scalings = duals.to_scalings()
-        assert np.allclose(scalings.alpha, 1.0, atol=1e-12)  # weights all one
-        assert np.allclose(scalings.beta, 2.0, atol=1e-12)  # the column values of b
+        assert np.allclose(duals.lam, 0.0, atol=1e-12)  # weights alpha = exp(-lam) all one
+        assert np.allclose(duals.mu, np.log(2.0), atol=1e-12)  # beta = exp(mu), the column values of b
 
     def test_perturbed_plan_is_rejected(self, small_problem):
         perturbed = np.array([[0.05, 0.2, 0.0], [0.0, 0.05, 0.2], [0.15, 0.35, 0.0]])
@@ -230,6 +336,13 @@ class TestVerifyBalanced:
         report = verify_balanced(negated, plan)
         assert report.is_balanced
         assert abs(report.duality_gap) <= 1e-9
+
+    @pytest.mark.parametrize("lengths", [(2, 3), (3, 2), (1, 3), (3, 1)])
+    def test_duals_of_the_wrong_length_are_rejected(self, small_problem, known_plan, lengths):
+        plan = TransportPlan.against(known_plan, small_problem.row_marginals, small_problem.col_marginals)
+        duals = DualPotentials(np.zeros(lengths[0]), np.zeros(lengths[1]))
+        with pytest.raises(LengthMismatch, match=f"lengths {lengths[0]} and {lengths[1]}"):
+            verify_balanced(small_problem, plan, duals=duals)
 
     def test_a_gap_past_the_exp_range_is_an_infinite_violation(self):
         # expm1(800) overflows; the violation reads inf, with no warning.
