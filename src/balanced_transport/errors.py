@@ -75,12 +75,14 @@ class InconsistentSupport(BalancedTransportError):
     """The support graph of a plan forces contradictory dual potentials.
 
     This certifies that the plan is not optimal.  ``entry`` holds the
-    1-based (i, j) cell at which the contradiction surfaced.
+    1-based (i, j) cell at which the contradiction surfaced, and ``duals``
+    the potentials recovered all the same.
     """
 
-    def __init__(self, message: str, entry=None):
+    def __init__(self, message: str, entry=None, duals=None):
         super().__init__(message)
         self.entry = entry
+        self.duals = duals
 
 
 class SizeGuardExceeded(BalancedTransportError):

@@ -31,7 +31,7 @@ side below 4 ``solve`` runs this loop::
 each norm is computed once per step: ``s`` is both the stopping
 measurement of the step just taken and the column fit of the next one.
 Larger problems run the same loop on a stage kernel (below), which takes
-the same norms by matrix-vector products.
+the same fits by matrix-vector products.
 
 The column fit is over-relaxed.  Each stage takes 8 plain steps
 (omega = 1), estimates the criterion's contraction rate as
@@ -68,32 +68,50 @@ With R and C the row and column maxima of z_base, the kernel stores
 
 each zero where the ratio lies at or below its line's cutoff times
 e^-delta, one cutoff band lower, with delta =
-(54 + ceil(log2 max(n, m))) * eta * ln 2.  A row ratio moves only with V
-and a column ratio only with U, so while log(max V / min V) and
-log(max U / min U) stay at or below delta/2 every zeroed term is also
-truncated by the dense kernel, and each norm is one matrix-vector product
-(``kernel_power_norm``), as in Cuturi's Sinkhorn iteration (NeurIPS
-2013)::
+(54 + ceil(log2 max(n, m))) * eta * ln 2, and the targets r^eta / R and
+c^eta / C.  A row ratio moves only with V and a column ratio only with
+U, so while log(max V / min V) and log(max U / min U) stay at or below
+delta/2 every zeroed term is also truncated by the dense kernel, and
+each fit is one matrix-vector product (``kernel_fit``), as in Cuturi's
+Sinkhorn iteration (NeurIPS 2013)::
 
-    rows = U * R * max V * (K_row @ (V / max V)^(1/eta))^eta
-    cols = V * C * max U * ((U / max U)^(1/eta) @ K_col)^eta
+    U = (r^eta / R) * (K_row @ V^(1/eta))^-eta
+    W = (c^eta / C) * (U^(1/eta) @ K_col)^-eta
 
-A step costs two matrix-vector products and pow on two vectors, instead
-of pow on every live cell twice.  It agrees with ``z_step`` up to the
-order of summation and of the scalar products.  Drift is absorbed, not
-stepped around: a column fit that would break the drift bound on V
-materializes z, rebuilds the kernel from it and is retried there, and a
-row fit that breaks it on U materializes z and rebuilds the kernel,
-which gives the column multipliers.  Only a fit that a fresh kernel
-cannot take, with a log spread above delta/2 by itself, steps densely,
-and the kernel is rebuilt from the step's z; on the paper grids and the
-desk problems that is the first step of the first stage alone.  An
-over-relaxed step moves V by s^omega, under the same bound.  Kernel
-stages run on every problem with at least 4 rows and columns, whatever
-share of the cells is live, since a matrix-vector product costs the
-same at any share.  Smaller problems step densely throughout, so their
-iterates are ``z_step``'s bit for bit; a kernel step would save little
-there (about a tenth of a 3x3 dense step).
+The row fit gives the new U directly.  W is the V that fits the
+columns, so the column multipliers are s = W / V, and the column fit
+moves V to V * s^omega.  A step costs two matrix-vector products and
+pow on four vectors, instead of pow on every live cell twice.  It agrees
+with ``z_step`` up to the order of summation and of the scalar
+products, and up to the rounding the multipliers' level adds (below).
+Drift is absorbed, not stepped around: a column fit that would break the
+drift bound on V materializes z, rebuilds the kernel from it and is
+retried there, and a row fit that breaks it on U materializes z and
+rebuilds the kernel, which gives the column multipliers.  Only a fit
+that a fresh kernel cannot take, with a log spread above delta/2 by
+itself, steps densely, and the kernel is rebuilt from the step's z; on
+the paper grids and the desk problems that is the first step of the
+first stage alone.  An over-relaxed step moves V by s^omega, under the
+same bound.  Kernel stages run on every problem with at least 4 rows
+and columns, whatever share of the cells is live, since a matrix-vector
+product costs the same at any share.  Smaller problems step densely
+throughout, so their iterates are ``z_step``'s bit for bit, as the tests
+of the 3x3 paper example require; a kernel step would cost about 0.4x
+of a dense one there.
+
+No maximum is factored out of U or V, so the powers U^(1/eta) and
+V^(1/eta) are bounded by the multipliers' level, max |log M|, not by
+their spread.  A level guard (Schmitzer's absorption threshold) keeps
+both levels within a limit, the smaller of two.  One is 4 delta: every
+kept kernel entry is at least 2^-(2 (54 + k)), k = ceil(log2 max(n, m)),
+and every power then lies within 2^(+-4 (54 + k)), so every product of
+the two is at least 2^-(6 (54 + k)), normal for any side below 2^116,
+and no sum overflows.  The other is 2 nats: the exponent 1/eta is
+rounded, so a power M^(1/eta) carries a relative error up to
+|log M| eps / 2 into the fit, about one ulp at 2 nats.  The 2-nat limit
+binds only above eta of about 0.012.  A column fit that would pass V's
+limit is refused like one that breaks its drift bound, and a row fit
+that passes U's limit is absorbed like one that breaks U's.
 
 The two log spreads are not taken at every step but bounded from
 numbers the loop already has, each bound reset to 0 at every build.  The
@@ -112,6 +130,15 @@ first step on that kernel takes U's exact spread.  Each bound also grows
 by a rounding slack of 64 ulp of max(1, delta/2) per step.  Only a bound
 that passes delta/2 takes the exact spread, which then replaces it, so
 every decision is the one the exact checks would make.
+
+The two levels are bounded the same way, each bound reset to 0 at every
+build and grown by the same spread(f) plus slack per step.  When the z
+held before a step has its rows fit, the plan's column sums total
+sum(c), so min f <= 1 <= max f: every |log f_j|, and by the bracket
+above every |log t_i|, is at most spread(f).  A stage's first step takes
+both exact levels, and only a bound that passes the level limit takes
+the exact level again, so the level guard, too, decides as exact checks
+at every step would.
 
 Annealing runs the iteration over a decreasing temperature ladder, and
 each colder stage starts from the potentials the last one reached: z
@@ -388,33 +415,39 @@ def z_step(
 #: the larger of 1 and the bound's limit (see ``_Stage``).
 _DRIFT_SLACK = 64 * np.finfo(float).eps
 
+#: The stage kernel's limit on its multipliers' level max |log M| (see
+#: ``_Stage``): this multiple of the drift limit delta/2, which keeps every
+#: power and product normal, but at most this many nats, which keeps the
+#: rounding the level adds to a fit within about one ulp.
+_LEVEL_FACTOR = 8
+_LEVEL_CAP = 2.0
+
 
 def _truncated_power(ratio: np.ndarray, eta: float, cut: float) -> np.ndarray:
     """ratio^(1/eta) where ratio lies above ``cut``, zero elsewhere."""
     return np.power(ratio, 1.0 / eta, out=np.zeros(ratio.shape), where=ratio > cut)
 
 
-def kernel_power_norm(stage: _Stage, axis: int) -> np.ndarray:
-    """``power_norm(stage.materialized(), stage.eta, axis)`` from the stage's kernel.
+def kernel_fit(stage: _Stage, axis: int) -> np.ndarray:
+    """The multipliers that fit this axis of the stage's z exactly: the next U (axis 1) or V (axis 0).
 
-    Row i's norm (axis 1) is U_i R_i max V (sum_j K_row_ij (V_j / max V)^(1/eta))^eta,
+    Row i's fit (axis 1) is (r_i^eta / R_i) (sum_j K_row_ij V_j^(1/eta))^-eta,
     and column j's (axis 0) the same with the roles of rows and columns
-    swapped.  Every term is at most 1 and the line maximum's own term is at
-    least e^-(delta/2)/eta, so nothing overflows or underflows.  Within the
-    drift bound the result differs from the dense kernel's only by the
-    order of summation and of the scalar products.
+    swapped; the build stores the targets r^eta / R and c^eta / C.  This
+    is ``own * target**eta / power_norm(stage.materialized(), stage.eta,
+    axis)``, with ``own`` the stage's U or V and ``target`` r or c, up to
+    the order of summation and of the scalar products, within the drift
+    and level bounds (see ``_Stage``), which keep every power and product
+    normal.
     """
     if axis == 1:
-        own, across, K, line_max = stage.U, stage.V, stage.K_row, stage.R
+        across, K, target = stage.V, stage.K_row, stage.row_target
     else:
-        own, across, K, line_max = stage.V, stage.U, stage.K_colT, stage.C
-    top = np.maximum.reduce(across)
-    norms = K @ np.power(across / top, 1.0 / stage.eta)
-    np.power(norms, stage.eta, out=norms)
-    norms *= top
-    norms *= line_max
-    norms *= own
-    return norms
+        across, K, target = stage.U, stage.K_colT, stage.col_target
+    fit = K @ np.power(across, 1.0 / stage.eta)
+    np.power(fit, -stage.eta, out=fit)
+    fit *= target
+    return fit
 
 
 class _Stage:
@@ -432,9 +465,12 @@ class _Stage:
     ``K_row`` holds the row ratios of z_base raised to 1/eta,
     ``(z_base / R[:, None])^(1/eta)`` with R its row maxima, and ``K_colT``
     the column ratios, ``(z_base / C)^(1/eta)`` with C its column maxima,
-    stored transposed, so that each norm of z is one matrix-vector product
-    (see ``kernel_power_norm``).  A ratio at or below its line's cutoff
-    times e^-delta is stored as zero.  A row ratio moves only with V and a
+    stored transposed, and ``row_target`` and ``col_target`` hold
+    r^eta / R and c^eta / C, so that each fit of z is one matrix-vector
+    product (see ``kernel_fit``): the row fit is the next U, and the
+    column fit the V that fits the columns, W, whose ratio to V is the
+    column multipliers.  A ratio at or below its line's cutoff times
+    e^-delta is stored as zero.  A row ratio moves only with V and a
     column ratio only with U, so while both log(max U / min U) and
     log(max V / min V) are at most delta/2, every zeroed term stays at or
     below its cutoff, and the dense kernel drops it too.
@@ -453,13 +489,22 @@ class _Stage:
     exact spread.  The exact spread is taken only when a bound passes
     delta/2, and then replaces the bound.
 
-    Drift is absorbed by a rebuild (``_build``) from the materialized z.  A
-    column fit that breaks the bound on V is retried on the fresh kernel,
-    and only a fit that a fresh kernel cannot take steps densely, after
-    which the kernel is rebuilt from the step's z.  A row fit that breaks
-    the bound on U is kept, and the column norms are taken on the rebuilt
-    kernel.  Smaller problems step densely throughout, with z_base the
-    current z and U = V = 1.
+    The levels max |log U| and max |log V| bound the powers U^(1/eta) and
+    V^(1/eta) the fits take, and are tracked the same way by ``u_level``
+    and ``v_level`` against ``max_level``, the smaller of 4 delta, which
+    keeps every power and product normal, and 2 nats, which keeps the
+    rounding a level adds to a fit within about one ulp (see the module
+    docstring).  With the rows fit, min f <= 1 <= max f, so each level
+    also moves by at most spread(f) per step.  Both start at infinity, so
+    a stage's first step takes both exact levels.
+
+    Drift and level are absorbed by a rebuild (``_build``) from the
+    materialized z.  A column fit that breaks either bound on V is retried
+    on the fresh kernel, and only a fit that a fresh kernel cannot take
+    steps densely, after which the kernel is rebuilt from the step's z.  A
+    row fit that breaks either bound on U is kept, and the column fit is
+    taken on the rebuilt kernel.  Smaller problems step densely
+    throughout, with z_base the current z and U = V = 1.
     """
 
     def __init__(self, z: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float, alpha: np.ndarray, beta: np.ndarray):
@@ -473,14 +518,15 @@ class _Stage:
         band = min(col_cut, row_cut)  # e^-delta
         self.row_cut, self.col_cut = row_cut * band, col_cut * band  # one cutoff band lower
         self.max_drift = -0.5 * np.log(band)
+        self.max_level = min(_LEVEL_FACTOR * self.max_drift, _LEVEL_CAP)
         self.slack = _DRIFT_SLACK * max(1.0, self.max_drift)
         self._build(z)
-        self.u_drift = np.inf  # z's rows are not fit at this eta
+        self.u_drift = self.u_level = self.v_level = np.inf  # z's rows are not fit at this eta
 
     def _build(self, z: np.ndarray) -> None:
         """Hold z as z_base; on a kernel, fold U and V into alpha and beta, then build it from z.
 
-        The fresh kernel has U = V = 1 and both drift bounds 0.
+        The fresh kernel has U = V = 1 and its drift and level bounds 0.
         """
         self.z_base = z
         if not self.on_kernel:
@@ -488,17 +534,18 @@ class _Stage:
         self.alpha, self.beta = self.scalings()
         n, m = z.shape
         self.U, self.V = np.ones(n), np.ones(m)
-        self.u_drift = self.v_drift = 0.0
-        self.R, self.C = np.maximum.reduce(z, axis=1), np.maximum.reduce(z, axis=0)
-        self.K_row = _truncated_power(z / self.R[:, None], self.eta, self.row_cut)
-        col_ratio = np.divide(z.T, self.C[:, None], out=np.empty((m, n)))  # rows of K_colT are z's columns
+        self.u_drift = self.v_drift = self.u_level = self.v_level = 0.0
+        R, C = np.maximum.reduce(z, axis=1), np.maximum.reduce(z, axis=0)
+        self.row_target, self.col_target = self.r_eta / R, self.c_eta / C
+        self.K_row = _truncated_power(z / R[:, None], self.eta, self.row_cut)
+        col_ratio = np.divide(z.T, C[:, None], out=np.empty((m, n)))  # rows of K_colT are z's columns
         self.K_colT = _truncated_power(col_ratio, self.eta, self.col_cut)
 
     def column_fit(self) -> np.ndarray:
         """The column multipliers of the stage's z."""
         if not self.on_kernel:
             return column_multipliers(self.z_base, self.c, self.eta)
-        return self.c_eta / kernel_power_norm(self, 0)
+        return kernel_fit(self, 0) / self.V
 
     def scalings(self) -> Tuple[np.ndarray, np.ndarray]:
         """The stage's (alpha, beta), with x = (alpha b / beta)^(1/eta) for its z; new arrays."""
@@ -521,25 +568,33 @@ class _Stage:
             self._build(z)
             if not self._fit_columns(s, grow):
                 return self._dense_step(z, s)
-        self.U *= self.r_eta / kernel_power_norm(self, 1)
+        self.U = kernel_fit(self, 1)
         self.u_drift = self._drift(self.u_drift + grow, self.U)
-        if self.u_drift > self.max_drift:
+        self.u_level = self._level(self.u_level + grow, self.U)
+        if self.u_drift > self.max_drift or self.u_level > self.max_level:
             self.before = (self.z_base, self.materialized())
             self._build(self.before[1])
         return self.column_fit()
 
     def _fit_columns(self, s: np.ndarray, grow: float) -> bool:
-        """Whether V takes the column fit s within its drift bound; V moves only if so."""
+        """Whether V takes the column fit s within its drift and level bounds; V moves only if so."""
         V = self.V * s
         v_drift = self._drift(self.v_drift + grow, V)
         if v_drift > self.max_drift:
             return False
-        self.V, self.v_drift = V, v_drift
+        v_level = self._level(self.v_level + grow, V)
+        if v_level > self.max_level:
+            return False
+        self.V, self.v_drift, self.v_level = V, v_drift, v_level
         return True
 
     def _drift(self, bound: float, multipliers: np.ndarray) -> float:
         """A grown drift bound, or the multipliers' exact log spread once it passes delta/2."""
         return _log_spread(multipliers, 1.0) if bound > self.max_drift else bound
+
+    def _level(self, bound: float, multipliers: np.ndarray) -> float:
+        """A grown level bound, or the multipliers' exact level once it passes the level limit."""
+        return _log_level(multipliers) if bound > self.max_level else bound
 
     def _dense_step(self, z: np.ndarray, s: np.ndarray) -> np.ndarray:
         z_next, t, s_next = z_step(z, s, self.r, self.c, self.eta)
@@ -598,6 +653,11 @@ def criterion(s: np.ndarray, eta: float) -> float:
 
 def _log_spread(s: np.ndarray, eta: float) -> float:
     return float((1.0 / eta) * np.log(np.maximum.reduce(s) / np.minimum.reduce(s)))
+
+
+def _log_level(multipliers: np.ndarray) -> float:
+    """max |log M_k|: how far the multipliers stray from 1 on a log scale."""
+    return float(max(np.log(np.maximum.reduce(multipliers)), -np.log(np.minimum.reduce(multipliers))))
 
 
 #: Over-relaxation of the column fit (see ``_relaxation``): plain steps that
@@ -688,12 +748,13 @@ def solve(
 
     On problems with at least 4 rows and columns, each stage builds a
     kernel of z^(1/eta) from the z it starts from and steps on it,
-    absorbing drift into rebuilt kernels (see the module docstring); the
-    iterates then agree with those of ``z_step`` under the same omegas
-    to rounding, and the per-stage iteration counts are the same on the
-    paper grids and the annealed desk problems.  z is materialized for
-    snapshots and at each stage end.  The plan is z^(1/eta) with pow
-    skipped on the entries whose power underflows to 0 (``_plan``).
+    absorbing drift and level into rebuilt kernels (see the module
+    docstring); the iterates then agree with those of ``z_step`` under
+    the same omegas to rounding, and the per-stage iteration counts are
+    the same on the paper grids and the annealed desk problems.  z is
+    materialized for snapshots and at each stage end.  The plan is
+    z^(1/eta) with pow skipped on the entries whose power underflows to 0
+    (``_plan``).
 
     ``max_iters`` bounds each stage; on an exhausted budget the iterate
     reached is returned with ``converged=False``.  ``snapshot_stride``

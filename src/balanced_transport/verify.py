@@ -154,7 +154,8 @@ def recover_duals(
     support get the tightest dual-feasible value; a plan without support
     gets lambda = 0 first.  With ``strict`` set, a support cell whose
     potentials disagree with its weight beyond ``KKT_RTOL`` raises
-    InconsistentSupport, certifying that the plan is not optimal.
+    InconsistentSupport, certifying that the plan is not optimal; the
+    error names the heaviest such cell and carries the potentials.
     """
     a = additive_weights(problem)
     n, m = a.shape
@@ -189,6 +190,7 @@ def recover_duals(
                 f"support entry ({i + 1}, {j + 1}) forces contradictory potentials"
                 f" (residual {gaps[k]:.3e}); the plan is not optimal",
                 entry=(i + 1, j + 1),
+                duals=DualPotentials(lam, mu),
             )
     return DualPotentials(lam, mu)
 
@@ -204,6 +206,10 @@ class KKTReport:
     objective: float
     dual_value: float
     duality_gap: float
+    #: The 1-based (i, j) support cell at which recovered potentials first
+    #: contradict the weights (``InconsistentSupport.entry``); None when
+    #: they agree or when the duals were passed in.
+    violation: Optional[Tuple[int, int]] = None
 
 
 def verify_balanced(
@@ -216,9 +222,9 @@ def verify_balanced(
     Verifies, relative to ``KKT_RTOL``: equality alpha_i b_ij = beta_j on the
     support, the dual inequality off the support (direction set by the
     problem's sense), and both marginal constraints.  When no duals are
-    passed they are recovered from the support (non-strictly, so that an
-    inconsistent support shows up as a slackness violation rather than an
-    exception).  The duality gap is dual value minus primal value for
+    passed they are recovered from the support, and an inconsistent
+    support shows up as a slackness violation, with the cell the recovery
+    found it at in ``violation``, rather than as an exception.  The duality gap is dual value minus primal value for
     maximization and the negative of that for minimization.
 
     Slackness is measured in absolute terms, as expm1(a_ij - lam_i - mu_j),
@@ -232,8 +238,12 @@ def verify_balanced(
         raise DimensionMismatch(f"plan shape {plan.values.shape} does not match problem ({n}, {m})")
     if np.any(plan.values < 0):
         raise ValidationError("plan contains negative entries")
+    violation = None
     if duals is None:
-        duals = recover_duals(problem, plan, strict=False)
+        try:
+            duals = recover_duals(problem, plan)
+        except InconsistentSupport as exc:
+            duals, violation = exc.duals, exc.entry
     elif duals.lam.shape != (n,) or duals.mu.shape != (m,):
         raise LengthMismatch(f"duals have lengths {duals.lam.size} and {duals.mu.size}, the problem {n} and {m}")
     mask = support_mask(plan.values)
@@ -258,6 +268,7 @@ def verify_balanced(
         objective=primal,
         dual_value=dual_value,
         duality_gap=float(gap),
+        violation=violation,
     )
 
 

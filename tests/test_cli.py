@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from balanced_transport import small_example, small_example_solution
+from balanced_transport import small_example, small_example_solution, verify
+from balanced_transport import cli
 from balanced_transport.cli import main
 from balanced_transport.fileio import read_matrix_csv, read_problem, write_matrix_csv, write_problem
 
@@ -185,6 +186,35 @@ class TestVerify:
         write_matrix_csv(perturbed, plan_path)
         assert main(["verify", str(problem_file), str(plan_path)]) == 3
         assert "is_balanced: False" in capsys.readouterr().out
+
+    def test_a_failing_plan_recovers_its_duals_once(self, problem_file, tmp_path, capsys, monkeypatch):
+        # The certificate's own recovery locates the violating cell; the
+        # CLI prints it without recovering the duals again.
+        calls = [0]
+        recover = verify.recover_duals
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return recover(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "recover_duals", counting)
+        monkeypatch.setattr(cli, "recover_duals", counting)
+        perturbed = np.array([[0.05, 0.2, 0.0], [0.0, 0.05, 0.2], [0.15, 0.35, 0.0]])
+        plan_path = tmp_path / "plan.csv"
+        write_matrix_csv(perturbed, plan_path)
+        assert main(["verify", str(problem_file), str(plan_path)]) == 3
+        assert capsys.readouterr().out == (
+            "is_balanced: False\n"
+            "max_slackness_violation: 0.727468\n"
+            "max_dual_infeasibility: 0\n"
+            "row_residual: 0\n"
+            "col_residual: 0\n"
+            "objective: 0.48\n"
+            "dual_value: 0.545\n"
+            "duality_gap: 0.065\n"
+            "violation located at (1, 1)\n"
+        )
+        assert calls[0] == 1
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_nonfinite_plan_exits_one(self, problem_file, tmp_path, capsys, bad):

@@ -546,23 +546,23 @@ class TestIterationCounts:
         assert result.stage_iterations == (315, 28, 12, 4, 10, 17, 12, 27, 39, 52, 1, 4)
 
     def test_grid64_annealed_norm_traffic(self, monkeypatch):
-        # One column norm per stage start plus one column and one row norm
+        # One column fit per stage start plus one column and one row fit
         # per iteration, each through a module attribute that callers
         # resolve: the dense power_norm (which the benchmark tracer wraps) or
-        # the stage kernel's kernel_power_norm.
+        # the stage kernel's kernel_fit.
         calls = {0: 0, 1: 0}
-        norm, kernel_norm = regularized.power_norm, regularized.kernel_power_norm
+        norm, fit = regularized.power_norm, regularized.kernel_fit
 
         def counting(values, eta, axis=None):
             calls[axis] += 1
             return norm(values, eta, axis)
 
-        def counting_kernel(kernel, axis):
+        def counting_kernel(stage, axis):
             calls[axis] += 1
-            return kernel_norm(kernel, axis)
+            return fit(stage, axis)
 
         monkeypatch.setattr(regularized, "power_norm", counting)
-        monkeypatch.setattr(regularized, "kernel_power_norm", counting_kernel)
+        monkeypatch.setattr(regularized, "kernel_fit", counting_kernel)
         result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
         assert calls == {0: result.iterations + 12, 1: result.iterations}
 
@@ -609,27 +609,33 @@ def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts calls of the stage kernel's norms."""
+    """Counts calls of the stage kernel's fits."""
     calls = [0]
-    norm = regularized.kernel_power_norm
+    fit = regularized.kernel_fit
 
     def counting(*args):
         calls[0] += 1
-        return norm(*args)
+        return fit(*args)
 
-    monkeypatch.setattr(regularized, "kernel_power_norm", counting)
+    monkeypatch.setattr(regularized, "kernel_fit", counting)
     return calls
 
 
-def _materialized_norm_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule):
-    """solve with each kernel norm taken by power_norm of the materialized z.
+def _dense_fit(stage, axis: int) -> np.ndarray:
+    """``kernel_fit`` by power_norm of the materialized z: own * target^eta / norm."""
+    own, target = (stage.U, stage.r) if axis == 1 else (stage.V, stage.c)
+    return own * target**stage.eta / power_norm(stage.materialized(), stage.eta, axis)
 
-    The drift bound, the fallbacks and the rebuilds stay solve's own, so
-    this reference differs from solve only in how each norm is summed.
+
+def _materialized_norm_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule):
+    """solve with each kernel fit taken from power_norm of the materialized z.
+
+    The drift and level bounds, the fallbacks and the rebuilds stay
+    solve's own, so this reference differs from solve only in how each
+    fit is summed and rounded.
     """
     with monkeypatch.context() as patch:
-        patch.setattr(regularized, "kernel_power_norm",
-                      lambda stage, axis: power_norm(stage.materialized(), stage.eta, axis))
+        patch.setattr(regularized, "kernel_fit", _dense_fit)
         return solve(problem, schedule)
 
 
@@ -694,6 +700,72 @@ def _count_kernel_traffic(monkeypatch):
     return counts
 
 
+def _raise_in_the_kernel(monkeypatch):
+    """Runs the kernel's builds and steps of every solve that follows with every exception raised.
+
+    solve raises on overflow, division by zero and invalid operations;
+    the kernel's build and steps also never underflow, so they run
+    cleanly with every exception raised.  The dense fallback keeps solve's
+    own handling, which lets an underflow pass.  Returns counts of builds,
+    of steps whose column fit V took (a step that falls back to dense does
+    not count) and of exact levels found past the level limit.
+    """
+    counts = {"builds": 0, "steps": 0, "levels_past": 0}
+    z_step_ = regularized.z_step
+
+    class Raising(regularized._Stage):
+        def _build(self, z):
+            counts["builds"] += 1
+            with np.errstate(all="raise"):
+                super()._build(z)
+
+        def _fit_columns(self, s, grow):
+            fitted = super()._fit_columns(s, grow)
+            counts["steps"] += fitted
+            return fitted
+
+        def _level(self, bound, multipliers):
+            level = super()._level(bound, multipliers)
+            counts["levels_past"] += level > self.max_level
+            return level
+
+        def step(self, *args):
+            with np.errstate(all="raise"):
+                return super().step(*args)
+
+    def dense(*args):
+        with np.errstate(under="ignore"):
+            return z_step_(*args)
+
+    monkeypatch.setattr(regularized, "_Stage", Raising)
+    monkeypatch.setattr(regularized, "z_step", dense)
+    return counts
+
+
+def _extreme_problem(seed: int):
+    """A seeded 4-29-sided problem near the float range's edges, with its ladder.
+
+    Both marginals are scaled by one factor 10^u, u uniform in [-150, 150],
+    and Gaussian weights by 10^v, v uniform in [0, 2], so entries reach
+    about 300.  Even seeds maximize.  Seeds 0 and 1 mod 4 run the 12-stage
+    x1.5 ladder; the others a random power-of-two ladder, 1 to 7 distinct
+    temperatures 2^-k with k in 0..14, whose consecutive ratios reach 2^14.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(4, 30, size=2))
+    a = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(0.0, 2.0)
+    r = rng.uniform(0.5, 1.5, size=n)
+    c = rng.uniform(0.5, 1.5, size=m)
+    c *= r.sum() / c.sum()
+    scale = 10.0 ** rng.uniform(-150.0, 150.0)
+    if seed % 4 < 2:
+        schedule = make_schedule(1e-4, 12, 1.5, 1e-2)
+    else:
+        ks = np.sort(rng.choice(np.arange(15), size=int(rng.integers(1, 8)), replace=False))
+        schedule = AnnealingSchedule(tuple((2.0 ** -int(k), 1e-2) for k in ks))
+    return OTProblem(a, r * scale, c * scale, MAXIMIZE if seed % 2 == 0 else MINIMIZE), schedule
+
+
 class TestShortlist:
     """Stages run on the stage kernel; dense iterations are the reference."""
 
@@ -711,12 +783,12 @@ class TestShortlist:
             # One cold stage on a random problem, whose lines peak at many
             # scales.  Near step 580 its criterion sits on a plateau (1.70503)
             # that amplifies rounding about 3x per step, so two whole runs
-            # that sum their norms in different orders part there: solve
-            # ends at 4445, and both the materialized-norm reference and the
-            # z_step loop at 4446.  Each count is pinned, and solve is
-            # compared step by step with z_step taken from its own z.
+            # that sum their norms in different orders part there: solve and
+            # the materialized-fit reference end at 4445, and the z_step loop
+            # at 4446.  Each count is pinned, and solve is compared step by
+            # step with z_step taken from its own z.
             (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
-             AnnealingSchedule(((1e-3, 1e-2),)), ((4445,), (4446,))),
+             AnnealingSchedule(((1e-3, 1e-2),)), ((4445,), (4445,), (4446,))),
         ],
         ids=["grid64-annealed", "grid64-cold", "24x40-max", "32x32-min", "48x36-max", "24x40-cold"],
     )
@@ -731,9 +803,10 @@ class TestShortlist:
             result = solve(problem, schedule)
             references = [reference, _dense_solve(problem, schedule)]
         else:
-            solve_counts, reference_counts = pinned
-            for outcome, counts, _, _ in (reference, _dense_solve(problem, schedule)):
-                assert (outcome, counts) == ("converged", reference_counts)
+            solve_counts, reference_counts, dense_counts = pinned
+            for (outcome, counts, _, _), pin in ((reference, reference_counts),
+                                                 (_dense_solve(problem, schedule), dense_counts)):
+                assert (outcome, counts) == ("converged", pin)
             result, lockstep = _lockstep_solve(monkeypatch, problem, schedule)
             assert result.stage_iterations == solve_counts
             references = [lockstep]
@@ -751,10 +824,11 @@ class TestShortlist:
         st.integers(min_value=2, max_value=40),
         st.floats(min_value=-6.0, max_value=-1.0),
         st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-1.0, max_value=1.0),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_kernel_norms_match_the_dense_norms_within_the_drift_bound(self, n, m, log_eta, drift, seed):
+    def test_kernel_fits_match_the_dense_fits_within_the_bounds(self, n, m, log_eta, drift, level, seed):
         eta = 10.0**log_eta
         rng = np.random.default_rng(seed)
         # Plan-domain depths of up to 2000 nats: most cells fall far below the
@@ -763,13 +837,15 @@ class TestShortlist:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(regularized, "_KERNEL_MIN_SIDE", 2)  # a kernel at every side drawn
             stage = regularized._Stage(z, np.ones(n), np.ones(m), eta, np.ones(n), np.ones(m))
-        # Row and column multipliers whose log spreads reach drift * delta/2.
-        stage.U = np.exp(drift * stage.max_drift * rng.uniform(size=n))
-        stage.V = np.exp(drift * stage.max_drift * rng.uniform(size=m))
-        stage.U[0], stage.V[0] = 1.0, np.exp(drift * stage.max_drift)
-        full = stage.materialized()
+        # Row and column multipliers whose log spreads reach drift * delta/2,
+        # offset in opposite directions so that their levels stay within
+        # the level limit.
+        offset = level * (stage.max_level - stage.max_drift)
+        stage.U = np.exp(drift * stage.max_drift * rng.uniform(size=n) + offset)
+        stage.V = np.exp(drift * stage.max_drift * rng.uniform(size=m) - offset)
+        stage.U[0], stage.V[0] = np.exp(offset), np.exp(drift * stage.max_drift - offset)
         for axis in (1, 0):
-            got, want = regularized.kernel_power_norm(stage, axis), power_norm(full, eta, axis=axis)
+            got, want = regularized.kernel_fit(stage, axis), _dense_fit(stage, axis)
             assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
     @pytest.mark.parametrize(
@@ -817,13 +893,13 @@ class TestShortlist:
     def test_an_absorption_that_finds_z_unmoved_is_a_freeze(self, monkeypatch):
         # Every kernel step is absorbed after its row fit, so each absorption
         # compares the z one step reached with the z that step started from,
-        # as a dense step does.  At step 89 the two are equal bit for bit
+        # as a dense step does.  At step 31 the two are equal bit for bit
         # while the criterion repeats; unchecked, the stage would run on to
-        # max_iters with its criterion at 2.2e-16.
-        rng = np.random.default_rng(1)
+        # max_iters with its criterion at 4.4e-16.
+        rng = np.random.default_rng(91)
         prob = random_problem(rng, *(int(k) for k in rng.integers(4, 6, size=2)))
-        assert prob.weights.shape == (4, 5)
-        schedule = AnnealingSchedule(((1.0, 1e-300),))
+        assert prob.weights.shape == (5, 4)
+        schedule = AnnealingSchedule(((0.5, 1e-300),))
         found = []
 
         class Absorbing(regularized._Stage):
@@ -837,9 +913,9 @@ class TestShortlist:
                 return z
 
         monkeypatch.setattr(regularized, "_Stage", Absorbing)
-        with pytest.raises(NumericalDegeneracy, match="eta=1.0 while the criterion is 2.22e-16"):
+        with pytest.raises(NumericalDegeneracy, match="eta=0.5 while the criterion is 4.44e-16"):
             solve(prob, schedule, max_iters=300)
-        assert len(found) == 89 and found.index(True) == 88
+        assert len(found) == 31 and found.index(True) == 30
         monkeypatch.setattr(regularized._Stage, "unmoved", lambda stage: False)
         result = solve(prob, schedule, max_iters=300)
         assert result.stage_iterations == (300,) and not result.converged
@@ -880,40 +956,48 @@ class TestShortlist:
         ids=["grid64", "24x40-max", "32x32-min", "48x36-max"],
     )
     def test_the_kernel_raises_no_floating_point_exception(self, monkeypatch, problem):
-        # solve raises on overflow, division by zero and invalid operations;
-        # the kernel's build and steps also never underflow, so they run
-        # cleanly with every exception raised.  The dense fallback keeps
-        # solve's own handling, which lets an underflow pass.  A step counts
-        # only when V takes its column fit, so a step that falls back to
-        # dense does not count.
-        counts = {"builds": 0, "steps": 0}
-        z_step_ = regularized.z_step
-
-        class Raising(regularized._Stage):
-            def _build(self, z):
-                counts["builds"] += 1
-                with np.errstate(all="raise"):
-                    super()._build(z)
-
-            def _fit_columns(self, s, grow):
-                fitted = super()._fit_columns(s, grow)
-                counts["steps"] += fitted
-                return fitted
-
-            def step(self, *args):
-                with np.errstate(all="raise"):
-                    return super().step(*args)
-
-        def dense(*args):
-            with np.errstate(under="ignore"):
-                return z_step_(*args)
-
-        monkeypatch.setattr(regularized, "_Stage", Raising)
-        monkeypatch.setattr(regularized, "z_step", dense)
+        counts = _raise_in_the_kernel(monkeypatch)
         result = solve(problem(), make_schedule(1e-4, 12, 1.5, 1e-2))
         assert result.converged
         assert counts["builds"] >= 12
         assert counts["steps"] > result.iterations // 2
+
+    def test_the_level_guard_keeps_extreme_problems_free_of_exceptions(self, monkeypatch):
+        # Marginals at 10^+-150 and weights up to about 300 put the
+        # multipliers' level far from 1 at a stage's first step, and U and V
+        # drift apart in level over a stage while z stays put.  Unguarded,
+        # V^(1/eta) or U^(1/eta) overflows or underflows on some of these
+        # problems; the guard absorbs such a level by a rebuild first.
+        counts = _raise_in_the_kernel(monkeypatch)
+        for seed in range(100):
+            problem, schedule = _extreme_problem(seed)
+            solve(problem, schedule, max_iters=300)
+        assert counts["levels_past"] > 0
+
+    def test_a_level_past_the_limit_is_absorbed_not_overflowed(self):
+        # V at zero spread and a level whose 1/eta power overflows: the
+        # drift bound lets it pass, the level bound does not, so the column
+        # fit is retried on a kernel rebuilt from z.
+        rng = np.random.default_rng(7)
+        eta = 1e-2
+        problem = random_problem(rng, 6, 5)
+        z = row_equilibrate(np.exp(problem.weights))[0]
+        r, c = problem.row_marginals, problem.col_marginals
+        stage = regularized._Stage(z, r, c, eta, np.ones(6), np.ones(5))
+        level = 10.0
+        assert level > stage.max_level and level / eta > math.log(np.finfo(float).max)  # V^(1/eta) overflows
+        stage.V = np.full(5, math.exp(level))
+        stage.u_drift = stage.v_drift = stage.u_level = 0.0
+        stage.v_level = level
+        z_held, base = stage.materialized(), stage.z_base
+        with np.errstate(all="raise"):
+            s = stage.column_fit()
+            s_next = stage.step(s, regularized._log_spread(s, 1.0))
+        assert stage.z_base is not base  # rebuilt
+        assert regularized._log_level(stage.V) <= stage.max_level
+        z_ref, _, s_ref = z_step(z_held, s, r, c, eta)
+        assert np.max(np.abs(stage.materialized() - z_ref) / z_ref) <= 1e-12
+        assert np.max(np.abs(s_next - s_ref) / s_ref) <= 1e-12
 
     def test_bitwise_equal_with_one_and_two_blas_threads(self, tmp_path):
         # The kernel's matrix-vector products may be split across threads;
@@ -966,6 +1050,8 @@ class TestDriftBounds:
                 stepped = super().step(*args)
                 assert self.u_drift >= regularized._log_spread(self.U, 1.0)
                 assert self.v_drift >= regularized._log_spread(self.V, 1.0)
+                assert self.u_level >= regularized._log_level(self.U)
+                assert self.v_level >= regularized._log_level(self.V)
                 return stepped
 
         problem = random_problem(np.random.default_rng(seed), n, m, sense, gaussian)
@@ -1016,8 +1102,8 @@ class TestDriftBounds:
             result = solve(problem, _DESK, max_iters=20_000)
             assert result.converged
             counts.append(result.iterations)
-        assert counts == [672, 618, 1008, 498, 395, 200, 617, 1009, 240, 504, 300, 262,
-                          826, 453, 349, 609, 537, 650, 735, 483, 309, 324, 568, 462]  # 12,628 steps
+        assert counts == [672, 618, 1008, 497, 395, 200, 617, 1002, 240, 504, 300, 262,
+                          826, 453, 349, 609, 537, 650, 735, 483, 309, 324, 568, 462]  # 12,620 steps
 
     def test_grid64_annealed_exact_spread_traffic(self, monkeypatch):
         # The kernel's exact checks are the log spreads taken at eta 1.

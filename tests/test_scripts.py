@@ -16,8 +16,9 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("run_annealing_comparison.py", ["--size", "8", "--final-eta", "1e-2", "--stages", "3", "--factor", "2"],
          "iteration reduction factor:"),
         ("run_stagnation_study.py", [], "final plan max deviation from the known optimum:"),
+        ("run_count_sweep.py", ["--first", "1000", "--count", "3"], '"total": '),
     ],
-    ids=["grid", "annealing", "stagnation"],
+    ids=["grid", "annealing", "stagnation", "count-sweep"],
 )
 def test_script_runs(tmp_path, script, args, headline):
     if script == "run_grid_experiment.py":

@@ -235,6 +235,8 @@ class TestRecoverDuals:
         # non-strict recovery still returns potentials for reporting
         duals = recover_duals(small_problem, plan, strict=False)
         assert np.all(np.isfinite(duals.lam)) and np.all(np.isfinite(duals.mu))
+        # the strict error carries those same potentials
+        assert np.array_equal(err.value.duals.lam, duals.lam) and np.array_equal(err.value.duals.mu, duals.mu)
 
     def test_support_mask_threshold(self):
         values = np.array([[1.0, 1e-11], [0.5, 0.0]])
@@ -326,8 +328,12 @@ class TestVerifyBalanced:
         report = verify_balanced(small_problem, plan)
         assert not report.is_balanced
         assert report.max_slackness_violation > 1e-8
+        assert report.violation == (1, 1)  # where strict recovery locates it
         # feasibility was preserved by construction
         assert max(report.marginal_residuals) <= 1e-12
+        # with duals passed in, nothing was recovered, so nothing is located
+        duals = recover_duals(small_problem, plan, strict=False)
+        assert verify_balanced(small_problem, plan, duals=duals).violation is None
 
     def test_minimization_reverses_the_inequality(self, small_problem, known_plan):
         negated = OTProblem(-small_problem.weights, small_problem.row_marginals,
