@@ -224,8 +224,9 @@ def verify_balanced(
     problem's sense), and both marginal constraints.  When no duals are
     passed they are recovered from the support, and an inconsistent
     support shows up as a slackness violation, with the cell the recovery
-    found it at in ``violation``, rather than as an exception.  The duality gap is dual value minus primal value for
-    maximization and the negative of that for minimization.
+    found it at in ``violation``, rather than as an exception.  The
+    duality gap is dual value minus primal value for maximization and the
+    negative of that for minimization.
 
     Slackness is measured in absolute terms, as expm1(a_ij - lam_i - mu_j),
     so its rounding is that of the weights: near |a| = 1e12 float spacing

@@ -838,9 +838,9 @@ class TestShortlist:
             patch.setattr(regularized, "_KERNEL_MIN_SIDE", 2)  # a kernel at every side drawn
             stage = regularized._Stage(z, np.ones(n), np.ones(m), eta, np.ones(n), np.ones(m))
         # Row and column multipliers whose log spreads reach drift * delta/2,
-        # offset in opposite directions so that their levels stay within
-        # the level limit.
-        offset = level * (stage.max_level - stage.max_drift)
+        # offset in opposite directions so that their levels reach the
+        # level limit (or delta/2, where that is larger) but stay within it.
+        offset = level * max(stage.max_level - stage.max_drift, 0.0)
         stage.U = np.exp(drift * stage.max_drift * rng.uniform(size=n) + offset)
         stage.V = np.exp(drift * stage.max_drift * rng.uniform(size=m) - offset)
         stage.U[0], stage.V[0] = np.exp(offset), np.exp(drift * stage.max_drift - offset)
