@@ -13,6 +13,13 @@ keyed by seed, and the seeds whose solve did not converge.  The default
 seeds 1000-1239 are the 240-problem sweep whose counts the change log
 quotes; iteration counts are deterministic, so a change that moves one
 of them shows here.
+
+With ``--compare OLD.json``, OLD.json being this script's output from
+another commit, it prints instead one line per seed whose count moved,
+with its old count, new count and their ratio, then both totals:
+
+    python scripts/run_count_sweep.py > old.json        # on the old commit
+    python scripts/run_count_sweep.py --compare old.json
 """
 
 import argparse
@@ -42,6 +49,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--first", type=int, default=1000, help="first seed (default 1000)")
     parser.add_argument("--count", type=int, default=240, help="number of seeds (default 240)")
+    parser.add_argument("--compare", metavar="OLD.json", type=Path,
+                        help="print the seeds whose count moved against this earlier output, and both totals")
     args = parser.parse_args()
 
     schedule = make_schedule(1e-4, 12, 1.5, 1e-2)
@@ -51,7 +60,17 @@ def main() -> int:
         counts[str(seed)] = result.iterations
         if not result.converged:
             unconverged.append(seed)
-    print(json.dumps({"total": sum(counts.values()), "counts": counts, "unconverged": unconverged}, indent=1))
+    total = sum(counts.values())
+    if args.compare is None:
+        print(json.dumps({"total": total, "counts": counts, "unconverged": unconverged}, indent=1))
+        return 0
+    old = json.loads(args.compare.read_text())
+    moved = [seed for seed in counts if seed in old["counts"] and old["counts"][seed] != counts[seed]]
+    for seed in moved:
+        before, after = old["counts"][seed], counts[seed]
+        print(f"seed {seed}: {before} -> {after} steps, ratio {after / before:.4f}")
+    old_total = sum(old["counts"][seed] for seed in counts if seed in old["counts"])
+    print(f"{len(moved)} of {len(counts)} moved; total {old_total} -> {total} steps")
     return 0
 
 

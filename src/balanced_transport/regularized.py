@@ -22,7 +22,7 @@ between the plan's column sums and c, giving a stopping criterion for
 free.
 
 The iteration is one dense kernel, ``z_step``, and on problems with a
-side below 4 ``solve`` runs this loop::
+side below 4 each stage (``_Stage``) runs this loop::
 
     s = column_multipliers(z, c, eta)           # at each stage start
     z, t, s = z_step(z, s**omega, r, c, eta)    # per iteration
@@ -30,8 +30,10 @@ side below 4 ``solve`` runs this loop::
 ``z_step`` returns the column multipliers of the new z alongside it, so
 each norm is computed once per step: ``s`` is both the stopping
 measurement of the step just taken and the column fit of the next one.
-Larger problems run the same loop on a stage kernel (below), which takes
-the same fits by matrix-vector products.
+The stage keeps s; ``solve`` hands each step only omega and the last
+criterion and takes the next criterion back.  Larger problems run the
+same loop on a stage kernel (below), which takes the same fits in the
+plan domain by matrix-vector products.
 
 The column fit is over-relaxed.  Each stage takes 8 plain steps
 (omega = 1), estimates the criterion's contraction rate as
@@ -56,89 +58,112 @@ On problems with at least 4 rows and columns a stage (``_Stage``) runs on
 a kernel of the powered matrix, the stabilized scaling of Schmitzer (SIAM
 J. Sci. Comput. 2019): z is held as z_base_ij * V_j * U_i, with z_base
 the z the kernel was built from and U, V the row and column multipliers
-since.  One build method makes every kernel.  Each stage builds its
-kernel from the z it starts from, carried or predicted, and takes its
-first column multipliers from it at U = V = 1.  The stage owns the
-scalings: each build folds U and V into them, alpha * U and beta / V,
+since.  The kernel holds them in the plan domain, u = U^(1/eta) and
+v = V^(1/eta), so that the plan is z_base^(1/eta) * v_j * u_i.  One build
+method makes every kernel.  Each stage builds its kernel from the z it
+starts from, carried or predicted, and takes its first column
+multipliers from it at u = v = 1.  The stage owns the scalings: each
+build folds U = u^eta and V = v^eta into them, alpha * U and beta / V,
 before it resets both, and a dense step folds its own t and s, so
 alpha * U and beta / V are the scalings of the stage's z at any step.
-With R and C the row and column maxima of z_base, the kernel stores
+U and V are formed only there and where z is materialized.  With R and
+C the row and column maxima of z_base, the kernel stores
 
     K_row = (z_base / R[:, None])^(1/eta),   K_col = (z_base / C)^(1/eta),
 
 each zero where the ratio lies at or below its line's cutoff times
 e^-delta, one cutoff band lower, with delta =
-(54 + ceil(log2 max(n, m))) * eta * ln 2, and the targets r^eta / R and
-c^eta / C.  A row ratio moves only with V and a column ratio only with
-U, so while log(max V / min V) and log(max U / min U) stay at or below
-delta/2 every zeroed term is also truncated by the dense kernel, and
-each fit is one matrix-vector product (``kernel_fit``), as in Cuturi's
-Sinkhorn iteration (NeurIPS 2013)::
+(54 + ceil(log2 max(n, m))) * eta * ln 2, and the powered targets
+(r^eta / R)^(1/eta) and (c^eta / C)^(1/eta).  A row ratio moves only
+with V and a column ratio only with U, so while log(max v / min v) and
+log(max u / min u) stay at or below delta / (2 eta), every zeroed term is
+also truncated by the dense kernel, and each fit is one matrix-vector
+product and one divide (``kernel_fit``), the form of Cuturi's Sinkhorn
+iteration (NeurIPS 2013)::
 
-    U = (r^eta / R) * (K_row @ V^(1/eta))^-eta
-    W = (c^eta / C) * (U^(1/eta) @ K_col)^-eta
+    u = (r^eta / R)^(1/eta) / (K_row @ v)
+    w = (c^eta / C)^(1/eta) / (u @ K_col)
 
-The row fit gives the new U directly.  W is the V that fits the
-columns, so the column multipliers are s = W / V, and the column fit
-moves V to V * s^omega.  A step costs two matrix-vector products and
-pow on four vectors, instead of pow on every live cell twice.  It agrees
-with ``z_step`` up to the order of summation and of the scalar
-products, and up to the rounding the multipliers' level adds (below).
-Drift is absorbed, not stepped around: a column fit that would break the
-drift bound on V materializes z, rebuilds the kernel from it and is
-retried there, and a row fit that breaks it on U materializes z and
-rebuilds the kernel, which gives the column multipliers.  Only a fit
-that a fresh kernel cannot take, with a log spread above delta/2 by
-itself, steps densely, and the kernel is rebuilt from the step's z; on
-the paper grids and the desk problems that is the first step of the
-first stage alone.  An over-relaxed step moves V by s^omega, under the
-same bound.  Kernel stages run on every problem with at least 4 rows
-and columns, whatever share of the cells is live, since a matrix-vector
-product costs the same at any share.  Smaller problems step densely
-throughout, so their iterates are ``z_step``'s bit for bit, as the tests
-of the 3x3 paper example require; a kernel step would cost about 0.4x
-of a dense one there.
+The row fit gives the new u directly.  w is the v that fits the
+columns, so the column multipliers are s = w / v, (w / v)^eta in the z
+domain, the criterion is log(max s / min s), and the column fit moves v
+to v * s^omega, to w itself at omega = 1.  A plain step costs two
+matrix-vector products, three divides and the criterion's two extremes,
+with no pow, instead of pow on every live cell twice; an over-relaxed
+step adds pow and a multiply on one vector.  It agrees with ``z_step``
+up to the order of summation and of the scalar products, and up to the
+rounding the levels add (below).  Drift is absorbed, not stepped
+around: a column fit that would break the drift bound on v materializes
+z, rebuilds the kernel from it and is retried there, and a row fit that
+breaks it on u materializes z and rebuilds the kernel, which gives the
+column multipliers.  Only a fit that a fresh kernel cannot take, with a
+log spread above delta / (2 eta) by itself, steps densely, by ``z_step``
+with the z-domain fit s^(omega eta), and the kernel is rebuilt from the
+step's z and takes its own column fit.  Kernel stages run on every
+problem with at least 4 rows and columns, whatever share of the cells
+is live, since a matrix-vector product costs the same at any share.
+Smaller problems step densely throughout, so their iterates are
+``z_step``'s bit for bit, as the tests of the 3x3 paper example require;
+a kernel step would cost about 0.4x of a dense one there.
 
-No maximum is factored out of U or V, so the powers U^(1/eta) and
-V^(1/eta) are bounded by the multipliers' level, max |log M|, not by
-their spread.  A level guard (Schmitzer's absorption threshold) keeps
-both levels within a limit, the smaller of two.  One is 4 delta: every
-kept kernel entry is at least 2^-(2 (54 + k)), k = ceil(log2 max(n, m)),
-and every power then lies within 2^(+-4 (54 + k)), so every product of
-the two is at least 2^-(6 (54 + k)), normal for any side below 2^116,
-and no sum overflows.  The other is 2 nats: the exponent 1/eta is
-rounded, so a power M^(1/eta) carries a relative error up to
-|log M| eps / 2 into the fit, about one ulp at 2 nats.  The 2-nat limit
-binds only above eta of about 0.012.  A column fit that would pass V's
-limit is refused like one that breaks its drift bound, and a row fit
-that passes U's limit is absorbed like one that breaks U's.
+No maximum is factored out of u, v or the targets, so their size is
+bounded by their level, max |log M|, not by their spread.  A level guard
+(Schmitzer's absorption threshold) keeps the z-domain levels of U and V
+within a limit, ``max_level``, the smaller of two, which is
+max_level / eta in the plan nats u and v are measured in.  One is
+4 delta: every kept kernel entry is at least 2^-(2 (54 + k)),
+k = ceil(log2 max(n, m)), and every multiplier then lies within
+2^(+-4 (54 + k)), so every product of the two is at least
+2^-(6 (54 + k)), normal for any side below 2^116, and no sum overflows.
+The other is 2 nats: the exponent 1/eta is rounded, so a power
+M^(1/eta) carries a relative error up to |log M| eps / 2, about one ulp
+at 2 nats, into the fit.  The 2-nat limit binds only above eta of about
+0.012.  A column fit that would pass v's limit is refused like one that
+breaks its drift bound, and a row fit that passes u's limit is absorbed
+like one that breaks u's.
+
+A target guard holds the powered targets to the same limit.  A build
+whose z-domain targets r^eta / R or c^eta / C have a level past
+max_level could not power them in range, so it builds no kernel: it
+holds z densely until the next build, and the next step is a
+``z_step``.  A build from a z whose rows are fit has its row targets in
+[1, m^eta], within the limit whenever eta log m <= 2, so the guard fires
+at a stage start whose z is far from row-fit at the stage's eta: on the
+desk problems the first stage's row-equilibrated start, and on the
+256x256 grid a cold single stage's.  The grid ladders never fire it.
 
 The two log spreads are not taken at every step but bounded from
 numbers the loop already has, each bound reset to 0 at every build.  The
-column fit f = s^omega moves V's spread by at most
-spread(f) = omega * eta * crit, with crit the criterion already measured
-on s.  When the z held before a kernel step has its rows fit exactly at
-this stage's eta, the row norms of z * f lie within [min f, max f] times
-r^eta, the row multipliers t within [1 / max f, 1 / min f], and U's
-spread also moves by at most spread(f) (the Hilbert-metric contraction
-of a row fit; Franklin and Lorenz, "On the scaling of multidimensional
-matrices", Linear Algebra Appl. 1989).  Every kernel step ends with a
-row fit, and an absorption or a dense step rebuilds from a z whose rows
-are fit, but a stage's first kernel starts from the last stage's z or
-its prediction, whose rows are fit at another eta or not at all.  So the
-first step on that kernel takes U's exact spread.  Each bound also grows
-by a rounding slack of 64 ulp of max(1, delta/2) per step.  Only a bound
-that passes delta/2 takes the exact spread, which then replaces it, so
-every decision is the one the exact checks would make.
+column fit f = s^omega moves v's spread by at most
+spread(f) = omega * crit, with crit the criterion already measured on s.
+When the z held before a kernel step has its rows fit exactly at this
+stage's eta, the plan's row sums after the column fit lie within
+[min f, max f] times r, the row fit within [1 / max f, 1 / min f], and
+u's spread also moves by at most spread(f) (the Hilbert-metric
+contraction of a row fit; Franklin and Lorenz, "On the scaling of
+multidimensional matrices", Linear Algebra Appl. 1989).  Every kernel
+step ends with a row fit, and an absorption or a dense step rebuilds
+from a z whose rows are fit, but a stage's first kernel starts from the
+last stage's z or its prediction, whose rows are fit at another eta or
+not at all.  So the first step on that kernel takes u's exact spread.
+Each bound also grows by a rounding slack per step: the z domain's
+64 ulp of max(1, delta/2), taken to plan nats by 1/eta.  The slack must
+carry over from the z domain, where the multipliers are rounded: 64 ulp
+of the plan-nat limit, max(1, delta / (2 eta)), is smaller by a factor
+2 / delta wherever delta/2 < 1 (about 50 at eta 1e-3), and on cold
+Gaussian desk problems at eta 1e-3 it let the bounds fall below the
+exact spread or level by up to 2.6e-13 nats.  Only a bound that passes
+its limit takes the exact spread, which then replaces it, so every
+decision is the one the exact checks would make.
 
 The two levels are bounded the same way, each bound reset to 0 at every
 build and grown by the same spread(f) plus slack per step.  When the z
 held before a step has its rows fit, the plan's column sums total
 sum(c), so min f <= 1 <= max f: every |log f_j|, and by the bracket
-above every |log t_i|, is at most spread(f).  A stage's first step takes
-both exact levels, and only a bound that passes the level limit takes
-the exact level again, so the level guard, too, decides as exact checks
-at every step would.
+above every |log| of the row fit, is at most spread(f).  A stage's first
+step takes both exact levels, and only a bound that passes the level
+limit takes the exact level again, so the level guard, too, decides as
+exact checks at every step would.
 
 Annealing runs the iteration over a decreasing temperature ladder, and
 each colder stage starts from the potentials the last one reached: z
@@ -461,7 +486,9 @@ class _Stage:
     ``scalings`` gives them for the current z.  The stage also keeps the
     column multipliers of its z, ``s``: z-domain on a dense build, and in
     the plan domain, s = w / v, on a kernel, with w the v that fits the
-    columns.
+    columns.  ``on_kernel`` tells which: it is a property of each build,
+    since the target guard (below) can hold a kernel-sized problem densely
+    until its next build.
     ``K_row`` holds the row ratios of z_base raised to 1/eta,
     ``(z_base / R[:, None])^(1/eta)`` with R its row maxima, and ``K_colT``
     the column ratios, ``(z_base / C)^(1/eta)`` with C its column maxima,
@@ -535,8 +562,7 @@ class _Stage:
         The current kernel's U and V are folded into alpha and beta first.
         The fresh kernel has u = v = 1 and its drift and level bounds 0.
         """
-        if self.on_kernel:
-            self.alpha, self.beta = self.scalings()
+        self.alpha, self.beta = self.scalings()
         self.z_base = z
         self.on_kernel = False
         if not self.kernel_sized:
@@ -554,10 +580,14 @@ class _Stage:
         col_ratio = np.divide(z.T, C[:, None], out=np.empty((m, n)))  # rows of K_colT are z's columns
         self.K_colT = _truncated_power(col_ratio, self.eta, self.col_cut)
 
-    def column_fit(self) -> float:
-        """Take and keep the column multipliers of the stage's z; their criterion, in plan nats."""
+    def column_fit(self, dense_s: Optional[np.ndarray] = None) -> float:
+        """Take and keep the column multipliers of the stage's z; their criterion, in plan nats.
+
+        ``dense_s`` holds those of a z that ``z_step`` just made, which a
+        dense build keeps instead of taking them again.
+        """
         if not self.on_kernel:
-            self.s = column_multipliers(self.z_base, self.c, self.eta)
+            self.s = column_multipliers(self.z_base, self.c, self.eta) if dense_s is None else dense_s
             return _log_spread(self.s, self.eta)
         self.w = kernel_fit(self, 0)
         self.s = self.w / self.v
@@ -580,11 +610,8 @@ class _Stage:
         if not self.on_kernel:
             return self._dense_step(self.z_base, self.s if omega == 1.0 else self.s**omega)
         grow = omega * crit + self.slack
-        if omega == 1.0:  # v * s is w, up to rounding
-            fit, v = self.s, self.w
-        else:
-            fit = self.s**omega
-            v = self.v * fit
+        fit = self.s if omega == 1.0 else self.s**omega
+        v = self.w if omega == 1.0 else self.v * fit  # v * s is w, up to rounding
         if not self._fit_columns(v, grow):
             z = self.materialized()
             if np.array_equal(z, self.z_base):  # a rebuild would give this kernel again
@@ -620,18 +647,13 @@ class _Stage:
         return _log_level(multipliers) if bound > self.level_limit else bound
 
     def _dense_step(self, z: np.ndarray, s: np.ndarray) -> float:
-        """``z_step`` on z with the z-domain column fit s, folded into the scalings; then a build from its z."""
+        """``z_step`` on z with the z-domain column fit s, folded into the scalings, then a build from its z; the next criterion."""
         z_next, t, s_next = z_step(z, s, self.r, self.c, self.eta)
-        alpha, beta = self.scalings()
         # Not in place: the alpha and beta a stage starts from may be a stage end ``solve`` keeps.
-        self.alpha, self.beta = alpha * t, beta / s
-        self.on_kernel = False  # folded
+        self.alpha, self.beta = self.alpha * t, self.beta / s
         self.before = (z, z_next)
-        self._build(z_next)
-        if self.on_kernel:
-            return self.column_fit()
-        self.s = s_next
-        return _log_spread(s_next, self.eta)
+        self._build(z_next)  # folds a kernel's U and V, as z is theirs
+        return self.column_fit(s_next)
 
     def unmoved(self) -> bool:
         """Whether the last step left z bit for bit where it was.
@@ -768,12 +790,15 @@ def solve(
     Steps: form b = exp(a) (negating a first for minimization), apply the
     preliminary row equilibration, initialize z = bhat, then per stage
     iterate ``z_step`` until the criterion measured on the post-step plan
-    drops below the stage tolerance.  After a stage's first 8 steps the
-    column fit is over-relaxed, s**omega in place of s, with omega set
-    from the contraction rate those steps show and dropped back to 1 if
-    the criterion stalls (see the module docstring); the criterion is
-    always that of the exact s, so stopping means what it does for the
-    plain iteration.  From the end of the second stage on, z, alpha and
+    drops below the stage tolerance.  The stage (``_Stage``) keeps the
+    column multipliers s of its z; each step takes omega and the last
+    criterion and returns the next criterion, so the loop itself handles
+    no multipliers.  After a stage's first 8 steps the column fit is
+    over-relaxed, s**omega in place of s, with omega set from the
+    contraction rate those steps show and dropped back to 1 if the
+    criterion stalls (see the module docstring); the criterion is always
+    that of the exact s, so stopping means what it does for the plain
+    iteration.  From the end of the second stage on, z, alpha and
     beta are extrapolated along the secant of the last two stage ends
     before the next stage starts (see ``_secant_prediction``); the first
     two stages start from z as the previous stage left it.  Each stage
@@ -786,12 +811,16 @@ def solve(
     with b the internal (sense-adjusted) coefficients.
 
     On problems with at least 4 rows and columns, each stage builds a
-    kernel of z^(1/eta) from the z it starts from and steps on it,
-    absorbing drift and level into rebuilt kernels (see the module
-    docstring); the iterates then agree with those of ``z_step`` under
-    the same omegas to rounding, and the per-stage iteration counts are
-    the same on the paper grids and the annealed desk problems.  z is
-    materialized for snapshots and at each stage end.  The plan is
+    kernel of z^(1/eta) from the z it starts from and steps on it in the
+    plan domain, absorbing drift and level into rebuilt kernels, and
+    holding z densely for one ``z_step`` where the target guard finds
+    the start too far from row-fit (see the module docstring).  The
+    iterates then agree with those of ``z_step`` under the same omegas to
+    rounding, and the per-stage iteration counts are the same on the
+    paper grids and the annealed desk problems.  The criterion is then
+    log(max s / min s) of the plan-domain column multipliers, equal to
+    the dense one up to rounding.  z is materialized for snapshots and at
+    each stage end.  The plan is
     z^(1/eta) with pow skipped on the entries whose power underflows to 0
     (``_plan``).
 

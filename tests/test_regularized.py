@@ -1133,7 +1133,7 @@ class TestDriftBounds:
     def test_the_slack_carries_over_from_the_z_domain(self, seed):
         # Cold Gaussian problems on which a slack of 64 ulp of the plan-nat
         # drift limit, max(1, delta / (2 eta)), is too small: the bounds
-        # fall below the exact spread or level by up to 2.4e-13 nats (seed
+        # fall below the exact spread or level by up to 2.6e-13 nats (seed
         # 15 is 46x35).  The slack in use is the z domain's, 64 ulp of
         # max(1, delta/2), taken to plan nats by 1/eta.
         rng = np.random.default_rng(seed)

@@ -28,3 +28,18 @@ def test_script_runs(tmp_path, script, args, headline):
     )
     assert proc.returncode == 0, proc.stderr
     assert headline in proc.stdout
+
+
+def test_count_sweep_compare_prints_the_moved_seeds_and_both_totals(tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text('{"total": 1000, "counts": {"1000": 500, "1001": 1}, "unconverged": []}')
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_count_sweep.py"), "--first", "1000", "--count", "2", "--compare", str(old)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("seed 1000: 500 -> ") and ", ratio " in lines[0]
+    assert lines[1].startswith("seed 1001: 1 -> ")
+    assert lines[2].startswith("2 of 2 moved; total 501 -> ")
