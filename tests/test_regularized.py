@@ -866,7 +866,9 @@ class TestShortlist:
         stage.v = np.exp(drift * stage.drift_limit * rng.uniform(size=m) - offset)
         stage.u[0], stage.v[0] = np.exp(offset), np.exp(drift * stage.drift_limit - offset)
         # The reference sums the plan z_base^(1/eta) v_j u_i in extended
-        # precision, so that its own roundings do not count.  A relative
+        # precision (np.longdouble, 64 mantissa bits on x86-64), so that its
+        # own roundings do not count: in doubles, the reference's pow alone
+        # is off by up to |log z_base| eps / 2 relative in z.  A relative
         # error e in the z domain, where the iteration lives, is e / eta in
         # the plan, so 4 ulp of z are 4 ulp / eta of the fit.
         eta_x = np.longdouble(eta)
