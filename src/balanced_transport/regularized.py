@@ -72,11 +72,11 @@ C the row and column maxima of z_base, the kernel stores
     K_row = (z_base / R[:, None])^(1/eta),   K_col = (z_base / C)^(1/eta),
 
 each zero where the ratio lies at or below its line's cutoff times
-e^-delta, one cutoff band lower, with delta =
+e^(-7 delta), a zero band of 7 cutoffs, with delta =
 (54 + ceil(log2 max(n, m))) * eta * ln 2, and the powered targets
 (r^eta / R)^(1/eta) and (c^eta / C)^(1/eta).  A row ratio moves only
 with V and a column ratio only with U, so while log(max v / min v) and
-log(max u / min u) stay at or below delta / (2 eta), every zeroed term is
+log(max u / min u) stay at or below 7 delta / eta, every zeroed term is
 also truncated by the dense kernel, and each fit is one matrix-vector
 product and one divide (``kernel_fit``), the form of Cuturi's Sinkhorn
 iteration (NeurIPS 2013)::
@@ -92,35 +92,36 @@ matrix-vector products, three divides and the criterion's two extremes,
 with no pow, instead of pow on every live cell twice; an over-relaxed
 step adds pow and a multiply on one vector.  It agrees with ``z_step``
 up to the order of summation and of the scalar products, and up to the
-rounding the levels add (below).  Drift is absorbed, not stepped
-around: a column fit that would break the drift bound on v materializes
-z, rebuilds the kernel from it and is retried there, and a row fit that
-breaks it on u materializes z and rebuilds the kernel, which gives the
-column multipliers.  Only a fit that a fresh kernel cannot take, with a
-log spread above delta / (2 eta) by itself, steps densely, by ``z_step``
-with the z-domain fit s^(omega eta), and the kernel is rebuilt from the
-step's z and takes its own column fit.  Kernel stages run on every
-problem with at least 4 rows and columns, whatever share of the cells
-is live, since a matrix-vector product costs the same at any share.
-Smaller problems step densely throughout, so their iterates are
-``z_step``'s bit for bit, as the tests of the 3x3 paper example require;
-a kernel step would cost about 0.4x of a dense one there.
+rounding the levels add (below).  Kernel stages run on every problem
+with at least 4 rows and columns, whatever share of the cells is live,
+since a matrix-vector product costs the same at any share.  Smaller
+problems step densely throughout, so their iterates are ``z_step``'s bit
+for bit, as the tests of the 3x3 paper example require; a kernel step
+would cost about 0.4x of a dense one there.
 
-No maximum is factored out of u, v or the targets, so their size is
-bounded by their level, max |log M|, not by their spread.  A level guard
-(Schmitzer's absorption threshold) keeps the z-domain levels of U and V
-within a limit, ``max_level``, the smaller of two, which is
-max_level / eta in the plan nats u and v are measured in.  One is
-4 delta: every kept kernel entry is at least 2^-(2 (54 + k)),
-k = ceil(log2 max(n, m)), and every multiplier then lies within
-2^(+-4 (54 + k)), so every product of the two is at least
-2^-(6 (54 + k)), normal for any side below 2^116, and no sum overflows.
-The other is 2 nats: the exponent 1/eta is rounded, so a power
-M^(1/eta) carries a relative error up to |log M| eps / 2, about one ulp
-at 2 nats, into the fit.  The 2-nat limit binds only above eta of about
-0.012.  A column fit that would pass v's limit is refused like one that
-breaks its drift bound, and a row fit that passes u's limit is absorbed
-like one that breaks u's.
+One rule decides when a kernel is rebuilt, Schmitzer's absorption
+threshold on the multipliers' level max |log M|.  No maximum is factored
+out of u, v or the targets, so their size is bounded by their level, and
+a spread is at most twice the level.  The rule keeps the z-domain levels
+of U and V within ``max_level``, max_level / eta in the plan nats u and
+v are measured in, the smaller of two limits.  One is a quarter of the
+zero band, 7 delta / 4, so both spreads stay within half the band and
+every zeroed term stays truncated.  The other is 2 nats: the exponent
+1/eta is rounded, so a power M^(1/eta) carries a relative error up to
+|log M| eps / 2, about one ulp at 2 nats, into the fit.  The 2-nat limit
+binds only above eta of about 0.027.  The band and the limit also keep
+every product normal: with k = ceil(log2 max(n, m)), every kept kernel
+entry is at least 2^-(8 (54 + k)) and every multiplier lies within
+2^(+-7 (54 + k) / 4), so every product of the two is at least
+2^-(9.75 (54 + k)), normal for any side below 2^50, and no sum
+overflows.  A level past the limit is absorbed, not stepped around: a
+column fit that would put v past it materializes z, rebuilds the kernel
+from it and is retried there, and a row fit that puts u past it
+materializes z and rebuilds the kernel, which gives the column
+multipliers.  Only a fit that a fresh kernel cannot take, with a level
+past the limit by itself, steps densely, by ``z_step`` with the z-domain
+fit s^(omega eta), and the kernel is rebuilt from the step's z and takes
+its own column fit.
 
 A target guard holds the powered targets to the same limit.  A build
 whose z-domain targets r^eta / R or c^eta / C have a level past
@@ -128,42 +129,30 @@ max_level could not power them in range, so it builds no kernel: it
 holds z densely until the next build, and the next step is a
 ``z_step``.  A build from a z whose rows are fit has its row targets in
 [1, m^eta], within the limit whenever eta log m <= 2, so the guard fires
-at a stage start whose z is far from row-fit at the stage's eta: on the
-desk problems the first stage's row-equilibrated start, and on the
-256x256 grid a cold single stage's.  The grid ladders never fire it.
+at a stage start whose z is far from row-fit at the stage's eta: the
+first stage's row-equilibrated start on the paper grids and the desk
+problems, and a cold single stage's.  On the paper grids and the
+benchmark's desk problems that is the only dense step.
 
-The two log spreads are not taken at every step but bounded from
-numbers the loop already has, each bound reset to 0 at every build.  The
-column fit f = s^omega moves v's spread by at most
-spread(f) = omega * crit, with crit the criterion already measured on s.
+The levels are not taken at every step but bounded from numbers the loop
+already has, each bound reset to 0 at every build.  The column fit
+f = s^omega moves v's level by at most spread(f) = omega * crit, with
+crit the criterion already measured on s, once min f <= 1 <= max f.
 When the z held before a kernel step has its rows fit exactly at this
-stage's eta, the plan's row sums after the column fit lie within
-[min f, max f] times r, the row fit within [1 / max f, 1 / min f], and
-u's spread also moves by at most spread(f) (the Hilbert-metric
-contraction of a row fit; Franklin and Lorenz, "On the scaling of
-multidimensional matrices", Linear Algebra Appl. 1989).  Every kernel
-step ends with a row fit, and an absorption or a dense step rebuilds
-from a z whose rows are fit, but a stage's first kernel starts from the
-last stage's z or its prediction, whose rows are fit at another eta or
-not at all.  So the first step on that kernel takes u's exact spread.
-Each bound also grows by a rounding slack per step: the z domain's
-64 ulp of max(1, delta/2), taken to plan nats by 1/eta.  The slack must
-carry over from the z domain, where the multipliers are rounded: 64 ulp
-of the plan-nat limit, max(1, delta / (2 eta)), is smaller by a factor
-2 / delta wherever delta/2 < 1 (about 50 at eta 1e-3), and on cold
-Gaussian desk problems at eta 1e-3 it let the bounds fall below the
-exact spread or level by up to 2.6e-13 nats.  Only a bound that passes
-its limit takes the exact spread, which then replaces it, so every
-decision is the one the exact checks would make.
-
-The two levels are bounded the same way, each bound reset to 0 at every
-build and grown by the same spread(f) plus slack per step.  When the z
-held before a step has its rows fit, the plan's column sums total
-sum(c), so min f <= 1 <= max f: every |log f_j|, and by the bracket
-above every |log| of the row fit, is at most spread(f).  A stage's first
-step takes both exact levels, and only a bound that passes the level
-limit takes the exact level again, so the level guard, too, decides as
-exact checks at every step would.
+stage's eta, the plan's column sums total sum(c), so that holds, and the
+plan's row sums after the column fit lie within [min f, max f] times r:
+the row fit lies within [1 / max f, 1 / min f], and u's level also moves
+by at most spread(f) (the Hilbert-metric contraction of a row fit;
+Franklin and Lorenz, "On the scaling of multidimensional matrices",
+Linear Algebra Appl. 1989).  Every kernel step ends with a row fit, and
+an absorption or a dense step rebuilds from a z whose rows are fit, but
+a stage's first kernel starts from the last stage's z or its prediction,
+whose rows are fit at another eta or not at all.  So a stage's first
+step takes both exact levels.  Each bound also grows by a rounding slack
+per step: the z domain's 64 ulp of max(1, max_level), taken to plan nats
+by 1/eta, since the multipliers are rounded in the z domain.  Only a
+bound that passes the limit takes the exact level, which then replaces
+it, so every decision is the one exact checks at every step would make.
 
 Annealing runs the iteration over a decreasing temperature ladder, and
 each colder stage starts from the potentials the last one reached: z
@@ -436,16 +425,18 @@ def z_step(
     return z_next, t, column_multipliers(z_next, c, eta)
 
 
-#: Rounding slack added to each drift and level bound per kernel step, in
-#: ulp of the larger of 1 and the z-domain drift limit delta/2, taken to
-#: plan nats by 1/eta (see ``_Stage``).
-_DRIFT_SLACK = 64 * np.finfo(float).eps
+#: Rounding slack added to each level bound per kernel step, in ulp of the
+#: larger of 1 and the z-domain level limit, taken to plan nats by 1/eta
+#: (see ``_Stage``).
+_LEVEL_SLACK = 64 * np.finfo(float).eps
 
-#: The stage kernel's limit on its multipliers' level max |log M| (see
-#: ``_Stage``): this multiple of the drift limit delta/2, which keeps every
-#: power and product normal, but at most this many nats, which keeps the
-#: rounding the level adds to a fit within about one ulp.
-_LEVEL_FACTOR = 8
+#: The stage kernel's zero band, in cutoffs: a ratio at or below its line's
+#: cutoff times e^(-_BAND delta) is stored as zero.  Its multipliers' level
+#: max |log M| is held to a quarter of the band, _BAND delta / 4, which
+#: keeps every zeroed term truncated and every power and product normal,
+#: but to at most _LEVEL_CAP nats, which keeps the rounding the level adds
+#: to a fit within about one ulp (see ``_Stage``).
+_BAND = 7
 _LEVEL_CAP = 2.0
 
 
@@ -463,9 +454,8 @@ def kernel_fit(stage: _Stage, axis: int) -> np.ndarray:
     (c^eta / C)^(1/eta).  This is ``own * target / (line sums of the
     plan)``, with ``own`` the stage's u or v, ``target`` r or c and the
     plan the materialized z raised to 1/eta, up to the order of summation
-    and of the scalar products, within the drift and level bounds and the
-    target guard (see ``_Stage``), which keep every power and product
-    normal.
+    and of the scalar products, within the level bounds and the target
+    guard (see ``_Stage``), which keep every power and product normal.
     """
     if axis == 1:
         return stage.row_target / stage.K_row.dot(stage.v)
@@ -496,47 +486,52 @@ class _Stage:
     (r^eta / R)^(1/eta) and (c^eta / C)^(1/eta), so that each fit of z is
     one matrix-vector product and one divide (see ``kernel_fit``): the row
     fit is the next u, and the column fit is w.  A ratio at or below its
-    line's cutoff times e^-delta is stored as zero.  A row ratio moves
-    only with V and a column ratio only with U, so while both
-    log(max u / min u) and log(max v / min v) are at most delta / (2 eta),
-    every zeroed term stays at or below its cutoff, and the dense kernel
-    drops it too.
+    line's cutoff times e^(-F delta) is stored as zero, with F = ``_BAND``
+    (7) cutoffs, delta = (54 + k) * eta * ln 2 and k = ceil(log2 max(n, m)).
+    A row ratio moves only with V and a column ratio only with U, so while
+    both log(max u / min u) and log(max v / min v) are at most
+    F delta / eta, every zeroed term stays at or below its cutoff, and the
+    dense kernel drops it too.
 
-    Those two log spreads, in plan nats, are tracked by upper bounds,
-    ``u_drift`` and ``v_drift``, both 0 at a build.  A column fit f moves
-    v's spread by at most spread(f) = log(max f / min f).  When the z held
-    before a step has its rows fit exactly at the stage's eta, the row sums
-    of the plan after the column fit lie within [min f, max f] times r, so
-    the row fit lies in [1 / max f, 1 / min f] and u's spread also moves by
-    at most spread(f) (Franklin and Lorenz, "On the scaling of
-    multidimensional matrices", Linear Algebra Appl. 1989).  Each step
-    ends with a row fit, so this holds from the second step on, and from
-    the first on a kernel built from a row-fit z.  The stage's first
-    kernel is built from a z whose rows are not fit at this eta, so its
-    ``u_drift`` starts at infinity and the first step takes u's exact
-    spread.  The exact spread is taken only when a bound passes
-    ``drift_limit``, delta / (2 eta), and then replaces the bound.
-
-    The levels max |log u| and max |log v| bound the multipliers the fits
-    take, and are tracked the same way by ``u_level`` and ``v_level``
+    One bound decides every absorption: the levels max |log u| and
+    max |log v|, tracked by upper bounds ``u_level`` and ``v_level``
     against ``level_limit``, ``max_level / eta``, with ``max_level`` the
-    z-domain limit: the smaller of 4 delta, which keeps every product
-    normal, and 2 nats, which keeps the rounding a level adds to a fit
-    within about one ulp (see the module docstring).  With the rows fit,
-    min f <= 1 <= max f, so each level also moves by at most spread(f) per
-    step.  Both start at infinity, so a stage's first step takes both
-    exact levels.  The target guard holds the powered targets to the same
-    limit: a build whose z-domain targets r^eta / R or c^eta / C have a
-    level past ``max_level`` holds z densely until the next build, so the
-    next step is a ``z_step``.
+    z-domain limit, the smaller of F delta / 4 and 2 nats.  A spread is at
+    most twice the level, so the level limit keeps both spreads within
+    F delta / 2 and every zeroed term truncated.  It also keeps every
+    product normal.  Kept entries are at least 2^-((F + 1)(54 + k)) and
+    the multipliers lie within 2^(+-F (54 + k) / 4), so every product of
+    the two is at least 2^-((1.25 F + 1)(54 + k)), normal while
+    (1.25 F + 1)(54 + k) < 1022: at F = 7 for any side below 2^50.  The
+    2-nat cap keeps the rounding a level adds to a fit within about one
+    ulp (see the module docstring).
 
-    Drift and level are absorbed by a rebuild (``_build``) from the
-    materialized z.  A column fit that breaks either bound on v is retried
-    on the fresh kernel, and only a fit that a fresh kernel cannot take
-    steps densely, after which the kernel is rebuilt from the step's z and
-    takes its column fit.  A row fit that breaks either bound on u is kept,
-    and the column fit is taken on the rebuilt kernel.  Smaller problems
-    step densely throughout, with z_base the current z.
+    A column fit f moves v's level by at most spread(f) = log(max f / min f)
+    once min f <= 1 <= max f.  When the z held before a step has its rows
+    fit exactly at the stage's eta, the plan's column sums total sum(c),
+    so that holds, and the row sums of the plan after the column fit lie
+    within [min f, max f] times r, so the row fit lies in
+    [1 / max f, 1 / min f] and u's level also moves by at most spread(f)
+    (Franklin and Lorenz, "On the scaling of multidimensional matrices",
+    Linear Algebra Appl. 1989).  Each step ends with a row fit, so this
+    holds from the second step on, and from the first on a kernel built
+    from a row-fit z.  The stage's first kernel is built from a z whose
+    rows are not fit at this eta, so both bounds start at infinity and the
+    first step takes both exact levels.  Each bound is 0 at a build and
+    grows by spread(f) plus a rounding slack per step; the exact level is
+    taken only when a bound passes ``level_limit``, and then replaces it.
+    The target guard holds the powered targets to the same limit: a build
+    whose z-domain targets r^eta / R or c^eta / C have a level past
+    ``max_level`` holds z densely until the next build, so the next step is
+    a ``z_step``.
+
+    A level past the limit is absorbed by a rebuild (``_build``) from the
+    materialized z.  A column fit that puts v past it is retried on the
+    fresh kernel, and only a fit that a fresh kernel cannot take steps
+    densely, after which the kernel is rebuilt from the step's z and takes
+    its column fit.  A row fit that puts u past it is kept, and the column
+    fit is taken on the rebuilt kernel.  Smaller problems step densely
+    throughout, with z_base the current z.
     """
 
     def __init__(self, z: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float, alpha: np.ndarray, beta: np.ndarray):
@@ -547,20 +542,20 @@ class _Stage:
         self.on_kernel = False  # whether the current build is a kernel; none yet
         self.kernel_sized = min(z.shape) >= _KERNEL_MIN_SIDE
         col_cut, row_cut = _cutoff(z.shape[0], eta), _cutoff(z.shape[1], eta)
-        band = min(col_cut, row_cut)  # e^-delta
-        self.row_cut, self.col_cut = row_cut * band, col_cut * band  # one cutoff band lower
-        max_drift = -0.5 * math.log(band)  # delta/2
-        self.max_level = min(_LEVEL_FACTOR * max_drift, _LEVEL_CAP)
-        self.drift_limit, self.level_limit = max_drift / eta, self.max_level / eta
-        self.slack = _DRIFT_SLACK * max(1.0, max_drift) / eta
+        delta = (54 + (max(z.shape) - 1).bit_length()) * eta * math.log(2.0)  # -log min(col_cut, row_cut)
+        band = math.exp(-_BAND * delta)
+        self.row_cut, self.col_cut = row_cut * band, col_cut * band  # _BAND cutoffs lower
+        self.max_level = min(_BAND * delta / 4, _LEVEL_CAP)
+        self.level_limit = self.max_level / eta
+        self.slack = _LEVEL_SLACK * max(1.0, self.max_level) / eta
         self._build(z)
-        self.u_drift = self.u_level = self.v_level = np.inf  # z's rows are not fit at this eta
+        self.u_level = self.v_level = np.inf  # z's rows are not fit at this eta
 
     def _build(self, z: np.ndarray) -> None:
         """Hold z as z_base, on a fresh kernel unless the target guard holds it densely (``on_kernel``).
 
         The current kernel's U and V are folded into alpha and beta first.
-        The fresh kernel has u = v = 1 and its drift and level bounds 0.
+        The fresh kernel has u = v = 1 and its level bounds 0.
         """
         self.alpha, self.beta = self.scalings()
         self.z_base = z
@@ -574,7 +569,7 @@ class _Stage:
         self.on_kernel = True
         n, m = z.shape
         self.u, self.v = np.ones(n), np.ones(m)
-        self.u_drift = self.v_drift = self.u_level = self.v_level = 0.0
+        self.u_level = self.v_level = 0.0
         self.row_target, self.col_target = row_target ** (1.0 / self.eta), col_target ** (1.0 / self.eta)
         self.K_row = _truncated_power(z / R[:, None], self.eta, self.row_cut)
         col_ratio = np.divide(z.T, C[:, None], out=np.empty((m, n)))  # rows of K_colT are z's columns
@@ -604,7 +599,7 @@ class _Stage:
 
         ``crit`` is the kept multipliers' log spread in plan nats, up to
         rounding, so the column fit's spread is omega * crit, which the
-        drift and level bounds grow by.
+        level bounds grow by.
         """
         self.before = None
         if not self.on_kernel:
@@ -619,28 +614,20 @@ class _Stage:
             self._build(z)
             if not (self.on_kernel and self._fit_columns(fit, grow)):
                 return self._dense_step(z, fit**self.eta)
-        self.u = u = kernel_fit(self, 1)
-        self.u_drift = self._drift(self.u_drift + grow, u)
-        self.u_level = self._level(self.u_level + grow, u)
-        if self.u_drift > self.drift_limit or self.u_level > self.level_limit:
+        self.u = kernel_fit(self, 1)
+        self.u_level = self._level(self.u_level + grow, self.u)
+        if self.u_level > self.level_limit:
             self.before = (self.z_base, self.materialized())
             self._build(self.before[1])
         return self.column_fit()
 
     def _fit_columns(self, v: np.ndarray, grow: float) -> bool:
-        """Whether v takes the new column multipliers within its drift and level bounds; v moves only if so."""
-        v_drift = self._drift(self.v_drift + grow, v)
-        if v_drift > self.drift_limit:
-            return False
+        """Whether v takes the new column multipliers within its level bound; v moves only if so."""
         v_level = self._level(self.v_level + grow, v)
         if v_level > self.level_limit:
             return False
-        self.v, self.v_drift, self.v_level = v, v_drift, v_level
+        self.v, self.v_level = v, v_level
         return True
-
-    def _drift(self, bound: float, multipliers: np.ndarray) -> float:
-        """A grown drift bound, or the multipliers' exact log spread once it passes the drift limit."""
-        return _spread(multipliers) if bound > self.drift_limit else bound
 
     def _level(self, bound: float, multipliers: np.ndarray) -> float:
         """A grown level bound, or the multipliers' exact level once it passes the level limit."""
@@ -812,8 +799,8 @@ def solve(
 
     On problems with at least 4 rows and columns, each stage builds a
     kernel of z^(1/eta) from the z it starts from and steps on it in the
-    plan domain, absorbing drift and level into rebuilt kernels, and
-    holding z densely for one ``z_step`` where the target guard finds
+    plan domain, absorbing a level past its limit into a rebuilt kernel,
+    and holding z densely for one ``z_step`` where the target guard finds
     the start too far from row-fit (see the module docstring).  The
     iterates then agree with those of ``z_step`` under the same omegas to
     rounding, and the per-stage iteration counts are the same on the

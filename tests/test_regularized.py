@@ -461,6 +461,14 @@ class TestSolve:
         with pytest.raises(ValidationError):
             solve(small_problem, schedule, snapshot_stride=0)
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_a_temperature_whose_cutoff_underflows_solves(self, size):
+        # At eta 20 a line's cutoff 2^(-(54 + k) eta) is below the smallest
+        # subnormal and rounds to 0, so the stage's band and level limit
+        # must not be taken from its logarithm.
+        result = solve(generate_grid(GridSpec(size)), AnnealingSchedule(((20.0, 1e-2),)))
+        assert result.converged
+
     @pytest.mark.parametrize("shift", [-700.0, -720.0, -745.0])
     def test_shifted_weights_converge_or_raise_a_typed_error(self, small_problem, known_plan, shift):
         # exp(a - 720) is subnormal, and the stage-start column fit divides by
@@ -674,7 +682,7 @@ def _lockstep_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule
 
 
 def _count_kernel_traffic(monkeypatch):
-    """Counts kernel builds, V and U drift exits and dense steps of every solve that follows.
+    """Counts kernel builds, V and U level exits and dense steps of every solve that follows.
 
     A V exit is a column fit that a kernel refuses; a U exit is a step
     absorbed after its row fit, which records its ``before`` pair without
@@ -791,12 +799,13 @@ class TestShortlist:
             # One cold stage on a random problem, whose lines peak at many
             # scales.  Near step 580 its criterion sits on a plateau (1.70503)
             # that amplifies rounding about 3x per step, so two whole runs
-            # that sum their norms in different orders part there: solve and
-            # the materialized-fit reference end at 4445, and the z_step loop
-            # at 4446.  Each count is pinned, and solve is compared step by
-            # step with z_step taken from its own z.
+            # that sum their norms in different orders, or absorb at other
+            # steps, part there: solve ends at 4421, the materialized-fit
+            # reference at 4443 and the z_step loop at 4446.  Each count is
+            # pinned, and solve is compared step by step with z_step taken
+            # from its own z.
             (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
-             AnnealingSchedule(((1e-3, 1e-2),)), ((4445,), (4445,), (4446,))),
+             AnnealingSchedule(((1e-3, 1e-2),)), ((4421,), (4443,), (4446,))),
         ],
         ids=["grid64-annealed", "grid64-cold", "24x40-max", "32x32-min", "48x36-max", "24x40-cold"],
     )
@@ -832,11 +841,11 @@ class TestShortlist:
         st.integers(min_value=2, max_value=40),
         st.floats(min_value=-6.0, max_value=-1.0),
         st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_kernel_fits_match_the_dense_fits_within_the_bounds(self, n, m, log_eta, drift, level, seed):
+    def test_kernel_fits_match_the_dense_fits_within_the_bounds(self, n, m, log_eta, reach, level, seed):
         eta = 10.0**log_eta
         rng = np.random.default_rng(seed)
         # Plan-domain depths of up to 2000 nats: most cells fall far below the
@@ -851,20 +860,19 @@ class TestShortlist:
             patch.setattr(regularized, "_KERNEL_MIN_SIDE", 2)  # a kernel at every side drawn
             probe = regularized._Stage(z, np.ones(n), np.ones(m), eta, np.ones(n), np.ones(m))
             # Marginals whose targets r^eta / R and c^eta / C reach 99% of
-            # level times the level limit, within the target guard.
-            reach = 0.99 * level * probe.level_limit
+            # reach times the level limit, within the target guard.
+            reach = 0.99 * reach * probe.level_limit
             r = np.exp(np.log(z.max(axis=1)) / eta + reach * rng.uniform(-1.0, 1.0, size=n))
             c = np.exp(np.log(z.max(axis=0)) / eta + reach * rng.uniform(-1.0, 1.0, size=m))
             stage = regularized._Stage(z, r, c, eta, np.ones(n), np.ones(m))
         assert stage.on_kernel
-        # Row and column multipliers whose log spreads reach drift times the
-        # drift limit, offset in opposite directions so that their levels
-        # reach the level limit (or the drift limit, where that is larger)
-        # but stay within it.
-        offset = level * max(stage.level_limit - stage.drift_limit, 0.0)
-        stage.u = np.exp(drift * stage.drift_limit * rng.uniform(size=n) + offset)
-        stage.v = np.exp(drift * stage.drift_limit * rng.uniform(size=m) - offset)
-        stage.u[0], stage.v[0] = np.exp(offset), np.exp(drift * stage.drift_limit - offset)
+        # Row and column multipliers at levels up to level times the level
+        # limit, each with both extremes drawn, so that their log spreads
+        # reach twice that.
+        limit = level * stage.level_limit
+        stage.u = np.exp(limit * rng.uniform(-1.0, 1.0, size=n))
+        stage.v = np.exp(limit * rng.uniform(-1.0, 1.0, size=m))
+        stage.u[:2] = stage.v[:2] = np.exp([limit, -limit])
         # The reference sums the plan z_base^(1/eta) v_j u_i in extended
         # precision (np.longdouble, 64 mantissa bits on x86-64), so that its
         # own roundings do not count: in doubles, the reference's pow alone
@@ -934,9 +942,9 @@ class TestShortlist:
         found = []
 
         class Absorbing(regularized._Stage):
-            def _drift(self, bound, multipliers):
+            def _level(self, bound, multipliers):
                 # u's bound breaks at every row fit; v's is checked as usual.
-                return np.inf if multipliers is self.u else super()._drift(bound, multipliers)
+                return np.inf if multipliers is self.u else super()._level(bound, multipliers)
 
             def materialized(self):
                 z = super().materialized()
@@ -953,25 +961,40 @@ class TestShortlist:
 
     def test_grid64_annealed_build_and_dense_traffic(self, monkeypatch):
         # Each stage builds its kernel from the z it starts from.  Stage 0's
-        # first fit is too wide for a fresh kernel, so it alone steps
-        # densely, and the kernel is rebuilt from its z; every other exit
-        # of V's drift bound is absorbed by a rebuild.  U's bound never
-        # breaks here.
+        # start, the row-equilibrated z, has targets past the level limit,
+        # so the target guard holds it densely: it alone steps
+        # densely, and the kernel is rebuilt from its z.  One exit of V's
+        # level bound is absorbed by a rebuild.  U's bound never breaks here.
         counts = _count_kernel_traffic(monkeypatch)
         result = solve(generate_grid(GridSpec(64)), _DESK)
         assert result.iterations == 355
-        assert counts == {"builds": 12 + 1 + 8, "v_exits": 1 + 8, "u_exits": 0, "dense": 1}
+        assert counts == {"builds": 12 + 1 + 1, "v_exits": 1, "u_exits": 0, "dense": 1}
 
-    def test_a_u_drift_absorption_keeps_the_dense_iteration(self, monkeypatch):
-        # A 23x7 problem whose U bound breaks once, at a step whose V fit
-        # holds: the row fit is kept, z is materialized, and the column
-        # norms come from the rebuilt kernel.  Every step must still agree
+    def test_a_u_absorption_keeps_the_dense_iteration(self, monkeypatch):
+        # No problem tried breaks U's level bound on its own, so one break
+        # is forced: at step 100 of a 23x7 problem (stage 1's seventh),
+        # after a row fit whose V fit held.  The row fit is kept, z is materialized, and the column
+        # fit comes from the rebuilt kernel.  Every step must still agree
         # with z_step redone from that step's own z.
         counts = _count_kernel_traffic(monkeypatch)
+        steps = [0]
+
+        class Forced(regularized._Stage):
+            def step(self, omega, crit):
+                steps[0] += 1
+                return super().step(omega, crit)
+
+            def _level(self, bound, multipliers):
+                if steps[0] == 100 and multipliers is self.u:
+                    return np.inf
+                return super()._level(bound, multipliers)
+
+        monkeypatch.setattr(regularized, "_Stage", Forced)
         problem = random_problem(np.random.default_rng(1005), 23, 7)
         result, (outcome, stage_counts, crits, z) = _lockstep_solve(monkeypatch, problem, _DESK)
         assert result.iterations == 340
-        assert counts == {"builds": 12 + 1, "v_exits": 0, "u_exits": 1, "dense": 0}
+        # The stage-0 start is held densely by the target guard for one step.
+        assert counts == {"builds": 12 + 1 + 1, "v_exits": 0, "u_exits": 1, "dense": 1}
         assert outcome == "converged" and stage_counts == result.stage_iterations
         assert np.max(np.abs(result.final_z - z) / z) <= 1e-12
         assert np.max(np.abs(np.array(result.trace.criteria) - crits)) <= 1e-10
@@ -993,6 +1016,25 @@ class TestShortlist:
         assert counts["builds"] >= 12
         assert counts["steps"] > result.iterations // 2
 
+    def test_the_zero_band_keeps_every_product_normal(self):
+        # With F = _BAND and k = ceil(log2 max(n, m)), kept kernel entries
+        # are at least 2^-((F + 1)(54 + k)) and the multipliers lie within
+        # 2^(+-F (54 + k) / 4), so every product is normal while
+        # (1.25 F + 1)(54 + k) < 1022: at F = 7 for any side below 2^50.
+        # Checked for sides up to 2^31, so a band past 8 fails here.
+        assert (1.25 * regularized._BAND + 1) * (54 + 31) < 1022
+        eta, bits = 1e-3, 54 + 6  # 40 rows: k = 6
+        z = np.exp(eta * np.random.default_rng(0).uniform(-5000.0, 0.0, size=(40, 24)))
+        k = np.arange(40)
+        z[k, k % 24] = 1.0  # every line peaks at 1, so the targets r^eta / R and c^eta / C are 1
+        stage = regularized._Stage(z, np.ones(40), np.ones(24), eta, np.ones(40), np.ones(24))
+        assert stage.on_kernel
+        assert stage.max_level == pytest.approx(regularized._BAND * bits * eta * math.log(2) / 4, rel=1e-12)
+        floor = 2.0 ** -((regularized._BAND + 1) * bits)
+        for kernel in (stage.K_row, stage.K_colT):
+            kept = kernel[kernel > 0]
+            assert kept.size < kernel.size and kept.min() >= floor
+
     def test_the_level_guard_keeps_extreme_problems_free_of_exceptions(self, monkeypatch):
         # Marginals at 10^+-150 and weights up to about 300 put the
         # multipliers' level far from 1 at a stage's first step, and U and V
@@ -1005,34 +1047,48 @@ class TestShortlist:
             solve(problem, schedule, max_iters=300)
         assert counts["levels_past"] > 0
 
-    def test_a_level_past_the_limit_is_absorbed_not_overflowed(self):
-        # v at zero spread and a level past the level limit that still fits
-        # in a double: the drift bound lets it pass, the level bound does
-        # not, so the column fit is retried on a kernel rebuilt from z,
-        # which cannot take it either, and z steps densely.
+    def test_a_level_past_the_limit_is_absorbed_not_overflowed(self, monkeypatch):
+        # A start whose rows are fit, so that the target guard lets it onto
+        # the kernel, with u below 1 at a level past the level limit that
+        # still fits in a double.  The column fit w carries u's level, so
+        # the kernel refuses it, and z is materialized and the kernel
+        # rebuilt from it.  With v at a matching level above 1, z stays
+        # near its base and the fresh kernel takes the fit; with v at 1, z's
+        # targets carry u's level, the target guard holds the rebuild, and
+        # z steps densely.
+        dense, z_step_ = [0], regularized.z_step
+
+        def counting(*args):
+            dense[0] += 1
+            return z_step_(*args)
+
+        monkeypatch.setattr(regularized, "z_step", counting)
         rng = np.random.default_rng(7)
         eta = 1e-2
         problem = random_problem(rng, 6, 5)
-        z = row_equilibrate(np.exp(problem.weights))[0]
         r, c = problem.row_marginals, problem.col_marginals
-        stage = regularized._Stage(z, r, c, eta, np.ones(6), np.ones(5))
-        assert stage.on_kernel
-        level = 1.5 * stage.level_limit
-        assert level == pytest.approx(1.5 * stage.max_level / eta) and level < math.log(np.finfo(float).max)
-        stage.v = np.full(5, math.exp(level))
-        stage.u_drift = stage.v_drift = stage.u_level = 0.0
-        stage.v_level = level
-        z_held, base = stage.materialized(), stage.z_base
-        with np.errstate(all="raise"):
-            crit = stage.column_fit()
-            fit = _z_domain_fit(stage, 1.0)
-            crit_next = stage.step(1.0, crit)
-        assert stage.z_base is not base  # rebuilt
-        assert stage.on_kernel and regularized._log_level(stage.v) <= stage.level_limit
-        z_ref, _, s_ref = z_step(z_held, fit, r, c, eta)
-        assert np.max(np.abs(stage.materialized() - z_ref) / z_ref) <= 1e-12
-        assert np.max(np.abs(stage.s**eta - s_ref) / s_ref) <= 1e-12
-        assert crit_next == pytest.approx(criterion(s_ref, eta), rel=1e-10)
+        z = row_equilibrate(np.exp(problem.weights))[0]
+        z = z_step(z, column_multipliers(z, c, eta), r, c, eta)[0]
+        for u_level, v_level, dense_steps in ((-1.4, 1.5, 0), (-1.5, 0.0, 1)):
+            dense[0] = 0
+            stage = regularized._Stage(z, r, c, eta, np.ones(6), np.ones(5))
+            assert stage.on_kernel
+            assert 1.5 * stage.level_limit < math.log(np.finfo(float).max)
+            stage.u = np.full(6, math.exp(u_level * stage.level_limit))
+            stage.v = np.full(5, math.exp(v_level * stage.level_limit))
+            stage.u_level = stage.v_level = 1.5 * stage.level_limit
+            z_held, base = stage.materialized(), stage.z_base
+            with np.errstate(all="raise"):
+                crit = stage.column_fit()
+                assert regularized._log_level(stage.w) > stage.level_limit
+                fit = _z_domain_fit(stage, 1.0)
+                crit_next = stage.step(1.0, crit)
+            assert stage.z_base is not base and dense[0] == dense_steps  # rebuilt
+            assert stage.on_kernel and regularized._log_level(stage.v) <= stage.level_limit
+            z_ref, _, s_ref = z_step(z_held, fit, r, c, eta)
+            assert np.max(np.abs(stage.materialized() - z_ref) / z_ref) <= 1e-12
+            assert np.max(np.abs(stage.s**eta - s_ref) / s_ref) <= 1e-12
+            assert crit_next == pytest.approx(criterion(s_ref, eta), rel=1e-10)
 
     def test_the_target_guard_holds_a_far_start_densely(self, monkeypatch):
         # A cold stage's row-equilibrated start is far from row-fit at eta
@@ -1104,8 +1160,6 @@ def _assert_the_bounds_hold(problem: OTProblem, schedule: AnnealingSchedule) -> 
         def step(self, *args):
             stepped = super().step(*args)
             if self.on_kernel:
-                assert self.u_drift >= regularized._spread(self.u)
-                assert self.v_drift >= regularized._spread(self.v)
                 assert self.u_level >= regularized._log_level(self.u)
                 assert self.v_level >= regularized._log_level(self.v)
             return stepped
@@ -1117,7 +1171,7 @@ def _assert_the_bounds_hold(problem: OTProblem, schedule: AnnealingSchedule) -> 
 
 
 class TestDriftBounds:
-    """The kernel's drift checks run on running upper bounds, exactly only past delta/2."""
+    """The kernel's level checks run on running upper bounds, exactly only past the level limit."""
 
     @given(
         st.integers(min_value=4, max_value=49),
@@ -1133,11 +1187,13 @@ class TestDriftBounds:
 
     @pytest.mark.parametrize("seed", [10, 15, 25])
     def test_the_slack_carries_over_from_the_z_domain(self, seed):
-        # Cold Gaussian problems on which a slack of 64 ulp of the plan-nat
-        # drift limit, max(1, delta / (2 eta)), is too small: the bounds
-        # fall below the exact spread or level by up to 2.6e-13 nats (seed
-        # 15 is 46x35).  The slack in use is the z domain's, 64 ulp of
-        # max(1, delta/2), taken to plan nats by 1/eta.
+        # Cold Gaussian problems at eta 1e-3 (seed 15 is 46x35) on which a
+        # running bound on the log spread, grown with a slack of 64 ulp of
+        # the plan-nat limit, fell below the exact spread by up to 2.6e-13
+        # nats.  Level bounds are looser: on these, and on 160 cold and 60
+        # laddered seeds, they hold even with no slack.  The slack in use
+        # is the z domain's, 64 ulp of max(1, max_level), taken to plan
+        # nats by 1/eta.
         rng = np.random.default_rng(seed)
         n, m = (int(k) for k in rng.integers(4, 50, size=2))
         _assert_the_bounds_hold(random_problem(rng, n, m, MAXIMIZE, gaussian=True),
@@ -1151,18 +1207,18 @@ class TestDriftBounds:
             (lambda: random_problem(np.random.default_rng(2), 32, 32, MINIMIZE, gaussian=True), _DESK, None),
             (lambda: random_problem(np.random.default_rng(3), 48, 36, gaussian=True), _DESK, None),
             (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
-             AnnealingSchedule(((1e-3, 1e-2),)), (4445,)),
+             AnnealingSchedule(((1e-3, 1e-2),)), (4421,)),
             (lambda: random_problem(np.random.default_rng(1078), 23, 32, gaussian=True), _DESK, (238,)),
         ],
         ids=["grid64-annealed", "24x40-max", "32x32-min", "48x36-max", "24x40-cold", "23x32-1078"],
     )
     def test_bitwise_equal_to_exact_checks_every_step(self, monkeypatch, problem, schedule, pinned):
         # An infinite slack passes every bound at once, so each step takes
-        # both exact spreads, as the checks did before they had bounds.
+        # both exact levels, as the checks did before they had bounds.
         problem = problem()
         result = solve(problem, schedule)
         with monkeypatch.context() as patch:
-            patch.setattr(regularized, "_DRIFT_SLACK", np.inf)
+            patch.setattr(regularized, "_LEVEL_SLACK", np.inf)
             exact = solve(problem, schedule)
         if pinned is not None:
             assert result.stage_iterations[:len(pinned)] == pinned
@@ -1188,26 +1244,26 @@ class TestDriftBounds:
         assert counts == [672, 618, 1008, 494, 395, 200, 617, 750, 240, 504, 300, 262,
                           826, 453, 349, 609, 537, 650, 735, 483, 309, 324, 568, 462]  # 12,365 steps
 
-    def test_grid64_annealed_exact_spread_traffic(self, monkeypatch):
-        # The kernel's exact drift checks are the log spreads ``_drift``
-        # takes once a bound passes the drift limit.  Taken at every kernel
-        # step they are two per step (717); the bounds leave 24, 12 of them
-        # the first step of each stage, whose z's rows are not fit at the
-        # stage's eta.
+    def test_grid64_annealed_exact_level_traffic(self, monkeypatch):
+        # The kernel's exact level checks are the levels ``_level`` takes
+        # once a bound passes the level limit.  Taken at every kernel step
+        # they are two per step, plus one per refused column fit (709); the
+        # bounds leave 33, 22 of them the two of each stage's first kernel
+        # step but stage 0's, whose z's rows are not fit at the stage's eta.
         calls = [0]
 
         class Counting(regularized._Stage):
-            def _drift(self, bound, multipliers):
-                calls[0] += bound > self.drift_limit
-                return super()._drift(bound, multipliers)
+            def _level(self, bound, multipliers):
+                calls[0] += bound > self.level_limit
+                return super()._level(bound, multipliers)
 
         monkeypatch.setattr(regularized, "_Stage", Counting)
         solve(generate_grid(GridSpec(64)), _DESK)
-        assert calls[0] == 24
+        assert calls[0] == 33
         calls[0] = 0
-        monkeypatch.setattr(regularized, "_DRIFT_SLACK", np.inf)
+        monkeypatch.setattr(regularized, "_LEVEL_SLACK", np.inf)
         solve(generate_grid(GridSpec(64)), _DESK)
-        assert calls[0] == 717
+        assert calls[0] == 709
 
 
 class TestOverRelaxation:
