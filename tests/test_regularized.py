@@ -646,9 +646,9 @@ def _z_domain_fit(stage, omega: float) -> np.ndarray:
 def _materialized_norm_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule):
     """solve with each kernel fit taken from power_norm of the materialized z.
 
-    The drift and level bounds, the fallbacks and the rebuilds stay
-    solve's own, so this reference differs from solve only in how each
-    fit is summed and rounded.
+    The level bounds, the fallbacks and the rebuilds stay solve's own, so
+    this reference differs from solve only in how each fit is summed and
+    rounded.
     """
     with monkeypatch.context() as patch:
         patch.setattr(regularized, "kernel_fit", _dense_fit)
@@ -973,9 +973,10 @@ class TestShortlist:
     def test_a_u_absorption_keeps_the_dense_iteration(self, monkeypatch):
         # No problem tried breaks U's level bound on its own, so one break
         # is forced: at step 100 of a 23x7 problem (stage 1's seventh),
-        # after a row fit whose V fit held.  The row fit is kept, z is materialized, and the column
-        # fit comes from the rebuilt kernel.  Every step must still agree
-        # with z_step redone from that step's own z.
+        # after a row fit whose V fit held.  The row fit is kept, z is
+        # materialized, and the column fit comes from the rebuilt kernel.
+        # Every step must still agree with z_step redone from that step's
+        # own z.
         counts = _count_kernel_traffic(monkeypatch)
         steps = [0]
 
