@@ -9,14 +9,17 @@ odd seeds minimize.  Each problem is solved on the 12-stage x1.5 ladder
 to eta 1e-4 with a budget of 20,000 steps per stage.
 
 Prints one JSON object: the total step count, the per-problem counts
-keyed by seed, and the seeds whose solve did not converge.  The default
+keyed by seed, the same two for row fits (steps plus the mixed steps
+undone and redone, ``SolveResult.stage_fits``), and the seeds whose
+solve did not converge.  The default
 seeds 1000-1239 are the 240-problem sweep whose counts the change log
 quotes; iteration counts are deterministic, so a change that moves one
 of them shows here.
 
 With ``--compare OLD.json``, OLD.json being this script's output from
 another commit, it prints instead one line per seed whose count moved,
-with its old count, new count and their ratio, then both totals:
+with its old count, new count and their ratio, then both totals, and
+the same for row fits when OLD.json has them:
 
     python scripts/run_count_sweep.py > old.json        # on the old commit
     python scripts/run_count_sweep.py --compare old.json
@@ -54,24 +57,31 @@ def main() -> int:
     args = parser.parse_args()
 
     schedule = make_schedule(1e-4, 12, 1.5, 1e-2)
-    counts, unconverged = {}, []
+    counts, fits, unconverged = {}, {}, []
     for seed in range(args.first, args.first + args.count):
         result = solve(sweep_problem(seed), schedule, max_iters=20_000)
         counts[str(seed)] = result.iterations
+        fits[str(seed)] = sum(result.stage_fits)
         if not result.converged:
             unconverged.append(seed)
-    total = sum(counts.values())
     if args.compare is None:
-        print(json.dumps({"total": total, "counts": counts, "unconverged": unconverged}, indent=1))
+        print(json.dumps({"total": sum(counts.values()), "counts": counts, "fits_total": sum(fits.values()),
+                          "fits": fits, "unconverged": unconverged}, indent=1))
         return 0
     old = json.loads(args.compare.read_text())
-    moved = [seed for seed in counts if seed in old["counts"] and old["counts"][seed] != counts[seed]]
-    for seed in moved:
-        before, after = old["counts"][seed], counts[seed]
-        print(f"seed {seed}: {before} -> {after} steps, ratio {after / before:.4f}")
-    old_total = sum(old["counts"][seed] for seed in counts if seed in old["counts"])
-    print(f"{len(moved)} of {len(counts)} moved; total {old_total} -> {total} steps")
+    compare(old["counts"], counts, "steps")
+    if "fits" in old:
+        compare(old["fits"], fits, "fits")
     return 0
+
+
+def compare(old: dict, new: dict, unit: str) -> None:
+    """Print each seed whose count moved from ``old`` to ``new``, then both totals."""
+    moved = [seed for seed in new if seed in old and old[seed] != new[seed]]
+    for seed in moved:
+        print(f"seed {seed}: {old[seed]} -> {new[seed]} {unit}, ratio {new[seed] / old[seed]:.4f}")
+    old_total = sum(old[seed] for seed in new if seed in old)
+    print(f"{len(moved)} of {len(new)} moved; total {old_total} -> {sum(new.values())} {unit}")
 
 
 if __name__ == "__main__":

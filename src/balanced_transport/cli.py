@@ -102,6 +102,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "converged": result.converged,
         "iterations_per_stage": list(result.stage_iterations),
         "iterations_total": result.iterations,
+        "fits_per_stage": list(result.stage_fits),
         "final_criterion": result.final_criterion,
         "objective_value": result.plan.objective(problem),
         "duality_gap": report_plan.duality_gap if report_plan is not None else None,

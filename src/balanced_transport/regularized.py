@@ -30,29 +30,55 @@ side below 4 each stage (``_Stage``) runs this loop::
 ``z_step`` returns the column multipliers of the new z alongside it, so
 each norm is computed once per step: ``s`` is both the stopping
 measurement of the step just taken and the column fit of the next one.
-The stage keeps s; ``solve`` hands each step only omega and the last
-criterion and takes the next criterion back.  Larger problems run the
-same loop on a stage kernel (below), which takes the same fits in the
-plan domain by matrix-vector products.
+The stage keeps s; a stage-local rule (``_Mixer``) hands each step the
+column scaling to apply and a bound on its level and takes the next
+criterion back.  Larger problems run the same loop on a stage kernel
+(below), which takes the same fits in the plan domain by matrix-vector
+products.
 
-The column fit is over-relaxed.  Each stage takes 8 plain steps
-(omega = 1), estimates the criterion's contraction rate as
-theta = (crit_8 / crit_4)^(1/4), and for the rest of the stage fits the
-columns by s^omega with omega = min(1.9, 2 / (1 + sqrt(1 - theta))), or
-1 when theta >= 1 (Lehmann, von Renesse, Sambale and Uschmajew, "A note
-on overrelaxation in the Sinkhorn algorithm", Optim. Lett. 2022).  The
-row fit stays exact, and the criterion is still measured on the exact
-column multipliers s of the post-step z, which ``z_step`` returns
-whatever column fit it was given.  So a stage stops on the same
-condition as the plain iteration, the criterion is still the Hilbert
-distance of the plan's column sums to c, and x = (alpha b / beta)^(1/eta)
-still holds with beta divided by the fit as applied, s^omega, which the
-stage folds in with its other multipliers (below).  As a safeguard, a
-criterion that is not below its value 10 steps earlier while omega > 1
-drops omega to 1 for the rest of the stage (Thibault, Chizat, Dossal and
-Papadakis, "Overrelaxed Sinkhorn-Knopp algorithm for regularized optimal
-transport", Algorithms 2021).  On the paper grids and the desk problems
-this takes about a third fewer steps than the plain iteration.
+The column fit is over-relaxed, and on problems with at least 4 rows and
+columns also mixed.  Each stage takes 8 plain steps (omega = 1),
+estimates the criterion's contraction rate as
+theta = (crit_8 / crit_4)^(1/4), and sets omega = min(1.9,
+2 / (1 + sqrt(1 - theta))), or 1 when theta >= 1 (Lehmann, von Renesse,
+Sambale and Uschmajew, "A note on overrelaxation in the Sinkhorn
+algorithm", Optim. Lett. 2022).  The relaxed step fits the columns by
+s^omega.  As a safeguard, a criterion that is not below its value 10
+steps earlier while omega > 1 drops omega to 1 for the rest of the stage
+(Thibault, Chizat, Dossal and Papadakis, "Overrelaxed Sinkhorn-Knopp
+algorithm for regularized optimal transport", Algorithms 2021).  A
+problem with a side below 4 takes only relaxed steps, so its iterates
+are those of a loop over ``z_step`` bit for bit.
+
+On larger problems the first step after the probe is relaxed, and each
+later step mixes at depth 1 (Anderson, J. ACM 1965; Walker and Ni, SIAM
+J. Numer. Anal. 2011) in plan nats.  With f = log s (log(s) / eta on a
+dense build), dF = f - f_prev and x_prev the log scaling the last step
+applied, gamma = dF.f / dF.dF, and the step applies the column scaling
+exp(x), x = omega f - gamma (x_prev + omega dF).  Once the rows are fit,
+min s <= 1 <= max s, so max |f| <= crit, and the level bounds (below)
+grow by |omega (1 - gamma)| crit + |gamma omega| crit_prev + |gamma| b,
+with b the last step's bound.  A mixed step is tried only when
+gamma < 1, so that x keeps a positive weight on f (a step with gamma
+near 1 barely moves, and on a plateau of the criterion such steps stall
+a stage), and when its level max |x| is one a fresh kernel can take.  It
+is kept if its criterion is below twice the stage's best so far;
+otherwise the stage's state is restored and the step is redone as the
+relaxed step (a rollback safeguard after Zhang, O'Donoghue and Boyd,
+"Globally convergent type-I Anderson acceleration for nonsmooth
+fixed-point iterations", SIAM J. Optim. 2020), and until a mixed step is
+kept again, one whose column fit the kernel refuses is not taken rather
+than absorbed by a rebuild.  The row fit stays exact, and the criterion
+is still measured on the exact column multipliers s of the post-step z,
+which ``z_step`` returns whatever column fit it was given.  So a stage
+stops on the same condition as the plain iteration, the criterion is
+still the Hilbert distance of the plan's column sums to c, and
+x = (alpha b / beta)^(1/eta) still holds with beta divided by the fit as
+applied, which the stage folds in with its other multipliers (below).  A
+step is a kept row fit: the trace records one criterion per kept step
+and ``max_iters`` counts them, while ``SolveResult.stage_fits`` counts
+every row fit, undone ones included.  On the benchmark's desk problems
+the rule takes about a third of the relaxed rule's row fits.
 
 On problems with at least 4 rows and columns a stage (``_Stage``) runs on
 a kernel of the powered matrix, the stabilized scaling of Schmitzer (SIAM
@@ -87,10 +113,11 @@ iteration (NeurIPS 2013)::
 The row fit gives the new u directly.  w is the v that fits the
 columns, so the column multipliers are s = w / v, (w / v)^eta in the z
 domain, the criterion is log(max s / min s), and the column fit moves v
-to v * s^omega, to w itself at omega = 1.  A plain step costs two
-matrix-vector products, three divides and the criterion's two extremes,
-with no pow, instead of pow on every live cell twice; an over-relaxed
-step adds pow and a multiply on one vector.  It agrees with ``z_step``
+to v * f for a column scaling f, to w itself for the plain fit f = s.  A
+plain step costs two matrix-vector products, three divides and the
+criterion's two extremes, with no pow, instead of pow on every live cell
+twice; an over-relaxed step adds pow and a multiply on one vector, and a
+mixed one a log, an exp and two small products.  It agrees with ``z_step``
 up to the order of summation and of the scalar products, and up to the
 rounding the levels add (below).  Kernel stages run on every problem
 with at least 4 rows and columns, whatever share of the cells is live,
@@ -119,9 +146,9 @@ column fit that would put v past it materializes z, rebuilds the kernel
 from it and is retried there, and a row fit that puts u past it
 materializes z and rebuilds the kernel, which gives the column
 multipliers.  Only a fit that a fresh kernel cannot take, with a level
-past the limit by itself, steps densely, by ``z_step`` with the z-domain
-fit s^(omega eta), and the kernel is rebuilt from the step's z and takes
-its own column fit.
+past the limit by itself, steps densely, by ``z_step`` with the fit in
+the z domain, f^eta, and the kernel is rebuilt from the step's z and
+takes its own column fit.
 
 A target guard holds the powered targets to the same limit.  A build
 whose z-domain targets r^eta / R or c^eta / C have a level past
@@ -135,16 +162,17 @@ problems, and a cold single stage's.  On the paper grids and the
 benchmark's desk problems that is the only dense step.
 
 The levels are not taken at every step but bounded from numbers the loop
-already has, each bound reset to 0 at every build.  The column fit
-f = s^omega moves v's level by at most spread(f) = omega * crit, with
-crit the criterion already measured on s, once min f <= 1 <= max f.
+already has, each bound reset to 0 at every build.  A column scaling f
+moves v's level by at most max |log f|, the bound each step is handed.
 When the z held before a kernel step has its rows fit exactly at this
-stage's eta, the plan's column sums total sum(c), so that holds, and the
-plan's row sums after the column fit lie within [min f, max f] times r:
-the row fit lies within [1 / max f, 1 / min f], and u's level also moves
-by at most spread(f) (the Hilbert-metric contraction of a row fit;
-Franklin and Lorenz, "On the scaling of multidimensional matrices",
-Linear Algebra Appl. 1989).  Every kernel step ends with a row fit, and
+stage's eta, the plan's row sums after the column fit lie within
+[min f, max f] times r: the row fit lies within [1 / max f, 1 / min f],
+and u's level also moves by at most max |log f| (the Hilbert-metric
+contraction of a row fit; Franklin and Lorenz, "On the scaling of
+multidimensional matrices", Linear Algebra Appl. 1989).  The plan's
+column sums then total sum(c), so min s <= 1 <= max s, and the relaxed
+fit f = s^omega has max |log f| <= omega * crit, with crit the criterion
+already measured on s.  Every kernel step ends with a row fit, and
 an absorption or a dense step rebuilds from a z whose rows are fit, but
 a stage's first kernel starts from the last stage's z or its prediction,
 whose rows are fit at another eta or not at all.  So a stage's first
@@ -339,7 +367,9 @@ class SolveResult:
 
     ``final_z`` is the raw iteration state the plan was extracted from
     (plan = final_z^(1/eta_final)); kept for debugging since the plan
-    itself may underflow where z is merely below 1.
+    itself may underflow where z is merely below 1.  ``stage_iterations``
+    counts each stage's steps and ``stage_fits`` its row fits: the steps
+    plus the mixed steps undone and redone (see ``solve``).
     """
 
     plan: TransportPlan
@@ -349,6 +379,7 @@ class SolveResult:
     stage_iterations: Tuple[int, ...]
     final_criterion: float
     final_z: Optional[np.ndarray] = None
+    stage_fits: Tuple[int, ...] = ()
 
     @property
     def iterations(self) -> int:
@@ -428,7 +459,7 @@ def z_step(
 #: Rounding slack added to each level bound per kernel step, in ulp of the
 #: larger of 1 and the z-domain level limit, taken to plan nats by 1/eta
 #: (see ``_Stage``).
-_LEVEL_SLACK = 64 * np.finfo(float).eps
+_LEVEL_SLACK = 64 * float(np.finfo(float).eps)
 
 #: The stage kernel's zero band, in cutoffs: a ratio at or below its line's
 #: cutoff times e^(-_BAND delta) is stored as zero.  Its multipliers' level
@@ -506,20 +537,19 @@ class _Stage:
     2-nat cap keeps the rounding a level adds to a fit within about one
     ulp (see the module docstring).
 
-    A column fit f moves v's level by at most spread(f) = log(max f / min f)
-    once min f <= 1 <= max f.  When the z held before a step has its rows
-    fit exactly at the stage's eta, the plan's column sums total sum(c),
-    so that holds, and the row sums of the plan after the column fit lie
-    within [min f, max f] times r, so the row fit lies in
-    [1 / max f, 1 / min f] and u's level also moves by at most spread(f)
-    (Franklin and Lorenz, "On the scaling of multidimensional matrices",
-    Linear Algebra Appl. 1989).  Each step ends with a row fit, so this
-    holds from the second step on, and from the first on a kernel built
-    from a row-fit z.  The stage's first kernel is built from a z whose
-    rows are not fit at this eta, so both bounds start at infinity and the
-    first step takes both exact levels.  Each bound is 0 at a build and
-    grows by spread(f) plus a rounding slack per step; the exact level is
-    taken only when a bound passes ``level_limit``, and then replaces it.
+    A column scaling f moves v's level by at most max |log f|.  When the z
+    held before a step has its rows fit exactly at the stage's eta, the
+    row sums of the plan after the column fit lie within [min f, max f]
+    times r, so the row fit lies in [1 / max f, 1 / min f] and u's level
+    also moves by at most max |log f| (Franklin and Lorenz, "On the
+    scaling of multidimensional matrices", Linear Algebra Appl. 1989).
+    Each step ends with a row fit, so this holds from the second step on,
+    and from the first on a kernel built from a row-fit z.  The stage's
+    first kernel is built from a z whose rows are not fit at this eta, so
+    both bounds start at infinity and the first step takes both exact
+    levels.  Each bound is 0 at a build and grows by the step's bound on
+    max |log f| plus a rounding slack per step; the exact level is taken
+    only when a bound passes ``level_limit``, and then replaces it.
     The target guard holds the powered targets to the same limit: a build
     whose z-domain targets r^eta / R or c^eta / C have a level past
     ``max_level`` holds z densely until the next build, so the next step is
@@ -594,20 +624,24 @@ class _Stage:
             return self.alpha, self.beta
         return self.alpha * self.u**self.eta, self.beta / self.v**self.eta
 
-    def step(self, omega: float, crit: float) -> float:
-        """``z_step`` with the kept column multipliers raised to omega, whose criterion is ``crit``: the next criterion.
+    def step(self, fit: np.ndarray, bound: float, absorb: bool = True) -> Optional[float]:
+        """``z_step`` with the column scaling ``fit`` applied to z: the next criterion.
 
-        ``crit`` is the kept multipliers' log spread in plan nats, up to
-        rounding, so the column fit's spread is omega * crit, which the
-        level bounds grow by.
+        ``fit`` is in the domain of the kept column multipliers ``s``: the
+        plan domain on a kernel and the z domain on a dense build, where
+        the scaling ``s`` itself is the plain fit.  ``bound`` bounds
+        max |log fit| in plan nats, and both level bounds grow by it.
+        Without ``absorb``, a column fit the kernel refuses is not taken:
+        the stage stays where it was and the step returns None.
         """
         self.before = None
         if not self.on_kernel:
-            return self._dense_step(self.z_base, self.s if omega == 1.0 else self.s**omega)
-        grow = omega * crit + self.slack
-        fit = self.s if omega == 1.0 else self.s**omega
-        v = self.w if omega == 1.0 else self.v * fit  # v * s is w, up to rounding
+            return self._dense_step(self.z_base, fit)
+        grow = bound + self.slack
+        v = self.w if fit is self.s else self.v * fit  # v * s is w, up to rounding
         if not self._fit_columns(v, grow):
+            if not absorb:
+                return None
             z = self.materialized()
             if np.array_equal(z, self.z_base):  # a rebuild would give this kernel again
                 return self._dense_step(z, fit**self.eta)
@@ -620,6 +654,14 @@ class _Stage:
             self.before = (self.z_base, self.materialized())
             self._build(self.before[1])
         return self.column_fit()
+
+    def save(self) -> dict:
+        """The stage's state, for ``restore``: its arrays are replaced, never changed in place."""
+        return self.__dict__.copy()
+
+    def restore(self, state: dict) -> None:
+        """Put the stage back where ``save`` found it."""
+        self.__dict__.update(state)
 
     def _fit_columns(self, v: np.ndarray, grow: float) -> bool:
         """Whether v takes the new column multipliers within its level bound; v moves only if so."""
@@ -735,6 +777,84 @@ def _relaxation(crits: List[float], omega: float) -> float:
     return omega
 
 
+class _Mixer:
+    """A stage's column-fit rule: the scaling each step applies, and whether a mixed step is kept.
+
+    Every step goes through ``_Stage.step``.  The relaxed step applies
+    s**omega, whose log level is at most omega * crit, with omega set by
+    ``_relaxation``.  On a stage with at least 4 rows and columns the
+    history starts at the first step after the probe, and from then on
+    each step mixes at depth 1 (Anderson; Walker and Ni, SIAM J. Numer.
+    Anal. 2011) in plan nats: with f = log s, dF = f - f_prev and x_prev
+    the log scaling the last step applied, gamma = dF.f / dF.dF and the
+    step applies exp(omega f - gamma (x_prev + omega dF)).  A mixed step
+    whose criterion is not below twice the stage's best is undone
+    (``_Stage.restore``) and redone as the relaxed step, and from then on
+    until one is kept a mixed step is tried only if the kernel takes it
+    without a rebuild.
+    ``crits`` holds the criteria of the kept steps, and ``fits`` counts
+    every row fit, undone ones included.  See the module docstring.
+    """
+
+    def __init__(self, stage: _Stage):
+        self.stage, self.crits, self.omega, self.best, self.fits = stage, [], 1.0, math.inf, 0
+        self.absorb = True  # whether a mixed step may rebuild the kernel: not right after an undone one
+        self.last: Optional[Tuple[float, float, float]] = None  # crit, f.f and bound of the last step
+        self.R, self.coef, self.now = np.zeros((3, len(stage.c))), np.empty(3), 0  # rows f, f_prev in turn; x_prev
+        self.rows, self.F = list(self.R), self.R[:2]
+
+    def step(self, crit: float) -> float:
+        """Take the stage's next step from its multipliers, whose criterion is ``crit``: the next criterion."""
+        stage, omega, stepped = self.stage, self.omega, None
+        mixing = stage.kernel_sized and len(self.crits) >= _PROBE_STEPS
+        if mixing:
+            now = 1 - self.now
+            f = np.log(stage.s, out=self.rows[now])
+            if not stage.on_kernel:
+                f /= stage.eta
+            dots = self.F.dot(f).tolist()
+            ff, fp = dots[now], dots[1 - now]
+            if self.last and ff - 2.0 * fp + self.last[1] > 0.0:  # dF.dF
+                stepped = self._mixed(now, crit, ff, fp)
+        if stepped is None:
+            fit, bound = (stage.s, crit) if omega == 1.0 else (stage.s**omega, omega * crit)
+            stepped = stage.step(fit, bound), bound
+            self.fits += 1
+            if mixing:
+                np.multiply(f, omega, out=self.rows[2])
+        if mixing:
+            self.now, self.last = now, (crit, ff, stepped[1])
+        self.crits.append(stepped[0])
+        self.best = min(self.best, stepped[0])
+        self.omega = _relaxation(self.crits, omega)
+        return stepped[0]
+
+    def _mixed(self, now: int, crit: float, ff: float, fp: float) -> Optional[Tuple[float, float]]:
+        """The mixed step from f in row ``now``, if kept: its criterion and its scaling's bound."""
+        stage, omega, (crit_prev, pp, bound_prev) = self.stage, self.omega, self.last
+        gamma = (ff - fp) / (ff - 2.0 * fp + pp)
+        if not gamma < 1.0:
+            return None  # the step would not move along the current fit f
+        a, b = omega * (1.0 - gamma), gamma * omega
+        self.coef[now], self.coef[1 - now], self.coef[2] = a, b, -gamma
+        x = self.coef.dot(self.R)
+        # max |f| <= crit once the rows are fit, since min s <= 1 <= max s.
+        bound = (abs(a) * crit + abs(b) * crit_prev + abs(gamma) * bound_prev) * (1.0 + 1e-12)
+        if bound > stage.level_limit and max(x.max(), -x.min()) > stage.level_limit:
+            return None  # past what a fresh kernel takes
+        saved = stage.save()
+        nxt = stage.step(np.exp(x if stage.on_kernel else x * stage.eta), bound, self.absorb)
+        if nxt is None:  # refused by the kernel while absorbing is off
+            return None
+        self.fits += 1
+        self.absorb = nxt < 2.0 * self.best  # whether the step is kept
+        if not self.absorb:
+            stage.restore(saved)
+            return None
+        self.rows[2][...] = x
+        return nxt, bound
+
+
 def _secant_prediction(
     z: np.ndarray,
     ends: List[Tuple[np.ndarray, np.ndarray]],
@@ -778,19 +898,25 @@ def solve(
     preliminary row equilibration, initialize z = bhat, then per stage
     iterate ``z_step`` until the criterion measured on the post-step plan
     drops below the stage tolerance.  The stage (``_Stage``) keeps the
-    column multipliers s of its z; each step takes omega and the last
-    criterion and returns the next criterion, so the loop itself handles
-    no multipliers.  After a stage's first 8 steps the column fit is
-    over-relaxed, s**omega in place of s, with omega set from the
-    contraction rate those steps show and dropped back to 1 if the
-    criterion stalls (see the module docstring); the criterion is always
-    that of the exact s, so stopping means what it does for the plain
-    iteration.  From the end of the second stage on, z, alpha and
+    column multipliers s of its z, and a stage-local rule (``_Mixer``)
+    hands each step the column scaling to apply and takes the next
+    criterion back, so the loop itself handles no multipliers.  After a
+    stage's first 8 steps the column fit is over-relaxed, s**omega in
+    place of s, with omega set from the contraction rate those steps show
+    and dropped back to 1 if the criterion stalls, and on problems with at
+    least 4 rows and columns it is then mixed at depth 1 with weight omega
+    (see the module docstring); the criterion is always that of the exact
+    s, so stopping means what it does for the plain iteration.  A step is
+    a kept row fit: the trace records one criterion per step, and
+    ``stage_iterations`` and ``max_iters`` count steps.  A mixed step
+    whose criterion is not below twice the stage's best is undone and
+    redone as the relaxed step, and ``stage_fits`` counts every row fit,
+    undone ones included.  From the end of the second stage on, z, alpha and
     beta are extrapolated along the secant of the last two stage ends
     before the next stage starts (see ``_secant_prediction``); the first
     two stages start from z as the previous stage left it.  Each stage
     owns alpha and beta while it runs, folding its step multipliers (the
-    column ones as applied, s**omega) into them at each kernel build and
+    column ones as applied) into them at each kernel build and
     each dense step; ``solve`` reads them from the stage at its end
     (``_Stage.scalings``) for the prediction and, after the last stage,
     returns them.  Together with the equilibration and the predictions'
@@ -801,17 +927,17 @@ def solve(
     kernel of z^(1/eta) from the z it starts from and steps on it in the
     plan domain, absorbing a level past its limit into a rebuilt kernel,
     and holding z densely for one ``z_step`` where the target guard finds
-    the start too far from row-fit (see the module docstring).  The
-    iterates then agree with those of ``z_step`` under the same omegas to
-    rounding, and the per-stage iteration counts are the same on the
-    paper grids and the annealed desk problems.  The criterion is then
+    the start too far from row-fit (see the module docstring).  Each step
+    then agrees with ``z_step`` from the same z under the same column
+    scaling to rounding; mixing amplifies that rounding, so a whole run
+    may part from a dense one.  The criterion is then
     log(max s / min s) of the plan-domain column multipliers, equal to
     the dense one up to rounding.  z is materialized for snapshots and at
     each stage end.  The plan is
     z^(1/eta) with pow skipped on the entries whose power underflows to 0
     (``_plan``).
 
-    ``max_iters`` bounds each stage; on an exhausted budget the iterate
+    ``max_iters`` bounds each stage's steps; on an exhausted budget the iterate
     reached is returned with ``converged=False``.  ``snapshot_stride``
     records the plan every that many iterations in ``trace.snapshots``.
     An overflow, division by zero or invalid operation while iterating
@@ -830,6 +956,7 @@ def solve(
     beta = np.ones(moma.m)
     trace = ConvergenceTrace()
     stage_iterations: List[int] = []
+    stage_fits: List[int] = []
     k_global = 0
     ends: List[Tuple[np.ndarray, np.ndarray]] = []
     t0 = time.perf_counter()
@@ -838,13 +965,11 @@ def solve(
             for k, (eta, tol) in enumerate(schedule.stages):
                 stage = _Stage(z, r, c, eta, alpha, beta)
                 crit = stage.column_fit()
-                crits: List[float] = []
-                omega = 1.0
+                mixer = _Mixer(stage)
                 while True:
                     crit_before = crit
-                    crit = stage.step(omega, crit)
+                    crit = mixer.step(crit)
                     k_global += 1
-                    crits.append(crit)
                     trace.record(k_global, eta, crit, time.perf_counter() - t0)
                     if snapshot_stride and k_global % snapshot_stride == 0:
                         trace.snapshots.append((k_global, _plan(stage.materialized(), eta)))
@@ -857,12 +982,12 @@ def solve(
                             f"updates no longer move z at eta={eta} while the criterion is {crit:.3g};"
                             " the temperature is below usable resolution"
                         )
-                    if len(crits) >= max_iters:
+                    if len(mixer.crits) >= max_iters:
                         break
-                    omega = _relaxation(crits, omega)
                 z = stage.materialized()
                 alpha, beta = stage.scalings()
-                stage_iterations.append(len(crits))
+                stage_iterations.append(len(mixer.crits))
+                stage_fits.append(mixer.fits)
                 converged = crit < tol  # else the stage's budget ran out
                 if not converged:
                     break
@@ -886,4 +1011,5 @@ def solve(
         stage_iterations=tuple(stage_iterations),
         final_criterion=float(crit),
         final_z=z,
+        stage_fits=tuple(stage_fits),
     )

@@ -65,6 +65,8 @@ class TestSolve:
         report = json.loads(report_path.read_text())
         assert report["converged"] is True
         assert len(report["iterations_per_stage"]) == 12
+        # The 3x3 example keeps the relaxed rule, so each step is one row fit.
+        assert report["fits_per_stage"] == report["iterations_per_stage"]
         assert report["final_criterion"] < 0.01
         assert report["objective_value"] >= 0.54
         assert report["duality_gap"] is not None
@@ -123,6 +125,19 @@ class TestSolve:
         plan = read_matrix_csv(plan_path)
         assert plan.shape == (1, 1)
         assert plan[0, 0] == pytest.approx(3.0, rel=1e-12)
+
+    def test_the_report_counts_row_fits_per_stage(self, tmp_path):
+        # A 16x16 grid mixes its column fits, and one mixed step of its
+        # first stage is undone and redone: 72 row fits for its 71 steps.
+        from balanced_transport import GridSpec, generate_grid
+
+        path, report_path = tmp_path / "grid.json", tmp_path / "report.json"
+        write_problem(generate_grid(GridSpec(16)), path)
+        assert main(["solve", str(path), "--schedule", "stages=12,factor=1.5,final=1e-4",
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["iterations_per_stage"] == [71, 12, 10, 4, 10, 4, 10, 9, 10, 5, 10, 10]
+        assert report["fits_per_stage"] == [72, 12, 10, 4, 10, 4, 10, 9, 10, 5, 10, 10]
 
     def test_budget_exhaustion_exits_two(self, problem_file):
         assert main(["solve", str(problem_file), "--eta", "1e-3", "--max-iters", "3"]) == 2

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from balanced_transport import (
@@ -541,25 +542,29 @@ class TestIterationCounts:
 
     def test_grid64_single_stage(self):
         result = solve(generate_grid(GridSpec(64)), AnnealingSchedule(((1e-3, 1e-2),)))
-        assert result.stage_iterations == (1453,)
+        assert result.stage_iterations == (452,)
+        assert result.stage_fits == (456,)
 
     def test_grid64_annealed(self):
         result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
-        assert result.stage_iterations == (201, 21, 9, 5, 10, 14, 11, 20, 28, 33, 1, 2)
+        assert result.stage_iterations == (138, 13, 2, 5, 8, 10, 9, 12, 10, 10, 10, 5)
+        assert result.stage_fits == (142, 13, 2, 5, 8, 10, 9, 12, 10, 10, 10, 5)
 
     def test_grid64_annealed_without_relaxation(self, monkeypatch):
-        # With omega held at 1 the column fit is the plain one, s**1.0 == s.
+        # With omega held at 1 the relaxed step is the plain one, s**1.0 == s,
+        # and the mixed steps mix with weight 1.
         monkeypatch.setattr(regularized, "_relaxation", lambda crits, omega: 1.0)
         result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
-        assert result.stage_iterations == (315, 28, 12, 4, 10, 17, 12, 27, 39, 52, 1, 4)
+        assert result.stage_iterations == (69, 12, 6, 9, 8, 10, 10, 10, 12, 12, 10, 3)
+        assert sum(result.stage_fits) == 181
 
     def test_grid64_annealed_norm_traffic(self, monkeypatch):
         # One column fit per stage start plus one column and one row fit
-        # per iteration, each through a module attribute that callers
-        # resolve: the dense power_norm (which the benchmark tracer wraps) or
-        # the stage kernel's kernel_fit.  The one dense step, stage 0's
-        # first, hands off to a kernel built from its z, which takes its
-        # own column fit: one more than the step's.
+        # per row fit taken, undone mixed steps included, each through a
+        # module attribute that callers resolve: the dense power_norm (which
+        # the benchmark tracer wraps) or the stage kernel's kernel_fit.  The
+        # one dense step, stage 0's first, hands off to a kernel built from
+        # its z, which takes its own column fit: one more than the step's.
         calls = {0: 0, 1: 0}
         norm, fit = regularized.power_norm, regularized.kernel_fit
 
@@ -574,15 +579,18 @@ class TestIterationCounts:
         monkeypatch.setattr(regularized, "power_norm", counting)
         monkeypatch.setattr(regularized, "kernel_fit", counting_kernel)
         result = solve(generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2))
-        assert calls == {0: result.iterations + 12 + 1, 1: result.iterations}
+        fits = sum(result.stage_fits)
+        assert fits == result.iterations + 4
+        assert calls == {0: fits + 12 + 1, 1: fits}
 
 
 def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int = 100_000,
                  plain: bool = False):
     """solve's iteration through z_step alone, comparing z itself for a freeze.
 
-    Each stage over-relaxes its column fit by solve's own rule, or, with
-    ``plain``, keeps omega at 1 throughout.  From the second stage's end
+    Each stage over-relaxes its column fit by the rule solve keeps on
+    problems with a side below 4, with no mixing, or, with ``plain``,
+    keeps omega at 1 throughout.  From the second stage's end
     on, the next stage starts from solve's own secant prediction.
 
     Returns (outcome, stage iterations, criteria, final z), with outcome
@@ -631,48 +639,36 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def _dense_fit(stage, axis: int) -> np.ndarray:
-    """``kernel_fit`` from the line sums of the materialized plan: own * target / sums."""
-    own, target = (stage.u, stage.r) if axis == 1 else (stage.v, stage.c)
-    return own * target / regularized._plan(stage.materialized(), stage.eta).sum(axis=axis)
-
-
-def _z_domain_fit(stage, omega: float) -> np.ndarray:
-    """The column fit a stage's next step applies, in the z domain, as ``z_step`` takes it."""
-    fit = stage.s if omega == 1.0 else stage.s**omega
+def _z_domain(stage, fit: np.ndarray) -> np.ndarray:
+    """A column scaling as ``_Stage.step`` takes it, in the z domain, as ``z_step`` takes it."""
     return fit**stage.eta if stage.on_kernel else fit
-
-
-def _materialized_norm_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule):
-    """solve with each kernel fit taken from power_norm of the materialized z.
-
-    The level bounds, the fallbacks and the rebuilds stay solve's own, so
-    this reference differs from solve only in how each fit is summed and
-    rounded.
-    """
-    with monkeypatch.context() as patch:
-        patch.setattr(regularized, "kernel_fit", _dense_fit)
-        return solve(problem, schedule)
 
 
 def _lockstep_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule):
     """solve, with each of its steps redone by z_step from the z that step started from.
 
-    Returns solve's result and, in ``_dense_solve``'s form, the outcome,
-    the criteria of the z_step redos and the last one's z.  Each redo
-    starts where solve stands, so rounding differences do not compound
-    from step to step, and each step's z must agree with its redo's.
+    Every step through ``_Stage.step``, kept or undone, is redone with the
+    z-domain column scaling it applied.  Returns solve's result and, in
+    ``_dense_solve``'s form, the outcome, the criteria of the kept steps'
+    redos and the last one's z.  Each redo starts where solve stands, so
+    rounding differences do not compound from step to step, and each
+    step's z must agree with its redo's.
     """
     crits, zs = [], []
 
     class Lockstep(regularized._Stage):
-        def step(self, omega, crit):
-            z, _, s_ref = z_step(self.materialized(), _z_domain_fit(self, omega), self.r, self.c, self.eta)
-            stepped = super().step(omega, crit)
-            assert np.max(np.abs(self.materialized() - z) / z) <= 1e-12
-            crits.append(criterion(s_ref, self.eta))
-            zs[:] = [z]
+        def step(self, fit, bound, absorb=True):
+            z, _, s_ref = z_step(self.materialized(), _z_domain(self, fit), self.r, self.c, self.eta)
+            stepped = super().step(fit, bound, absorb)
+            if stepped is not None:
+                assert np.max(np.abs(self.materialized() - z) / z) <= 1e-12
+                crits.append(criterion(s_ref, self.eta))
+                zs[:] = [z]
             return stepped
+
+        def restore(self, state):
+            super().restore(state)
+            crits.pop()
 
     with monkeypatch.context() as patch:
         patch.setattr(regularized, "_Stage", Lockstep)
@@ -701,9 +697,9 @@ def _count_kernel_traffic(monkeypatch):
             counts["v_exits"] += not fitted
             return fitted
 
-        def step(self, omega, crit):
+        def step(self, fit, bound, absorb=True):
             dense = counts["dense"]
-            stepped = super().step(omega, crit)
+            stepped = super().step(fit, bound, absorb)
             counts["u_exits"] += self.before is not None and counts["dense"] == dense
             return stepped
 
@@ -788,53 +784,37 @@ class TestShortlist:
     @pytest.mark.parametrize(
         "problem, schedule, pinned",
         [
-            (lambda: generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2), None),
-            (lambda: generate_grid(GridSpec(64)), AnnealingSchedule(((1e-3, 1e-2),)), None),
+            (lambda: generate_grid(GridSpec(64)), make_schedule(1e-4, 12, 1.5, 1e-2), (232, 236)),
+            (lambda: generate_grid(GridSpec(64)), AnnealingSchedule(((1e-3, 1e-2),)), (452, 456)),
             (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
-             make_schedule(1e-4, 12, 1.5, 1e-2), None),
+             make_schedule(1e-4, 12, 1.5, 1e-2), (318, 324)),
             (lambda: random_problem(np.random.default_rng(2), 32, 32, MINIMIZE, gaussian=True),
-             make_schedule(1e-4, 12, 1.5, 1e-2), None),
+             make_schedule(1e-4, 12, 1.5, 1e-2), (381, 384)),
             (lambda: random_problem(np.random.default_rng(3), 48, 36, gaussian=True),
-             make_schedule(1e-4, 12, 1.5, 1e-2), None),
+             make_schedule(1e-4, 12, 1.5, 1e-2), (465, 495)),
             # One cold stage on a random problem, whose lines peak at many
-            # scales.  Near step 580 its criterion sits on a plateau (1.70503)
-            # that amplifies rounding about 3x per step, so two whole runs
-            # that sum their norms in different orders, or absorb at other
-            # steps, part there: solve ends at 4421, the materialized-fit
-            # reference at 4443 and the z_step loop at 4446.  Each count is
-            # pinned, and solve is compared step by step with z_step taken
-            # from its own z.
+            # scales.  Its criterion sits on plateaus (1.70503, then 0.4678)
+            # where the relaxed rule alone takes 4421 steps.
             (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
-             AnnealingSchedule(((1e-3, 1e-2),)), ((4421,), (4443,), (4446,))),
+             AnnealingSchedule(((1e-3, 1e-2),)), (1760, 1803)),
         ],
         ids=["grid64-annealed", "grid64-cold", "24x40-max", "32x32-min", "48x36-max", "24x40-cold"],
     )
     def test_matches_the_dense_iteration(self, kernel_calls, monkeypatch, problem, schedule, pinned):
-        # The kernel sums the kept terms in another order than the dense
-        # kernel, so the iterates agree to rounding and the counts exactly.
-        problem = problem()
-        reference = _materialized_norm_solve(monkeypatch, problem, schedule)
-        reference = ("converged" if reference.converged else "max_iters", reference.stage_iterations,
-                     np.array(reference.trace.criteria), reference.final_z)
-        if pinned is None:
-            result = solve(problem, schedule)
-            references = [reference, _dense_solve(problem, schedule)]
-        else:
-            solve_counts, reference_counts, dense_counts = pinned
-            for (outcome, counts, _, _), pin in ((reference, reference_counts),
-                                                 (_dense_solve(problem, schedule), dense_counts)):
-                assert (outcome, counts) == ("converged", pin)
-            result, lockstep = _lockstep_solve(monkeypatch, problem, schedule)
-            assert result.stage_iterations == solve_counts
-            references = [lockstep]
+        # Every step, kept or undone, is redone by z_step from solve's own z
+        # with the z-domain column scaling the step applied.  The kernel sums
+        # the kept terms in another order than the dense kernel, and mixing
+        # amplifies that rounding, so two whole runs may part; step by step
+        # the iterates agree to rounding.  The counts (kept steps, row fits)
+        # are pinned.
+        result, (outcome, counts, crits, z) = _lockstep_solve(monkeypatch, problem(), schedule)
         assert kernel_calls[0] > 0
-        for outcome, counts, crits, z in references:
-            assert outcome == "converged"
-            assert result.stage_iterations == counts
-            assert np.max(np.abs(result.final_z - z) / z) <= 1e-12
-            plan = z ** (1.0 / schedule.eta_final)
-            assert np.max(np.abs(result.plan.values - plan)) <= 1e-10 * np.max(plan)
-            assert np.max(np.abs(np.array(result.trace.criteria) - crits)) <= 1e-10
+        assert outcome == "converged" and counts == result.stage_iterations
+        assert (result.iterations, sum(result.stage_fits)) == pinned
+        assert np.max(np.abs(result.final_z - z) / z) <= 1e-12
+        plan = z ** (1.0 / schedule.eta_final)
+        assert np.max(np.abs(result.plan.values - plan)) <= 1e-10 * np.max(plan)
+        assert np.max(np.abs(np.array(result.trace.criteria) - crits)) <= 1e-10
 
     @given(
         st.integers(min_value=2, max_value=40),
@@ -932,7 +912,7 @@ class TestShortlist:
     def test_an_absorption_that_finds_z_unmoved_is_a_freeze(self, monkeypatch):
         # Every kernel step is absorbed after its row fit, so each absorption
         # compares the z one step reached with the z that step started from,
-        # as a dense step does.  At step 20 the two are equal bit for bit
+        # as a dense step does.  At step 26 the two are equal bit for bit
         # while the criterion repeats; unchecked, the stage would run on to
         # max_iters with its criterion at 2.2e-16.
         rng = np.random.default_rng(2)
@@ -954,7 +934,7 @@ class TestShortlist:
         monkeypatch.setattr(regularized, "_Stage", Absorbing)
         with pytest.raises(NumericalDegeneracy, match="eta=0.5 while the criterion is 2.22e-16"):
             solve(prob, schedule, max_iters=300)
-        assert len(found) == 20 and found.index(True) == 19
+        assert len(found) == 26 and found.index(True) == 25
         monkeypatch.setattr(regularized._Stage, "unmoved", lambda stage: False)
         result = solve(prob, schedule, max_iters=300)
         assert result.stage_iterations == (300,) and not result.converged
@@ -967,12 +947,12 @@ class TestShortlist:
         # level bound is absorbed by a rebuild.  U's bound never breaks here.
         counts = _count_kernel_traffic(monkeypatch)
         result = solve(generate_grid(GridSpec(64)), _DESK)
-        assert result.iterations == 355
-        assert counts == {"builds": 12 + 1 + 1, "v_exits": 1, "u_exits": 0, "dense": 1}
+        assert result.iterations == 232
+        assert counts == {"builds": 12 + 1 + 2, "v_exits": 2, "u_exits": 0, "dense": 1}
 
     def test_a_u_absorption_keeps_the_dense_iteration(self, monkeypatch):
         # No problem tried breaks U's level bound on its own, so one break
-        # is forced: at step 100 of a 23x7 problem (stage 1's seventh),
+        # is forced: at step 100 of a 23x7 problem (stage 7's sixth),
         # after a row fit whose V fit held.  The row fit is kept, z is
         # materialized, and the column fit comes from the rebuilt kernel.
         # Every step must still agree with z_step redone from that step's
@@ -981,9 +961,9 @@ class TestShortlist:
         steps = [0]
 
         class Forced(regularized._Stage):
-            def step(self, omega, crit):
+            def step(self, *args):
                 steps[0] += 1
-                return super().step(omega, crit)
+                return super().step(*args)
 
             def _level(self, bound, multipliers):
                 if steps[0] == 100 and multipliers is self.u:
@@ -993,7 +973,7 @@ class TestShortlist:
         monkeypatch.setattr(regularized, "_Stage", Forced)
         problem = random_problem(np.random.default_rng(1005), 23, 7)
         result, (outcome, stage_counts, crits, z) = _lockstep_solve(monkeypatch, problem, _DESK)
-        assert result.iterations == 340
+        assert result.iterations == 145
         # The stage-0 start is held densely by the target guard for one step.
         assert counts == {"builds": 12 + 1 + 1, "v_exits": 0, "u_exits": 1, "dense": 1}
         assert outcome == "converged" and stage_counts == result.stage_iterations
@@ -1082,8 +1062,8 @@ class TestShortlist:
             with np.errstate(all="raise"):
                 crit = stage.column_fit()
                 assert regularized._log_level(stage.w) > stage.level_limit
-                fit = _z_domain_fit(stage, 1.0)
-                crit_next = stage.step(1.0, crit)
+                fit = _z_domain(stage, stage.s)
+                crit_next = stage.step(stage.s, crit)
             assert stage.z_base is not base and dense[0] == dense_steps  # rebuilt
             assert stage.on_kernel and regularized._log_level(stage.v) <= stage.level_limit
             z_ref, _, s_ref = z_step(z_held, fit, r, c, eta)
@@ -1113,10 +1093,10 @@ class TestShortlist:
         assert regularized._log_level(r**eta / z.max(axis=1)) > stage.max_level
         assert not stage.on_kernel
         crit = stage.column_fit()
-        crit = stage.step(1.0, crit)
+        crit = stage.step(stage.s, crit)
         assert dense[0] == 1 and stage.on_kernel
         for _ in range(20):
-            crit = stage.step(1.0, crit)
+            crit = stage.step(stage.s, crit)
         assert dense[0] == 1 and counts["steps"] == 20
 
     def test_bitwise_equal_with_one_and_two_blas_threads(self, tmp_path):
@@ -1208,8 +1188,8 @@ class TestDriftBounds:
             (lambda: random_problem(np.random.default_rng(2), 32, 32, MINIMIZE, gaussian=True), _DESK, None),
             (lambda: random_problem(np.random.default_rng(3), 48, 36, gaussian=True), _DESK, None),
             (lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
-             AnnealingSchedule(((1e-3, 1e-2),)), (4421,)),
-            (lambda: random_problem(np.random.default_rng(1078), 23, 32, gaussian=True), _DESK, (238,)),
+             AnnealingSchedule(((1e-3, 1e-2),)), (1760,)),
+            (lambda: random_problem(np.random.default_rng(1078), 23, 32, gaussian=True), _DESK, (118,)),
         ],
         ids=["grid64-annealed", "24x40-max", "32x32-min", "48x36-max", "24x40-cold", "23x32-1078"],
     )
@@ -1242,15 +1222,16 @@ class TestDriftBounds:
             result = solve(problem, _DESK, max_iters=20_000)
             assert result.converged
             counts.append(result.iterations)
-        assert counts == [672, 618, 1008, 494, 395, 200, 617, 750, 240, 504, 300, 262,
-                          826, 453, 349, 609, 537, 650, 735, 483, 309, 324, 568, 462]  # 12,365 steps
+        assert counts == [543, 334, 209, 214, 124, 95, 285, 870, 128, 173, 150, 140,
+                          247, 269, 189, 274, 226, 294, 292, 296, 147, 249, 190, 159]  # 6,097 steps, 6,408 row fits
 
     def test_grid64_annealed_exact_level_traffic(self, monkeypatch):
         # The kernel's exact level checks are the levels ``_level`` takes
         # once a bound passes the level limit.  Taken at every kernel step
-        # they are two per step, plus one per refused column fit (709); the
-        # bounds leave 33, 22 of them the two of each stage's first kernel
-        # step but stage 0's, whose z's rows are not fit at the stage's eta.
+        # they are two per row fit, plus one per refused column fit (472 for
+        # 236 row fits); the bounds leave 55, 22 of them the two of each
+        # stage's first kernel step but stage 0's, whose z's rows are not
+        # fit at the stage's eta.
         calls = [0]
 
         class Counting(regularized._Stage):
@@ -1260,11 +1241,11 @@ class TestDriftBounds:
 
         monkeypatch.setattr(regularized, "_Stage", Counting)
         solve(generate_grid(GridSpec(64)), _DESK)
-        assert calls[0] == 33
+        assert calls[0] == 55
         calls[0] = 0
         monkeypatch.setattr(regularized, "_LEVEL_SLACK", np.inf)
         solve(generate_grid(GridSpec(64)), _DESK)
-        assert calls[0] == 709
+        assert calls[0] == 472
 
 
 class TestOverRelaxation:
@@ -1344,6 +1325,128 @@ class TestOverRelaxation:
         outcome, plain_counts, _, _ = _dense_solve(problem, schedule, plain=True)
         assert outcome == "converged"
         assert result.iterations <= sum(plain_counts)
+
+
+def _assert_same_state(a: dict, b: dict) -> None:
+    """Two stage states, attribute by attribute, bit for bit."""
+    assert a.keys() == b.keys()
+    for key, value in a.items():
+        pairs = zip(value, b[key]) if isinstance(value, tuple) else [(value, b[key])]
+        assert all(np.array_equal(x, y) for x, y in pairs), key
+
+
+class TestMixing:
+    """The step seam, the mixed column fit, and its rollback."""
+
+    @given(
+        st.integers(min_value=4, max_value=12),
+        st.integers(min_value=4, max_value=12),
+        st.sampled_from([1e-1, 1e-2]),
+        st.lists(st.floats(min_value=0.0, max_value=2.5), min_size=1, max_size=4),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_column_scaling_matches_z_step(self, n, m, eta, levels, absorb_u, seed):
+        # Column scalings at levels up to 2.5 level limits, each with its
+        # exact level as its bound, from a z whose rows are fit.  Past the
+        # limit the kernel refuses a fit, absorbs it into a rebuilt kernel,
+        # or steps densely when the fresh kernel cannot take it either; with
+        # ``absorb_u`` the last step's row fit is absorbed as well.  Each
+        # step must agree with z_step on the z it started from, and the
+        # level bounds must hold after it.
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, n, m)
+        r, c = problem.row_marginals, problem.col_marginals
+        z = row_equilibrate(np.exp(problem.weights))[0]
+        z = z_step(z, column_multipliers(z, c, eta), r, c, eta)[0]
+        forced = [False]
+
+        class Forced(regularized._Stage):
+            def _level(self, bound, multipliers):
+                if forced[0] and multipliers is self.u:
+                    return np.inf
+                return super()._level(bound, multipliers)
+
+        stage = Forced(z, r, c, eta, np.ones(n), np.ones(m))
+        assume(stage.on_kernel)
+        crit = stage.column_fit()
+        stage.step(stage.s, crit)  # the stage's first step takes both exact levels
+        for k, level in enumerate(levels):
+            x = level * stage.level_limit * rng.uniform(-1.0, 1.0, size=m)
+            x[rng.integers(m)] = level * stage.level_limit * rng.choice([-1.0, 1.0])
+            fit = np.exp(x if stage.on_kernel else eta * x)
+            z_ref, _, s_ref = z_step(stage.materialized(), _z_domain(stage, fit), r, c, eta)
+            forced[0] = absorb_u and k == len(levels) - 1
+            stage.step(fit, float(np.max(np.abs(x))) * (1.0 + 1e-12))
+            forced[0] = False
+            assert np.max(np.abs(stage.materialized() - z_ref) / z_ref) <= 1e-12
+            assert np.max(np.abs(_z_domain(stage, stage.s) - s_ref) / s_ref) <= 1e-12
+            if stage.on_kernel:
+                assert stage.u_level >= regularized._log_level(stage.u)
+                assert stage.v_level >= regularized._log_level(stage.v)
+
+    def test_an_undone_mixed_step_leaves_the_stage_where_the_relaxed_step_does(self, monkeypatch):
+        # At each undone mixed step the stage must be back, bit for bit, in
+        # the state it saved, and its redo must leave it where a copy of
+        # that state is left by the relaxed step alone.
+        record, undone = {}, []
+
+        class Twin(regularized._Stage):
+            def save(self):
+                state = super().save()
+                record["saved"] = copy.deepcopy(state)
+                return state
+
+            def restore(self, state):
+                super().restore(state)
+                _assert_same_state(self.__dict__, record["saved"])
+                record["twin"] = copy.deepcopy(record["saved"])
+
+            def step(self, fit, bound, absorb=True):
+                twin, plain = record.pop("twin", None), fit is self.s
+                stepped = super().step(fit, bound, absorb)
+                if twin is not None:  # the relaxed redo of an undone mixed step
+                    alone = regularized._Stage.__new__(regularized._Stage)
+                    alone.__dict__.update(twin)
+                    assert alone.step(alone.s if plain else fit, bound) == stepped
+                    _assert_same_state(alone.__dict__, self.__dict__)
+                    undone.append(stepped)
+                return stepped
+
+        monkeypatch.setattr(regularized, "_Stage", Twin)
+        result = solve(random_problem(np.random.default_rng(3), 48, 36, gaussian=True), _DESK)
+        assert len(undone) == sum(result.stage_fits) - result.iterations > 0
+        assert all(crit in result.trace.criteria for crit in undone)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            lambda: random_problem(np.random.default_rng(1), 24, 40, gaussian=True),
+            lambda: random_problem(np.random.default_rng(2), 32, 32, MINIMIZE, gaussian=True),
+            lambda: random_problem(np.random.default_rng(3), 48, 36, gaussian=True),
+        ],
+        ids=["24x40-max", "32x32-min", "48x36-max"],
+    )
+    def test_the_log_multipliers_stay_within_the_criterion(self, monkeypatch, problem):
+        # The mixed step's bound rests on max |f| <= crit, f = log s in plan
+        # nats, which holds once the rows are fit, since min s <= 1 <= max s.
+        checked = [0]
+        mixed = regularized._Mixer._mixed
+
+        def checking(self, now, crit, ff, fp):
+            assert np.max(np.abs(self.rows[now])) <= crit + self.stage.slack
+            checked[0] += 1
+            return mixed(self, now, crit, ff, fp)
+
+        monkeypatch.setattr(regularized._Mixer, "_mixed", checking)
+        result = solve(problem(), _DESK)
+        assert result.converged and checked[0] > result.iterations // 2
+
+    def test_small_problems_keep_the_relaxed_rule(self, small_problem):
+        # A side below 4 takes no mixed step: every step is one row fit.
+        result = solve(small_problem, _DESK)
+        assert result.stage_fits == result.stage_iterations
 
 
 def _column_residual(plan: np.ndarray, problem: OTProblem) -> float:

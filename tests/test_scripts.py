@@ -1,5 +1,6 @@
 """Smoke runs of the reproduction scripts at desk scale."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +44,28 @@ def test_count_sweep_compare_prints_the_moved_seeds_and_both_totals(tmp_path):
     assert lines[0].startswith("seed 1000: 500 -> ") and ", ratio " in lines[0]
     assert lines[1].startswith("seed 1001: 1 -> ")
     assert lines[2].startswith("2 of 2 moved; total 501 -> ")
+
+
+def test_count_sweep_prints_and_compares_row_fits(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_count_sweep.py"), "--first", "1000", "--count", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["fits"].keys() == out["counts"].keys() == {"1000", "1001"}
+    assert all(out["fits"][seed] >= out["counts"][seed] for seed in out["counts"])
+    assert out["fits_total"] == sum(out["fits"].values())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"total": 501, "counts": {"1000": 500, "1001": 1},
+                               "fits_total": 501, "fits": {"1000": 500, "1001": 1}, "unconverged": []}))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_count_sweep.py"), "--first", "1000", "--count", "2", "--compare", str(old)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    assert lines[2].startswith("2 of 2 moved; total 501 -> ") and lines[2].endswith(" steps")
+    assert lines[3].startswith("seed 1000: 500 -> ") and " fits, ratio " in lines[3]
+    assert lines[5] == f"2 of 2 moved; total 501 -> {out['fits_total']} fits"
