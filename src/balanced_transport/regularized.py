@@ -780,20 +780,12 @@ def _relaxation(crits: List[float], omega: float) -> float:
 class _Mixer:
     """A stage's column-fit rule: the scaling each step applies, and whether a mixed step is kept.
 
-    Every step goes through ``_Stage.step``.  The relaxed step applies
-    s**omega, whose log level is at most omega * crit, with omega set by
-    ``_relaxation``.  On a stage with at least 4 rows and columns the
-    history starts at the first step after the probe, and from then on
-    each step mixes at depth 1 (Anderson; Walker and Ni, SIAM J. Numer.
-    Anal. 2011) in plan nats: with f = log s, dF = f - f_prev and x_prev
-    the log scaling the last step applied, gamma = dF.f / dF.dF and the
-    step applies exp(omega f - gamma (x_prev + omega dF)).  A mixed step
-    whose criterion is not below twice the stage's best is undone
-    (``_Stage.restore``) and redone as the relaxed step, and from then on
-    until one is kept a mixed step is tried only if the kernel takes it
-    without a rebuild.
-    ``crits`` holds the criteria of the kept steps, and ``fits`` counts
-    every row fit, undone ones included.  See the module docstring.
+    The relaxed step applies s**omega, with omega set by ``_relaxation``;
+    on a stage with at least 4 rows and columns the steps after the probe
+    mix at depth 1 in plan nats, with a rollback (see the module
+    docstring).  Every step goes through ``_Stage.step``.  ``crits``
+    holds the criteria of the kept steps, and ``fits`` counts every row
+    fit, undone ones included.
     """
 
     def __init__(self, stage: _Stage):
@@ -834,7 +826,7 @@ class _Mixer:
         stage, omega, (crit_prev, pp, bound_prev) = self.stage, self.omega, self.last
         gamma = (ff - fp) / (ff - 2.0 * fp + pp)
         if not gamma < 1.0:
-            return None  # the step would not move along the current fit f
+            return None  # x would keep no positive weight on f
         a, b = omega * (1.0 - gamma), gamma * omega
         self.coef[now], self.coef[1 - now], self.coef[2] = a, b, -gamma
         x = self.coef.dot(self.R)
@@ -847,8 +839,8 @@ class _Mixer:
         if nxt is None:  # refused by the kernel while absorbing is off
             return None
         self.fits += 1
-        self.absorb = nxt < 2.0 * self.best  # whether the step is kept
-        if not self.absorb:
+        self.absorb = kept = nxt < 2.0 * self.best
+        if not kept:
             stage.restore(saved)
             return None
         self.rows[2][...] = x

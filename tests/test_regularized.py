@@ -1228,10 +1228,10 @@ class TestDriftBounds:
     def test_grid64_annealed_exact_level_traffic(self, monkeypatch):
         # The kernel's exact level checks are the levels ``_level`` takes
         # once a bound passes the level limit.  Taken at every kernel step
-        # they are two per row fit, plus one per refused column fit (472 for
-        # 236 row fits); the bounds leave 55, 22 of them the two of each
-        # stage's first kernel step but stage 0's, whose z's rows are not
-        # fit at the stage's eta.
+        # they are two per kernel row fit, plus one per refused column fit
+        # (472: 235 kernel row fits and 2 refusals); the bounds leave 55, 22
+        # of them the two of each stage's first kernel step but stage 0's,
+        # whose z's rows are not fit at the stage's eta.
         calls = [0]
 
         class Counting(regularized._Stage):
