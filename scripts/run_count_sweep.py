@@ -10,8 +10,10 @@ to eta 1e-4 with a budget of 20,000 steps per stage.
 
 Prints one JSON object: the total step count, the per-problem counts
 keyed by seed, the same two for row fits (steps plus the mixed steps
-undone and redone, ``SolveResult.stage_fits``), and the seeds whose
-solve did not converge.  The default
+undone and redone, ``SolveResult.stage_fits``) and for warm-up
+temperatures (the distinct trace etas above the first stage's, run
+before it when its start is cold), and the seeds whose solve did not
+converge.  The default
 seeds 1000-1239 are the 240-problem sweep whose counts the change log
 quotes; iteration counts are deterministic, so a change that moves one
 of them shows here.
@@ -19,7 +21,8 @@ of them shows here.
 With ``--compare OLD.json``, OLD.json being this script's output from
 another commit, it prints instead one line per seed whose count moved,
 with its old count, new count and their ratio, then both totals, and
-the same for row fits when OLD.json has them:
+the same for row fits when OLD.json has them; warm-up temperatures are
+not compared, so older outputs without them still read:
 
     python scripts/run_count_sweep.py > old.json        # on the old commit
     python scripts/run_count_sweep.py --compare old.json
@@ -57,16 +60,18 @@ def main() -> int:
     args = parser.parse_args()
 
     schedule = make_schedule(1e-4, 12, 1.5, 1e-2)
-    counts, fits, unconverged = {}, {}, []
+    counts, fits, warm_ups, unconverged = {}, {}, {}, []
     for seed in range(args.first, args.first + args.count):
         result = solve(sweep_problem(seed), schedule, max_iters=20_000)
         counts[str(seed)] = result.iterations
         fits[str(seed)] = sum(result.stage_fits)
+        warm_ups[str(seed)] = len({eta for eta in result.trace.etas if eta > schedule.stages[0][0]})
         if not result.converged:
             unconverged.append(seed)
     if args.compare is None:
         print(json.dumps({"total": sum(counts.values()), "counts": counts, "fits_total": sum(fits.values()),
-                          "fits": fits, "unconverged": unconverged}, indent=1))
+                          "fits": fits, "warm_ups_total": sum(warm_ups.values()), "warm_ups": warm_ups,
+                          "unconverged": unconverged}, indent=1))
         return 0
     old = json.loads(args.compare.read_text())
     compare(old["counts"], counts, "steps")

@@ -1022,7 +1022,9 @@ class TestShortlist:
         # multipliers' level far from 1 at a stage's first step, and U and V
         # drift apart in level over a stage while z stays put.  Unguarded,
         # V^(1/eta) or U^(1/eta) overflows or underflows on some of these
-        # problems; the guard absorbs such a level by a rebuild first.
+        # problems; the guard absorbs such a level by a rebuild first.  The
+        # 300 seeds also guard the warm-up's cap: uncapped, power-of-two
+        # ladders warm up to eta 128, where r^eta overflows.
         counts = _raise_in_the_kernel(monkeypatch)
         for seed in range(300):
             problem, schedule = _extreme_problem(seed)
@@ -1228,7 +1230,7 @@ class TestDriftBounds:
             assert result.converged
             counts.append(result.iterations)
         assert counts == [325, 216, 209, 165, 125, 95, 181, 229, 128, 192, 132, 140,
-                          204, 204, 189, 209, 138, 294, 208, 152, 147, 183, 141, 159]  # 4,365 steps, 4,412 row fits
+                          204, 204, 189, 209, 138, 294, 208, 152, 147, 183, 141, 159]  # 4,365 steps, 4,407 row fits
 
     def test_grid64_annealed_exact_level_traffic(self, monkeypatch):
         # The kernel's exact level checks are the levels ``_level`` takes
@@ -1587,6 +1589,28 @@ class TestWarmStart:
         result = solve(problem, AnnealingSchedule(((eta_0, 1e-2),)))
         assert set(result.trace.etas) == {eta_0}
         assert regularized._warm_up(problem.weights, problem.row_marginals, _DESK.stages[:1]) == []
+
+    def test_the_warm_up_stops_at_its_cap(self):
+        # Weights spread 10 times wider than the desk problem's, with
+        # marginals at 10^-118: the ladder would climb to 4 spread / B,
+        # but past min(1, 100 / (spread + |log sum(r)|)) r^eta could leave
+        # the float range, so the warm-up stops below that cap.
+        base = random_problem(np.random.default_rng(1), 24, 40, gaussian=True)
+        problem = OTProblem(10.0 * base.weights, base.row_marginals * 1e-118, base.col_marginals * 1e-118)
+        etas = regularized._warm_up(problem.weights, problem.row_marginals, _DESK.stages)
+        spread = np.ptp(problem.weights)
+        cap = 100.0 / (spread + abs(math.log(problem.row_marginals.sum())))
+        hot = 4.0 * spread / ((regularized._BAND + 1) * (54 + 6) * math.log(2.0))
+        assert etas[0] <= cap < 1.5 * etas[0] < hot
+        result = solve(problem, _DESK, max_iters=300)
+        assert max(result.trace.etas) == etas[0]
+
+    def test_a_ratio_near_one_climbs_at_most_32_temperatures(self):
+        problem = random_problem(np.random.default_rng(1), 24, 40, gaussian=True)
+        stages = ((0.0086, 1e-2), (0.0085999, 1e-2))
+        etas = regularized._warm_up(problem.weights, problem.row_marginals, stages)
+        assert len(etas) == regularized._WARM_UP_MAX == 32
+        assert etas == sorted(etas, reverse=True) and etas[-1] > 0.0086
 
     def test_an_exhausted_warm_up_temperature_ends_the_warm_up(self):
         # With a budget of 3 steps the hottest warm-up temperature runs out;

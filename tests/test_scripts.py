@@ -53,9 +53,12 @@ def test_count_sweep_prints_and_compares_row_fits(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["fits"].keys() == out["counts"].keys() == {"1000", "1001"}
+    assert out["fits"].keys() == out["counts"].keys() == out["warm_ups"].keys() == {"1000", "1001"}
     assert all(out["fits"][seed] >= out["counts"][seed] for seed in out["counts"])
     assert out["fits_total"] == sum(out["fits"].values())
+    # Both problems have Gaussian weights, so their first stage starts cold
+    # and warms up.
+    assert out["warm_ups"] == {"1000": 6, "1001": 6} and out["warm_ups_total"] == 12
     old = tmp_path / "old.json"
     old.write_text(json.dumps({"total": 501, "counts": {"1000": 500, "1001": 1},
                                "fits_total": 501, "fits": {"1000": 500, "1001": 1}, "unconverged": []}))
