@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Annealed ladder versus single-stage run at the same final temperature.
 
-At full scale (256 x 256) the staged computation needs about 34 times
-fewer iterations (277 against 9311); the default 64 x 64 grid shows the
-same effect, about 37 times (355 against 13,231).
+On the default 64 x 64 grid the 12-stage ladder takes about 33 times
+fewer steps than a single stage at its final temperature (232 against
+7,603); at full scale (256 x 256) about 28 times (179 against 4,970).
 """
 
 import argparse

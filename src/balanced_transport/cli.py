@@ -34,7 +34,7 @@ from .model import (
     moma_to_ot,
     require_valid,  # unused here; kept because perfbench/tracer.py patches this name
 )
-from .regularized import AnnealingSchedule, make_schedule, solve
+from .regularized import DEFAULT_MAX_ITERS, DEFAULT_TOL, AnnealingSchedule, make_schedule, solve
 from .verify import (
     recover_duals,  # unused here; kept because perfbench/tracer.py patches this name
     verify_balanced,
@@ -180,8 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     ladder.add_argument(
         "--schedule", default=None, help="annealing ladder, e.g. stages=12,factor=1.5,final=1e-4"
     )
-    p_solve.add_argument("--tol", type=float, default=1e-2, help="stopping tolerance per stage (default 0.01)")
-    p_solve.add_argument("--max-iters", type=int, default=100_000, help="iteration budget per stage")
+    p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                         help=f"stopping tolerance per stage (default {DEFAULT_TOL})")
+    p_solve.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
+                         help="step budget of each stage and of each warm-up temperature"
+                         f" (default {DEFAULT_MAX_ITERS})")
     p_solve.add_argument("--out-plan", default=None, help="write the plan as CSV")
     p_solve.add_argument("--out-trace", default=None, help="write the criterion trace as CSV")
     p_solve.add_argument("--report", default=None, help="write a JSON run report")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError, ZeroMarginal
 from .model import MAXIMIZE, OTProblem
-from .regularized import AnnealingSchedule, SolveResult, solve
+from .regularized import DEFAULT_MAX_ITERS, DEFAULT_TOL, AnnealingSchedule, SolveResult, solve
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -85,7 +85,7 @@ class TrajectoryVisit:
     at_iteration: int
 
 
-def run_single_stage(problem: OTProblem, eta: float, tol: float, max_iters: int = 100_000,
+def run_single_stage(problem: OTProblem, eta: float, tol: float, max_iters: int = DEFAULT_MAX_ITERS,
                      snapshot_stride: Optional[int] = None) -> SolveResult:
     schedule = AnnealingSchedule(((eta, tol),))
     return solve(problem, schedule, max_iters=max_iters, snapshot_stride=snapshot_stride)
@@ -95,8 +95,8 @@ def trajectory_study(
     problem: OTProblem,
     targets: Sequence[np.ndarray],
     eta: float = 1e-3,
-    tol: float = 1e-2,
-    max_iters: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> Tuple[List[TrajectoryVisit], SolveResult]:
     """Closest approaches of a single-stage run's plan path to each target.
 

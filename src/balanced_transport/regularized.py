@@ -9,210 +9,33 @@ z_ij = alpha_i b_ij / beta_j, from which the plan is x = z^(1/eta):
     s_j = c_j^eta / ||z_:j||_{1/eta}        (column multipliers)
     t_i = r_i^eta / ||z_i:'||_{1/eta}       (row multipliers, post column fit)
 
-All 1/eta-norms are evaluated in max-factored form, so no intermediate
-quantity leaves the z-domain; this is what keeps the iteration usable at
-temperatures where x itself would overflow.  Each norm skips the terms
-(v/max v)^(1/eta) at or below 2^-(54 + ceil(log2 n)) for a length-n
-reduction: together they add less than a quarter ulp to a sum that is at
-least 1, so dropping them is exact to within the sum's own rounding, and
-at small eta they are the subnormal terms that make pow slow (Schmitzer's
-truncation, in dense form; see ``power_norm``).  After each full step the
-quantity (1/eta) * log(max_j s_j / min_j s_j) equals the Hilbert distance
-between the plan's column sums and c, giving a stopping criterion for
-free.
+The column multipliers of each step give its stopping criterion for
+free (``criterion``).  Annealing runs the iteration over a decreasing
+temperature ladder (``AnnealingSchedule``), and each colder stage starts
+from the potentials the last one reached, which z encodes:
+z_ij = exp(a_ij - lambda_i - mu_j).
 
-The iteration is one dense kernel, ``z_step``, and on problems with a
-side below 4 each stage (``_Stage``) runs this loop::
+Each rule of the solver is stated once, in the docstring of the code
+that enforces it:
 
-    s = column_multipliers(z, c, eta)           # at each stage start
-    z, t, s = z_step(z, s**omega, r, c, eta)    # per iteration
-
-``z_step`` returns the column multipliers of the new z alongside it, so
-each norm is computed once per step: ``s`` is both the stopping
-measurement of the step just taken and the column fit of the next one.
-The stage keeps s; a stage-local rule (``_Mixer``) hands each step the
-column scaling to apply and a bound on its level and takes the next
-criterion back.  Larger problems run the same loop on a stage kernel
-(below), which takes the same fits in the plan domain by matrix-vector
-products.
-
-The column fit is over-relaxed, and on problems with at least 4 rows and
-columns also mixed.  Each stage takes 8 plain steps (omega = 1),
-estimates the criterion's contraction rate as
-theta = (crit_8 / crit_4)^(1/4), and sets omega = min(1.9,
-2 / (1 + sqrt(1 - theta))), or 1 when theta >= 1 (Lehmann, von Renesse,
-Sambale and Uschmajew, "A note on overrelaxation in the Sinkhorn
-algorithm", Optim. Lett. 2022).  The relaxed step fits the columns by
-s^omega.  As a safeguard, a criterion that is not below its value 10
-steps earlier while omega > 1 drops omega to 1 for the rest of the stage
-(Thibault, Chizat, Dossal and Papadakis, "Overrelaxed Sinkhorn-Knopp
-algorithm for regularized optimal transport", Algorithms 2021).  A
-problem with a side below 4 takes only relaxed steps, so its iterates
-are those of a loop over ``z_step`` bit for bit.
-
-On larger problems the first step after the probe is relaxed, and each
-later step mixes at depth 1 (Anderson, J. ACM 1965; Walker and Ni, SIAM
-J. Numer. Anal. 2011) in plan nats.  With f = log s (log(s) / eta on a
-dense build), dF = f - f_prev and x_prev the log scaling the last step
-applied, gamma = dF.f / dF.dF, and the step applies the column scaling
-exp(x), x = omega f - gamma (x_prev + omega dF).  Once the rows are fit,
-min s <= 1 <= max s, so max |f| <= crit, and the level bounds (below)
-grow by |omega (1 - gamma)| crit + |gamma omega| crit_prev + |gamma| b,
-with b the last step's bound.  A mixed step is tried only when
-gamma < 1, so that x keeps a positive weight on f (a step with gamma
-near 1 barely moves, and on a plateau of the criterion such steps stall
-a stage), and when its level max |x| is one a fresh kernel can take.  It
-is kept if its criterion is below twice the stage's best so far;
-otherwise the stage's state is restored and the step is redone as the
-relaxed step (a rollback safeguard after Zhang, O'Donoghue and Boyd,
-"Globally convergent type-I Anderson acceleration for nonsmooth
-fixed-point iterations", SIAM J. Optim. 2020), and until a mixed step is
-kept again, one whose column fit the kernel refuses is not taken rather
-than absorbed by a rebuild.  The row fit stays exact, and the criterion
-is still measured on the exact column multipliers s of the post-step z,
-which ``z_step`` returns whatever column fit it was given.  So a stage
-stops on the same condition as the plain iteration, the criterion is
-still the Hilbert distance of the plan's column sums to c, and
-x = (alpha b / beta)^(1/eta) still holds with beta divided by the fit as
-applied, which the stage folds in with its other multipliers (below).  A
-step is a kept row fit: the trace records one criterion per kept step
-and ``max_iters`` counts them, while ``SolveResult.stage_fits`` counts
-every row fit, undone ones included.  On the benchmark's desk problems
-the rule takes about a third of the relaxed rule's row fits.
-
-On problems with at least 4 rows and columns a stage (``_Stage``) runs on
-a kernel of the powered matrix, the stabilized scaling of Schmitzer (SIAM
-J. Sci. Comput. 2019): z is held as z_base_ij * V_j * U_i, with z_base
-the z the kernel was built from and U, V the row and column multipliers
-since.  The kernel holds them in the plan domain, u = U^(1/eta) and
-v = V^(1/eta), so that the plan is z_base^(1/eta) * v_j * u_i.  One build
-method makes every kernel.  Each stage builds its kernel from the z it
-starts from, carried or predicted, and takes its first column
-multipliers from it at u = v = 1.  The stage owns the scalings: each
-build folds U = u^eta and V = v^eta into them, alpha * U and beta / V,
-before it resets both, and a dense step folds its own t and s, so
-alpha * U and beta / V are the scalings of the stage's z at any step.
-U and V are formed only there and where z is materialized.  With R and
-C the row and column maxima of z_base, the kernel stores
-
-    K_row = (z_base / R[:, None])^(1/eta),   K_col = (z_base / C)^(1/eta),
-
-each zero where the ratio lies at or below its line's cutoff times
-e^(-7 delta), a zero band of 7 cutoffs, with delta =
-(54 + ceil(log2 max(n, m))) * eta * ln 2, and the powered targets
-(r^eta / R)^(1/eta) and (c^eta / C)^(1/eta).  A row ratio moves only
-with V and a column ratio only with U, so while log(max v / min v) and
-log(max u / min u) stay at or below 7 delta / eta, every zeroed term is
-also truncated by the dense kernel, and each fit is one matrix-vector
-product and one divide (``kernel_fit``), the form of Cuturi's Sinkhorn
-iteration (NeurIPS 2013)::
-
-    u = (r^eta / R)^(1/eta) / (K_row @ v)
-    w = (c^eta / C)^(1/eta) / (u @ K_col)
-
-The row fit gives the new u directly.  w is the v that fits the
-columns, so the column multipliers are s = w / v, (w / v)^eta in the z
-domain, the criterion is log(max s / min s), and the column fit moves v
-to v * f for a column scaling f, to w itself for the plain fit f = s.  A
-plain step costs two matrix-vector products, three divides and the
-criterion's two extremes, with no pow, instead of pow on every live cell
-twice; an over-relaxed step adds pow and a multiply on one vector, and a
-mixed one a log, an exp and two small products.  It agrees with ``z_step``
-up to the order of summation and of the scalar products, and up to the
-rounding the levels add (below).  Kernel stages run on every problem
-with at least 4 rows and columns, whatever share of the cells is live,
-since a matrix-vector product costs the same at any share.  Smaller
-problems step densely throughout, so their iterates are ``z_step``'s bit
-for bit, as the tests of the 3x3 paper example require; a kernel step
-would cost about 0.4x of a dense one there.
-
-One rule decides when a kernel is rebuilt, Schmitzer's absorption
-threshold on the multipliers' level max |log M|.  No maximum is factored
-out of u, v or the targets, so their size is bounded by their level, and
-a spread is at most twice the level.  The rule keeps the z-domain levels
-of U and V within ``max_level``, max_level / eta in the plan nats u and
-v are measured in, the smaller of two limits.  One is a quarter of the
-zero band, 7 delta / 4, so both spreads stay within half the band and
-every zeroed term stays truncated.  The other is 2 nats: the exponent
-1/eta is rounded, so a power M^(1/eta) carries a relative error up to
-|log M| eps / 2, about one ulp at 2 nats, into the fit.  The 2-nat limit
-binds only above eta of about 0.027.  The band and the limit also keep
-every product normal: with k = ceil(log2 max(n, m)), every kept kernel
-entry is at least 2^-(8 (54 + k)) and every multiplier lies within
-2^(+-7 (54 + k) / 4), so every product of the two is at least
-2^-(9.75 (54 + k)), normal for any side below 2^50, and no sum
-overflows.  A level past the limit is absorbed, not stepped around: a
-column fit that would put v past it materializes z, rebuilds the kernel
-from it and is retried there, and a row fit that puts u past it
-materializes z and rebuilds the kernel, which gives the column
-multipliers.  Only a fit that a fresh kernel cannot take, with a level
-past the limit by itself, steps densely, by ``z_step`` with the fit in
-the z domain, f^eta, and the kernel is rebuilt from the step's z and
-takes its own column fit.
-
-A target guard holds the powered targets to the same limit.  A build
-whose z-domain targets r^eta / R or c^eta / C have a level past
-max_level could not power them in range, so it builds no kernel: it
-holds z densely until the next build, and the next step is a
-``z_step``.  A build from a z whose rows are fit has its row targets in
-[1, m^eta], within the limit whenever eta log m <= 2, so the guard fires
-at a stage start whose z is far from row-fit at the stage's eta: the
-first stage's row-equilibrated start on the paper grids and the desk
-problems, and a cold single stage's.  On the paper grids and the
-benchmark's desk problems that is the only dense step.
-
-The levels are not taken at every step but bounded from numbers the loop
-already has, each bound reset to 0 at every build.  A column scaling f
-moves v's level by at most max |log f|, the bound each step is handed.
-When the z held before a kernel step has its rows fit exactly at this
-stage's eta, the plan's row sums after the column fit lie within
-[min f, max f] times r: the row fit lies within [1 / max f, 1 / min f],
-and u's level also moves by at most max |log f| (the Hilbert-metric
-contraction of a row fit; Franklin and Lorenz, "On the scaling of
-multidimensional matrices", Linear Algebra Appl. 1989).  The plan's
-column sums then total sum(c), so min s <= 1 <= max s, and the relaxed
-fit f = s^omega has max |log f| <= omega * crit, with crit the criterion
-already measured on s.  Every kernel step ends with a row fit, and
-an absorption or a dense step rebuilds from a z whose rows are fit, but
-a stage's first kernel starts from the last stage's z or its prediction,
-whose rows are fit at another eta or not at all.  So a stage's first
-step takes both exact levels.  Each bound also grows by a rounding slack
-per step: the z domain's 64 ulp of max(1, max_level), taken to plan nats
-by 1/eta, since the multipliers are rounded in the z domain.  Only a
-bound that passes the limit takes the exact level, which then replaces
-it, so every decision is the one exact checks at every step would make.
-
-Annealing runs the iteration over a decreasing temperature ladder, and
-each colder stage starts from the potentials the last one reached: z
-encodes them (z_ij = exp(a_ij - lambda_i - mu_j)), so the plan
-x = z^(1/eta) resharpens from the incumbent duals, which is what makes
-staging effective.  The start is predicted, not carried.  On the support
-a_ij - lambda_i - mu_j = eta * log x_ij, and x(eta) tends to an LP
-vertex, so the potentials move by about eta times a fixed vector from
-one stage to the next (Cominetti and San Martin, "Asymptotic analysis of
-the exponential penalty trajectory in linear programming", Math.
-Programming 1994; Weed, "An explicit analysis of the entropic penalty in
-linear programming", COLT 2018).  From the end of the second stage on,
-z is extrapolated linearly in eta along the secant of the last two stage
-ends (``_secant_prediction``).  Within a stage z changes only by row and
-column scalings, so the secant is a pair of scalings too, A on the rows
-and B on the columns, and the prediction is pow on n + m values with
-no log or exp over the matrix.  On the paper grids and the desk problems
-it takes about half the steps of the warm stages.
-
-A ladder's first stage starts cold, from the row-equilibrated z, and on
-weights whose spread = max(a) - min(a) is large it stalls on long
-plateaus of the criterion.  When spread / eta_0 passes
-B = (7 + 1)(54 + k) ln 2 plan nats, the largest log ratio a fresh kernel
-keeps, a ladder of two or more stages starts hot (epsilon-scaling;
-Schmitzer, SIAM J. Sci. Comput. 2019): ``_warm_up`` continues it upward
-by its ratio eta_0 / eta_1, for at most 32 temperatures, to the first at
-or above 4 spread / B, and drops any above
-min(1, 100 / (spread + |log sum(r)|)), where r^eta could leave the float
-range.  These run first with stage 0's tol, and the stage loop and the
-secant prediction carry z down into stage 0.  The paper grids and the
-3x3 example do not warm up; the Gaussian desk problems warm up through 6
-temperatures to about 0.1 and take about 40% fewer row fits.
+- ``power_norm``: the max-factored 1/eta-norm, and the truncation of the
+  terms that cannot move it.
+- ``z_step``: the dense step, a column fit by a given scaling and an
+  exact row fit, which returns the new z's column multipliers, so that
+  each norm is taken once per step.
+- ``_Stage``: one stage's iterate.  Problems with a side below 4 step by
+  ``z_step``; larger ones step on a kernel of the powered matrix, with
+  its zero band, level limit and bounds, absorption, target guard and
+  dense fallback.
+- ``_relaxation``: the over-relaxation of the column fit, its probe and
+  its safeguard.
+- ``_Mixer``: the column scaling each step applies, relaxed or mixed at
+  depth 1, the mix's guards and its rollback.
+- ``_secant_prediction``: the predicted start of a colder stage.
+- ``_warm_up``: the hot start of a ladder whose first stage starts cold.
+- ``solve``: the stage loop's contract: what it counts, what it returns
+  and the errors it raises.
+- ``_plan``: the plan z^(1/eta), with pow skipped where it underflows.
 """
 
 from __future__ import annotations
@@ -249,13 +72,18 @@ DEFAULT_TOL = 1e-2
 DEFAULT_MAX_ITERS = 100_000
 
 #: Stages on problems with at least this many rows and columns run on a
-#: kernel between dense steps (see the module docstring).
+#: kernel between dense steps (see ``_Stage``).
 _KERNEL_MIN_SIDE = 4
+
+
+def _truncation_bits(n: int) -> int:
+    """The truncation exponent 54 + ceil(log2 n) of a length-n line (see ``power_norm``)."""
+    return 54 + (n - 1).bit_length()
 
 
 def _cutoff(n: int, eta: float) -> float:
     """Truncation cutoff of a length-n line: ratios at or below it are dropped."""
-    return 2.0 ** (-(54 + (n - 1).bit_length()) * eta)  # (n - 1).bit_length() == ceil(log2 n)
+    return 2.0 ** (-_truncation_bits(n) * eta)
 
 
 def power_norm(values: np.ndarray, eta: float, axis: Optional[int] = None) -> np.ndarray:
@@ -276,12 +104,9 @@ def power_norm(values: np.ndarray, eta: float, axis: Optional[int] = None) -> np
     underflows.  A NaN ratio is not below the cutoff, so it still
     propagates.  Entries must be strictly positive.
 
-    The maximum and the sum are taken with ``np.maximum.reduce`` and
-    ``np.add.reduce``, the ufunc reductions behind ``np.max`` and
-    ``np.sum``, called directly: the same reductions in the same order,
-    without the wrappers' per-call dispatch, which dominates at desk sizes.
-    Row maxima (``axis=1``) are broadcast back as a column, ``vmax[:, None]``,
-    so ``axis`` is None, 0, or 1 on a matrix; any other axis raises
+    The maximum and the sum are the ufunc reductions behind ``np.max`` and
+    ``np.sum``, called directly to skip the wrappers' per-call dispatch.
+    ``axis`` is None, 0, or 1 on a matrix; any other axis raises
     ValidationError.
     """
     if axis not in (None, 0, 1):
@@ -377,14 +202,11 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Plan, recovered scalings, trace, and per-stage iteration counts.
+    """Plan, recovered scalings, trace, and per-stage counts (see ``solve``).
 
-    ``final_z`` is the raw iteration state the plan was extracted from
-    (plan = final_z^(1/eta_final)); kept for debugging since the plan
-    itself may underflow where z is merely below 1.  ``stage_iterations``
-    counts each stage's steps and ``stage_fits`` its row fits: the steps
-    plus the mixed steps undone and redone (see ``solve``).  Stage 0's
-    entries include the steps and fits of its warm-up, if any.
+    ``final_z`` is the raw iteration state the plan was extracted from;
+    kept for debugging since the plan itself may underflow where z is
+    merely below 1.
     """
 
     plan: TransportPlan
@@ -393,8 +215,8 @@ class SolveResult:
     converged: bool
     stage_iterations: Tuple[int, ...]
     final_criterion: float
-    final_z: Optional[np.ndarray] = None
-    stage_fits: Tuple[int, ...] = ()
+    final_z: np.ndarray
+    stage_fits: Tuple[int, ...]
 
     @property
     def iterations(self) -> int:
@@ -472,16 +294,12 @@ def z_step(
 
 
 #: Rounding slack added to each level bound per kernel step, in ulp of the
-#: larger of 1 and the z-domain level limit, taken to plan nats by 1/eta
-#: (see ``_Stage``).
+#: larger of 1 and the z-domain level limit: the multipliers are rounded in
+#: the z domain, and 1/eta takes the slack to plan nats (see ``_Stage``).
 _LEVEL_SLACK = 64 * float(np.finfo(float).eps)
 
-#: The stage kernel's zero band, in cutoffs: a ratio at or below its line's
-#: cutoff times e^(-_BAND delta) is stored as zero.  Its multipliers' level
-#: max |log M| is held to a quarter of the band, _BAND delta / 4, which
-#: keeps every zeroed term truncated and every power and product normal,
-#: but to at most _LEVEL_CAP nats, which keeps the rounding the level adds
-#: to a fit within about one ulp (see ``_Stage``).
+#: The stage kernel's zero band, in cutoffs, and the cap on its level limit
+#: in z-domain nats (see ``_Stage``).
 _BAND = 7
 _LEVEL_CAP = 2.0
 
@@ -494,14 +312,9 @@ def _truncated_power(ratio: np.ndarray, eta: float, cut: float) -> np.ndarray:
 def kernel_fit(stage: _Stage, axis: int) -> np.ndarray:
     """The plan-domain multipliers that fit this axis of the stage's z exactly: the next u (axis 1) or v (axis 0).
 
-    Row i's fit (axis 1) is (r_i^eta / R_i)^(1/eta) / sum_j K_row_ij v_j,
-    and column j's (axis 0) the same with the roles of rows and columns
-    swapped; the build stores the powered targets (r^eta / R)^(1/eta) and
-    (c^eta / C)^(1/eta).  This is ``own * target / (line sums of the
-    plan)``, with ``own`` the stage's u or v, ``target`` r or c and the
-    plan the materialized z raised to 1/eta, up to the order of summation
-    and of the scalar products, within the level bounds and the target
-    guard (see ``_Stage``), which keep every power and product normal.
+    This is ``own * target / (line sums of the plan)``, with ``own`` the
+    stage's u or v, ``target`` r or c and the plan the materialized z
+    raised to 1/eta (see ``_Stage``).
     """
     if axis == 1:
         return stage.row_target / stage.K_row.dot(stage.v)
@@ -511,72 +324,84 @@ def kernel_fit(stage: _Stage, axis: int) -> np.ndarray:
 class _Stage:
     """One annealing stage's iterate, stepped as ``z_step`` steps z.
 
-    On problems with at least 4 rows and columns z is held on a kernel, as
-    z_base_ij * V_j * U_i: z_base is the z the kernel was built from, and
-    U, V are the products of the row and column multipliers since, held in
-    the plan domain as u = U^(1/eta) and v = V^(1/eta).  The stage owns the
-    scalings alpha and beta of its z, with x = (alpha b / beta)^(1/eta):
-    each build folds U and V into them, alpha * U and beta / V, and a dense
-    step folds its own t and s (one multiply and one divide, so a small
-    problem's scalings are those of a loop over ``z_step`` bit for bit).
-    ``scalings`` gives them for the current z.  The stage also keeps the
-    column multipliers of its z, ``s``: z-domain on a dense build, and in
-    the plan domain, s = w / v, on a kernel, with w the v that fits the
-    columns.  ``on_kernel`` tells which: it is a property of each build,
-    since the target guard (below) can hold a kernel-sized problem densely
-    until its next build.
-    ``K_row`` holds the row ratios of z_base raised to 1/eta,
-    ``(z_base / R[:, None])^(1/eta)`` with R its row maxima, and ``K_colT``
-    the column ratios, ``(z_base / C)^(1/eta)`` with C its column maxima,
-    stored transposed, and ``row_target`` and ``col_target`` hold
-    (r^eta / R)^(1/eta) and (c^eta / C)^(1/eta), so that each fit of z is
-    one matrix-vector product and one divide (see ``kernel_fit``): the row
-    fit is the next u, and the column fit is w.  A ratio at or below its
-    line's cutoff times e^(-F delta) is stored as zero, with F = ``_BAND``
-    (7) cutoffs, delta = (54 + k) * eta * ln 2 and k = ceil(log2 max(n, m)).
-    A row ratio moves only with V and a column ratio only with U, so while
-    both log(max u / min u) and log(max v / min v) are at most
-    F delta / eta, every zeroed term stays at or below its cutoff, and the
-    dense kernel drops it too.
+    The stage owns the scalings alpha and beta of its z, with
+    x = (alpha b / beta)^(1/eta) (``scalings``), and its z's column
+    multipliers ``s``.  A problem with a side below ``_KERNEL_MIN_SIDE``
+    (4) steps densely throughout, with z_base the current z.  Each step is
+    a ``z_step`` whose t and s are folded into the scalings by one
+    multiply and one divide, so its iterates and scalings are those of a
+    loop over ``z_step`` bit for bit.
 
-    One bound decides every absorption: the levels max |log u| and
-    max |log v|, tracked by upper bounds ``u_level`` and ``v_level``
-    against ``level_limit``, ``max_level / eta``, with ``max_level`` the
-    z-domain limit, the smaller of F delta / 4 and 2 nats.  A spread is at
-    most twice the level, so the level limit keeps both spreads within
-    F delta / 2 and every zeroed term truncated.  It also keeps every
-    product normal.  Kept entries are at least 2^-((F + 1)(54 + k)) and
-    the multipliers lie within 2^(+-F (54 + k) / 4), so every product of
-    the two is at least 2^-((1.25 F + 1)(54 + k)), normal while
-    (1.25 F + 1)(54 + k) < 1022: at F = 7 for any side below 2^50.  The
-    2-nat cap keeps the rounding a level adds to a fit within about one
-    ulp (see the module docstring).
+    A larger problem holds z on a kernel, the stabilized scaling of
+    Schmitzer (SIAM J. Sci. Comput. 2019), as z_base_ij * V_j * U_i:
+    z_base is the z the kernel was built from, and U, V are the products
+    of the row and column multipliers since, held in the plan domain as
+    u = U^(1/eta) and v = V^(1/eta).  ``_build`` makes every kernel: at the
+    stage start, at each absorption and after each dense step.
+    ``K_row`` holds (z_base / R[:, None])^(1/eta), with R the row maxima of
+    z_base, ``K_colT`` (z_base / C)^(1/eta), with C its column maxima,
+    stored transposed, and ``row_target`` and ``col_target`` the powered
+    targets (r^eta / R)^(1/eta) and (c^eta / C)^(1/eta).  So each fit is
+    one matrix-vector product and one divide (``kernel_fit``), the form of
+    Cuturi's Sinkhorn iteration (NeurIPS 2013), at the same cost whatever
+    share of the cells is live.  The row fit is the next u.  The column
+    fit is w, the v that fits the columns, so s = w / v in the plan domain.
+    A kernel step agrees with ``z_step`` from the same z under the same
+    column scaling up to the order of summation and of the scalar
+    products.  ``on_kernel`` tells whether the current build is a kernel
+    (and ``s`` in the plan domain) or dense (``s`` in the z domain).
 
-    A column scaling f moves v's level by at most max |log f|.  When the z
-    held before a step has its rows fit exactly at the stage's eta, the
-    row sums of the plan after the column fit lie within [min f, max f]
-    times r, so the row fit lies in [1 / max f, 1 / min f] and u's level
-    also moves by at most max |log f| (Franklin and Lorenz, "On the
-    scaling of multidimensional matrices", Linear Algebra Appl. 1989).
-    Each step ends with a row fit, so this holds from the second step on,
-    and from the first on a kernel built from a row-fit z.  The stage's
-    first kernel is built from a z whose rows are not fit at this eta, so
-    both bounds start at infinity and the first step takes both exact
-    levels.  Each bound is 0 at a build and grows by the step's bound on
-    max |log f| plus a rounding slack per step; the exact level is taken
-    only when a bound passes ``level_limit``, and then replaces it.
-    The target guard holds the powered targets to the same limit: a build
-    whose z-domain targets r^eta / R or c^eta / C have a level past
-    ``max_level`` holds z densely until the next build, so the next step is
-    a ``z_step``.
+    A ratio at or below its line's cutoff (``_cutoff``) times e^(-F delta)
+    is stored as zero, with F = ``_BAND`` (7) cutoffs,
+    delta = (54 + k) * eta * ln 2 and k = ceil(log2 max(n, m)).  A row
+    ratio moves only with V and a column ratio only with U, so while
+    log(max u / min u) and log(max v / min v) are at most F delta / eta,
+    every zeroed term stays at or below its cutoff, and ``power_norm``
+    drops it too.  One rule decides every absorption: the levels
+    max |log u| and max |log v| are held to ``level_limit``,
+    ``max_level / eta``, with ``max_level`` the z-domain limit, the smaller
+    of two.  F delta / 4 keeps both spreads, at most twice the level,
+    within F delta / 2, so every zeroed term stays truncated.  It also
+    keeps every product normal: kept entries are at least
+    2^-((F + 1)(54 + k)) and the multipliers lie within
+    2^(+-F (54 + k) / 4), so every product of the two is at least
+    2^-((1.25 F + 1)(54 + k)), normal while (1.25 F + 1)(54 + k) < 1022,
+    at F = 7 for any side below 2^50, and no sum overflows.
+    ``_LEVEL_CAP``, 2 nats, bounds rounding: the exponent 1/eta is rounded,
+    so a power M^(1/eta) carries a relative error up to |log M| eps / 2
+    into the fit, about one ulp at 2 nats.  It binds only above eta of
+    about 0.027.
 
-    A level past the limit is absorbed by a rebuild (``_build``) from the
-    materialized z.  A column fit that puts v past it is retried on the
-    fresh kernel, and only a fit that a fresh kernel cannot take steps
-    densely, after which the kernel is rebuilt from the step's z and takes
-    its column fit.  A row fit that puts u past it is kept, and the column
-    fit is taken on the rebuilt kernel.  Smaller problems step densely
-    throughout, with z_base the current z.
+    The levels are bounded rather than taken at every step.  ``u_level``
+    and ``v_level`` are 0 at a build and grow by the step's bound on
+    max |log f| for its column scaling f, plus ``slack``.  v moves by f
+    itself.  When the z held before a step has its rows fit exactly at
+    the stage's eta, the plan's row sums after the column fit lie within
+    [min f, max f] times r, so the row fit lies in [1 / max f, 1 / min f]
+    and u's level also moves by at most max |log f| (Franklin and Lorenz,
+    "On the scaling of multidimensional matrices", Linear Algebra Appl.
+    1989).  Every step ends with a row fit and every rebuild is from a
+    row-fit z, but the stage's first kernel is built from the z it starts
+    from, whose rows are fit at another eta or not at all, so both bounds
+    start at infinity and the first step takes both exact levels.  Only a
+    bound that passes ``level_limit`` takes the exact level, which then
+    replaces it, so every decision is the one exact checks at every step
+    would make.
+
+    A level past the limit is absorbed by a rebuild from the materialized
+    z.  A column fit that puts v past it is retried on the fresh kernel,
+    and only a fit that a fresh kernel cannot take steps densely, by
+    ``z_step`` with the fit in the z domain, f^eta; the kernel is then
+    rebuilt from the step's z and takes its own column fit.  A row fit
+    that puts u past it is kept, and the column fit is taken on the
+    rebuilt kernel.  The target guard holds the powered targets to the
+    same limit: a build whose z-domain targets r^eta / R or c^eta / C have
+    a level past ``max_level`` could not power them in range, so it holds
+    z densely until the next build, and the next step is a ``z_step``.  A
+    build from a row-fit z has its row targets in [1, m^eta], within the
+    limit whenever eta log m <= 2, so the guard fires at a stage start far
+    from row-fit at the stage's eta, such as a first stage's
+    row-equilibrated start.
     """
 
     def __init__(self, z: np.ndarray, r: np.ndarray, c: np.ndarray, eta: float, alpha: np.ndarray, beta: np.ndarray):
@@ -587,7 +412,7 @@ class _Stage:
         self.on_kernel = False  # whether the current build is a kernel; none yet
         self.kernel_sized = min(z.shape) >= _KERNEL_MIN_SIDE
         col_cut, row_cut = _cutoff(z.shape[0], eta), _cutoff(z.shape[1], eta)
-        delta = (54 + (max(z.shape) - 1).bit_length()) * eta * math.log(2.0)  # -log min(col_cut, row_cut)
+        delta = _truncation_bits(max(z.shape)) * eta * math.log(2.0)  # -log min(col_cut, row_cut)
         band = math.exp(-_BAND * delta)
         self.row_cut, self.col_cut = row_cut * band, col_cut * band  # _BAND cutoffs lower
         self.max_level = min(_BAND * delta / 4, _LEVEL_CAP)
@@ -599,8 +424,9 @@ class _Stage:
     def _build(self, z: np.ndarray) -> None:
         """Hold z as z_base, on a fresh kernel unless the target guard holds it densely (``on_kernel``).
 
-        The current kernel's U and V are folded into alpha and beta first.
-        The fresh kernel has u = v = 1 and its level bounds 0.
+        The current kernel's U and V are folded into the scalings first,
+        alpha * U and beta / V.  The fresh kernel has u = v = 1 and its
+        level bounds 0.
         """
         self.alpha, self.beta = self.scalings()
         self.z_base = z
@@ -753,9 +579,8 @@ def _log_spread(s: np.ndarray, eta: float) -> float:
 def _spread(multipliers: np.ndarray) -> float:
     """log(max M / min M), the log spread of multipliers held in the plan domain.
 
-    The extremes are found by ``argmax`` and ``argmin``, which cost about
-    a quarter of ``np.maximum.reduce`` on a desk-sized vector and give the
-    same values.
+    ``argmax`` and ``argmin`` find the extremes at less cost than
+    ``np.maximum.reduce`` on a desk-sized vector.
     """
     return math.log(multipliers[multipliers.argmax()] / multipliers[multipliers.argmin()])
 
@@ -774,13 +599,18 @@ _SAFEGUARD_WINDOW = 10
 
 
 def _relaxation(crits: List[float], omega: float) -> float:
-    """Over-relaxation factor of a stage's next column fit.
+    """Over-relaxation factor omega of a stage's next column fit, which applies s^omega in place of s.
 
     ``crits`` holds the post-step criteria of the stage so far, and
-    ``omega`` the factor of the step just taken.  After the probe steps
-    the contraction rate they show sets omega, the optimal factor for a
-    linear iteration contracting at that rate, capped; after that only
-    the safeguard changes it, back to 1.  See the module docstring.
+    ``omega`` the factor of the step just taken.  A stage takes 8 plain
+    steps (omega = 1), estimates the criterion's contraction rate as
+    theta = (crit_8 / crit_4)^(1/4), and sets omega = min(1.9,
+    2 / (1 + sqrt(1 - theta))), the optimal factor for a linear iteration
+    contracting at that rate, or 1 when theta >= 1 (Lehmann, von Renesse,
+    Sambale and Uschmajew, Optim. Lett. 2022).  After that only the
+    safeguard changes it: a criterion that is not below its value 10 steps
+    earlier while omega > 1 drops omega to 1 for the rest of the stage
+    (Thibault, Chizat, Dossal and Papadakis, Algorithms 2021).
     """
     k = len(crits)
     if k == _PROBE_STEPS:
@@ -795,12 +625,37 @@ def _relaxation(crits: List[float], omega: float) -> float:
 class _Mixer:
     """A stage's column-fit rule: the scaling each step applies, and whether a mixed step is kept.
 
-    The relaxed step applies s**omega, with omega set by ``_relaxation``;
-    on a stage with at least 4 rows and columns the steps after the probe
-    mix at depth 1 in plan nats, with a rollback (see the module
-    docstring).  Every step goes through ``_Stage.step``.  ``crits``
-    holds the criteria of the kept steps, and ``fits`` counts every row
-    fit, undone ones included.
+    Every step goes through ``_Stage.step`` with the column scaling to
+    apply and a bound on its level in plan nats.  The row fit stays exact,
+    and the criterion is that of the exact column multipliers s of the new
+    z whatever scaling was applied, so a stage stops on the condition of
+    the plain iteration.  Once the rows are fit the plan's column sums
+    total sum(c), so min s <= 1 <= max s, and f = log s in plan nats
+    (log(s) / eta on a dense build) has max |f| <= crit.  The relaxed
+    step applies s^omega (``_relaxation``), with the bound omega crit.
+
+    On a stage with at least 4 rows and columns the first step after the
+    probe is relaxed, and each later one mixes at depth 1 (Anderson, J.
+    ACM 1965; Walker and Ni, SIAM J. Numer. Anal. 2011): with
+    dF = f - f_prev and x_prev the log scaling the last step applied,
+    gamma = dF.f / dF.dF, and the step applies exp(x),
+    x = omega f - gamma (x_prev + omega dF), with the bound
+    |omega (1 - gamma)| crit + |gamma omega| crit_prev + |gamma| b_prev,
+    b_prev the last step's, widened by a factor 1 + 1e-12.  Mixing amplifies the
+    rounding by which a kernel step parts from ``z_step``, so a whole
+    kernel run may part from a dense one.  Three guards take the relaxed
+    step instead: unless dF.dF > 0 and gamma < 1, so that x keeps a
+    positive weight on f (a step with gamma near 1 barely moves, and on a
+    plateau of the criterion such steps stall a stage); when neither its
+    bound nor its level max |x| is within ``_Stage.level_limit``, which no
+    fresh kernel could take; and, from an undone mixed step until one is kept
+    again, when the kernel refuses its column fit, which is then not
+    absorbed by a rebuild.  A mixed step is kept if its criterion is below
+    twice the stage's best so far; otherwise the stage is restored and the
+    step redone as the relaxed one (a rollback after Zhang, O'Donoghue and
+    Boyd, SIAM J. Optim. 2020).
+    ``crits`` holds the criteria of the kept steps, and ``fits`` counts
+    every row fit, undone ones included.
     """
 
     def __init__(self, stage: _Stage):
@@ -845,7 +700,6 @@ class _Mixer:
         a, b = omega * (1.0 - gamma), gamma * omega
         self.coef[now], self.coef[1 - now], self.coef[2] = a, b, -gamma
         x = self.coef.dot(self.R)
-        # max |f| <= crit once the rows are fit, since min s <= 1 <= max s.
         bound = (abs(a) * crit + abs(b) * crit_prev + abs(gamma) * bound_prev) * (1.0 + 1e-12)
         if bound > stage.level_limit and max(x.max(), -x.min()) > stage.level_limit:
             return None  # past what a fresh kernel takes
@@ -869,18 +723,24 @@ def _secant_prediction(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start of the next stage, extrapolated linearly in eta from the last two stage ends.
 
-    ``ends`` holds the cumulative (alpha, beta) at the ends of the two
-    stages just run, older first, and ``etas`` their temperatures and the
-    next one.  Between the two ends z moved by the row and column
-    scalings A = alpha_k / alpha_(k-1) and B = beta_k / beta_(k-1), so
-    z * A^w / B^w with w = (eta_(k+1) - eta_k) / (eta_k - eta_(k-1)) is
-    log z continued along that secant.  w is capped at 1, so the start is
-    never extrapolated further than the last stage's own move; geometric
-    ladders have w = 1/factor and are unaffected, while two nearly equal
-    temperatures followed by a larger step would otherwise raise the
-    scalings to a huge power.  Returns (z, alpha, beta), all scaled alike,
-    so that x = (alpha b / beta)^(1/eta) still holds.  See the module
-    docstring.
+    On the support a_ij - lambda_i - mu_j = eta * log x_ij, and x(eta)
+    tends to an LP vertex, so the potentials that z encodes move by about
+    eta times a fixed vector from one stage to the next (Cominetti and San
+    Martin, Math. Programming 1994; Weed, COLT 2018), and a start carried
+    over unchanged is off by that first-order term.  ``ends`` holds the
+    cumulative (alpha, beta) at the ends of the two stages just run, older
+    first, and ``etas`` their temperatures and the next one.  Within a
+    stage z changes only by row and column scalings, so between the two
+    ends it moved by A = alpha_k / alpha_(k-1) on the rows and
+    B = beta_k / beta_(k-1) on the columns, and z * A^w / B^w with
+    w = (eta_(k+1) - eta_k) / (eta_k - eta_(k-1)) is log z continued along
+    that secant: pow on n + m values, with no log or exp over the matrix.
+    w is capped at 1, so the start is never extrapolated further than the
+    last stage's own move; geometric ladders have w = 1/factor and are
+    unaffected, while two nearly equal temperatures followed by a larger
+    step would otherwise raise the scalings to a huge power.  Returns
+    (z, alpha, beta), all scaled alike, so that x = (alpha b / beta)^(1/eta)
+    still holds.
     """
     (alpha_prev, beta_prev), (alpha, beta) = ends
     eta_prev, eta, eta_next = etas
@@ -898,9 +758,24 @@ _WARM_UP_MAX = 32
 
 
 def _warm_up(weights: np.ndarray, r: np.ndarray, stages: Tuple[Tuple[float, float], ...]) -> List[float]:
-    """The warm-up temperatures of a ladder's first stage, hottest first, or none (see the module docstring)."""
+    """The warm-up temperatures of a ladder's first stage, hottest first, or none.
+
+    The first stage starts cold, from the row-equilibrated z, whose row
+    ratios exp(a_ij - max_j a_ij) reach spread / eta_0 plan nats, with
+    spread = max(a) - min(a).  Past B = (F + 1)(54 + k) ln 2 plan nats,
+    the largest log ratio a fresh kernel keeps (its zero band of F cutoffs
+    plus the cutoff, F and k as in ``_Stage``), it stalls on long plateaus
+    of the criterion.  So a ladder of two or more stages with
+    spread / eta_0 > B starts hot (epsilon-scaling; Kosowsky and Yuille,
+    Neural Networks 1994; Schmitzer, SIAM J. Sci. Comput. 2019): it is
+    continued upward by its ratio eta_0 / eta_1, for at most 32
+    temperatures, to the first at or above 4 spread / B, where the spread
+    fits in a quarter of the band.  Any above
+    min(1, 100 / (spread + |log sum(r)|)) is dropped, since r^eta could
+    leave the float range there.
+    """
     spread = float(weights.max()) - float(weights.min())
-    band = (_BAND + 1) * (54 + (max(weights.shape) - 1).bit_length()) * math.log(2.0)
+    band = (_BAND + 1) * _truncation_bits(max(weights.shape)) * math.log(2.0)
     if len(stages) < 2 or not spread / stages[0][0] > band:
         return []
     eta_0, ratio = stages[0][0], stages[0][0] / stages[1][0]
@@ -925,62 +800,32 @@ def solve(
 ) -> SolveResult:
     """Run the annealed scaling iteration on an additive-form problem.
 
-    Steps: form b = exp(a) (negating a first for minimization), apply the
-    preliminary row equilibration, initialize z = bhat, then per stage
-    iterate ``z_step`` until the criterion measured on the post-step plan
-    drops below the stage tolerance.  The stage (``_Stage``) keeps the
-    column multipliers s of its z, and a stage-local rule (``_Mixer``)
-    hands each step the column scaling to apply and takes the next
-    criterion back, so the loop itself handles no multipliers.  After a
-    stage's first 8 steps the column fit is over-relaxed, s**omega in
-    place of s, with omega set from the contraction rate those steps show
-    and dropped back to 1 if the criterion stalls, and on problems with at
-    least 4 rows and columns it is then mixed at depth 1 with weight omega
-    (see the module docstring); the criterion is always that of the exact
-    s, so stopping means what it does for the plain iteration.  A step is
-    a kept row fit: the trace records one criterion per step, and
-    ``stage_iterations`` and ``max_iters`` count steps.  A mixed step
-    whose criterion is not below twice the stage's best is undone and
-    redone as the relaxed step, and ``stage_fits`` counts every row fit,
-    undone ones included.  From the end of the second stage on, z, alpha and
-    beta are extrapolated along the secant of the last two stage ends
-    before the next stage starts (see ``_secant_prediction``); the first
-    two stages start from z as the previous stage left it.  Each stage
-    owns alpha and beta while it runs, folding its step multipliers (the
-    column ones as applied) into them at each kernel build and
-    each dense step; ``solve`` reads them from the stage at its end
-    (``_Stage.scalings``) for the prediction and, after the last stage,
-    returns them.  Together with the equilibration and the predictions'
-    scalings they satisfy x_ij = (alpha_i b_ij / beta_j)^(1/eta_final)
-    with b the internal (sense-adjusted) coefficients.
+    b = exp(a), with a negated first for minimization, is row-equilibrated
+    into the first z (``row_equilibrate``).  Each stage of ``schedule`` is
+    a ``_Stage`` whose column fits a ``_Mixer`` sets, stepped until the
+    criterion of the post-step plan drops below the stage's tol.  The
+    warm-up temperatures of ``_warm_up``, if any, run first as stages with
+    stage 0's tol, and each stage run right after two converged ones
+    starts from ``_secant_prediction``.
 
-    On problems with at least 4 rows and columns, each stage builds a
-    kernel of z^(1/eta) from the z it starts from and steps on it in the
-    plan domain, absorbing a level past its limit into a rebuilt kernel,
-    and holding z densely for one ``z_step`` where the target guard finds
-    the start too far from row-fit (see the module docstring).  Each step
-    then agrees with ``z_step`` from the same z under the same column
-    scaling to rounding; mixing amplifies that rounding, so a whole run
-    may part from a dense one.  The criterion is then
-    log(max s / min s) of the plan-domain column multipliers, equal to
-    the dense one up to rounding.  z is materialized for snapshots and at
-    each stage end.  The plan is
-    z^(1/eta) with pow skipped on the entries whose power underflows to 0
-    (``_plan``).
+    A step is a kept row fit.  The trace records one criterion per step at
+    its stage's eta, the warm-up's included, and ``snapshot_stride``
+    records the plan every that many steps in ``trace.snapshots``.
+    ``stage_iterations`` counts each stage's steps and ``stage_fits`` its
+    row fits, the steps plus the mixed steps undone and redone; stage 0's
+    entries include the warm-up's.  ``max_iters`` bounds the steps of each
+    stage and of each warm-up temperature.  A stage that runs out ends the
+    solve with ``converged=False`` and the entries up to its own, and the
+    plan is extracted at its eta.  A warm-up temperature that runs out
+    ends only the warm-up, and stage 0 starts from the z it reached.  The
+    returned scalings satisfy x_ij = (alpha_i b_ij / beta_j)^(1/eta), with
+    b the sense-adjusted coefficients, and ``final_z`` is the z the plan
+    was extracted from (``_plan``).
 
-    A ladder whose first stage starts cold first runs the warm-up
-    temperatures of ``_warm_up``, whose steps the trace records at their
-    own etas and stage 0's entries count.
-
-    ``max_iters`` bounds each stage's steps and each warm-up temperature's;
-    on an exhausted budget the iterate reached is returned with
-    ``converged=False``, but an exhausted warm-up temperature only ends
-    the warm-up.  ``snapshot_stride``
-    records the plan every that many iterations in ``trace.snapshots``.
-    An overflow, division by zero or invalid operation while iterating
-    or predicting raises NonFiniteEntry, naming the stage's eta.  A step
-    that repeats the criterion and is found to leave z unchanged raises
-    NumericalDegeneracy (see ``_Stage.unmoved``).
+    An overflow, division by zero or invalid operation raises
+    NonFiniteEntry, naming the eta and the iteration or the prediction
+    where it happened.  A step that repeats the criterion and is found to
+    leave z unchanged raises NumericalDegeneracy (``_Stage.unmoved``).
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
@@ -992,19 +837,20 @@ def solve(
     z, alpha = row_equilibrate(moma.coefficients)
     beta = np.ones(moma.m)
     trace = ConvergenceTrace()
-    stage_iterations: List[int] = []
-    stage_fits: List[int] = []
+    steps, fits = [0] * len(schedule.stages), [0] * len(schedule.stages)
     k_global = 0
     ends: List[Tuple[np.ndarray, np.ndarray]] = []
     warm = _warm_up(problem.weights, r, schedule.stages)
     stages = [(e, schedule.stages[0][1]) for e in warm] + list(schedule.stages)
     converged = True
+    where = None  # the prediction, while one runs
     t0 = time.perf_counter()
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for k, (eta, tol) in enumerate(stages):
                 if k < len(warm) and not converged:
                     continue  # an exhausted warm-up temperature ends the warm-up
+                entry = max(k - len(warm), 0)  # the warm-up counts in stage 0's entries
                 stage = _Stage(z, r, c, eta, alpha, beta)
                 crit = stage.column_fit()
                 mixer = _Mixer(stage)
@@ -1028,37 +874,26 @@ def solve(
                         break
                 z = stage.materialized()
                 alpha, beta = stage.scalings()
-                if 0 < k <= len(warm):  # the warm-up and stage 0 count in one entry
-                    stage_iterations[-1] += len(mixer.crits)
-                    stage_fits[-1] += mixer.fits
-                else:
-                    stage_iterations.append(len(mixer.crits))
-                    stage_fits.append(mixer.fits)
+                steps[entry] += len(mixer.crits)
+                fits[entry] += mixer.fits
                 converged = crit < tol  # else the stage's budget ran out
-                if not converged:
-                    if k >= len(warm):
-                        break
-                    ends = []
-                    continue
-                ends = ends[-1:] + [(alpha, beta)]
+                if not converged and k >= len(warm):
+                    break
+                ends = ends[-1:] + [(alpha, beta)] if converged else []
                 if len(ends) == 2 and k + 1 < len(stages):
-                    etas = (stages[k - 1][0], eta, stages[k + 1][0])
-                    try:
-                        z, alpha, beta = _secant_prediction(z, ends, etas)
-                    except FloatingPointError as exc:
-                        raise NonFiniteEntry(
-                            f"{exc} at eta={eta} in the prediction of the next stage's start") from exc
+                    where = "the prediction of the next stage's start"
+                    z, alpha, beta = _secant_prediction(z, ends, (stages[k - 1][0], eta, stages[k + 1][0]))
+                    where = None
     except FloatingPointError as exc:
-        raise NonFiniteEntry(f"{exc} at eta={eta} in iteration {k_global + 1}") from exc
-    eta_final = schedule.stages[len(stage_iterations) - 1][0]
-    plan = TransportPlan.against(_plan(z, eta_final), problem.row_marginals, problem.col_marginals)
+        raise NonFiniteEntry(f"{exc} at eta={eta} in {where or f'iteration {k_global + 1}'}") from exc
+    plan = TransportPlan.against(_plan(z, schedule.stages[entry][0]), problem.row_marginals, problem.col_marginals)
     return SolveResult(
         plan=plan,
         scalings=Scalings(alpha, beta),
         trace=trace,
         converged=converged,
-        stage_iterations=tuple(stage_iterations),
+        stage_iterations=tuple(steps[:entry + 1]),
         final_criterion=float(crit),
         final_z=z,
-        stage_fits=tuple(stage_fits),
+        stage_fits=tuple(fits[:entry + 1]),
     )

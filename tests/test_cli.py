@@ -297,11 +297,11 @@ class TestEntryPoint:
         env = dict(os.environ, PYTHONPATH=SRC)
         out = tmp_path / "gen.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "balanced_transport", "generate",
+            [sys.executable, "-W", "error", "-m", "balanced_transport", "generate",
              "--preset", "small-example", "--out", str(out)],
             capture_output=True, text=True, env=env,
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
     def test_usage_error_exits_one(self):

@@ -1622,6 +1622,26 @@ class TestWarmStart:
         assert runs[1][0] == _DESK.stages[0][0]
         assert result.stage_iterations == (6,) and not result.converged
 
+    def test_a_later_stage_that_runs_out_ends_the_solve_at_its_eta(self):
+        # With a budget of 25 steps the warm-up and stages 0-3 converge, and
+        # stage 4, which takes 28 steps unbounded, runs out.
+        problem = random_problem(np.random.default_rng(1), 24, 40, gaussian=True)
+        result = solve(problem, _DESK, max_iters=25)
+        runs = _steps_per_temperature(result.trace)
+        k = len(result.stage_iterations) - 1
+        warm = len(runs) - (k + 1)
+        assert k == 4 and warm == 6 and not result.converged
+        assert len(result.stage_fits) == k + 1
+        # Entry 0 holds the warm-up's steps, and the entries sum to the trace.
+        assert result.stage_iterations[0] == sum(steps for _, steps in runs[:warm + 1])
+        assert result.stage_iterations[1:] == tuple(steps for _, steps in runs[warm + 1:])
+        assert result.stage_iterations[k] == 25
+        assert sum(result.stage_iterations) == len(result.trace.criteria)
+        eta_k = _DESK.stages[k][0]
+        assert runs[-1][0] == eta_k
+        with np.errstate(under="ignore"):
+            assert np.array_equal(result.plan.values, result.final_z ** (1.0 / eta_k))
+
 
 class TestPlanExtraction:
     """The plan z^(1/eta) is taken by pow only where it does not underflow to 0."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PYTHON = [sys.executable, "-W", "error"]  # as in-process, every warning fails the run
 
 
 @pytest.mark.parametrize(
@@ -25,7 +26,7 @@ def test_script_runs(tmp_path, script, args, headline):
     if script == "run_grid_experiment.py":
         args = args + ["--out-dir", str(tmp_path / "grid")]
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, timeout=120
+        [*PYTHON, str(SCRIPTS / script), *args], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert headline in proc.stdout
@@ -35,7 +36,7 @@ def test_count_sweep_compare_prints_the_moved_seeds_and_both_totals(tmp_path):
     old = tmp_path / "old.json"
     old.write_text('{"total": 1000, "counts": {"1000": 500, "1001": 1}, "unconverged": []}')
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_count_sweep.py"), "--first", "1000", "--count", "2", "--compare", str(old)],
+        [*PYTHON, str(SCRIPTS / "run_count_sweep.py"), "--first", "1000", "--count", "2", "--compare", str(old)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -48,7 +49,7 @@ def test_count_sweep_compare_prints_the_moved_seeds_and_both_totals(tmp_path):
 
 def test_count_sweep_prints_and_compares_row_fits(tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_count_sweep.py"), "--first", "1000", "--count", "2"],
+        [*PYTHON, str(SCRIPTS / "run_count_sweep.py"), "--first", "1000", "--count", "2"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -63,7 +64,7 @@ def test_count_sweep_prints_and_compares_row_fits(tmp_path):
     old.write_text(json.dumps({"total": 501, "counts": {"1000": 500, "1001": 1},
                                "fits_total": 501, "fits": {"1000": 500, "1001": 1}, "unconverged": []}))
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_count_sweep.py"), "--first", "1000", "--count", "2", "--compare", str(old)],
+        [*PYTHON, str(SCRIPTS / "run_count_sweep.py"), "--first", "1000", "--count", "2", "--compare", str(old)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
