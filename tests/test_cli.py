@@ -65,7 +65,8 @@ class TestSolve:
         report = json.loads(report_path.read_text())
         assert report["converged"] is True
         assert len(report["iterations_per_stage"]) == 12
-        # The 3x3 example keeps the relaxed rule, so each step is one row fit.
+        # The 3x3 example has sides below 4, so it never mixes, and each step
+        # is one row fit.
         assert report["fits_per_stage"] == report["iterations_per_stage"]
         assert report["final_criterion"] < 0.01
         assert report["objective_value"] >= 0.54

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -408,38 +409,23 @@ class TestSolve:
         [AnnealingSchedule(((1e-2, 1e-2),)), make_schedule(1e-2, 3, 2.0, 1e-2)],
         ids=["1-stage", "3-stage"],
     )
-    def test_solve_matches_manual_z_steps(self, small_problem, schedule):
-        # z carries across stages, predicted along the secant of the last two
-        # stage ends from the second stage's end on; s is recomputed at each
-        # stage start, and each stage over-relaxes its column fit by the
-        # shared rule.
-        result = solve(small_problem, schedule)
+    def test_solve_matches_manual_z_steps(self, monkeypatch, small_problem, schedule):
+        # Each step is redone by z_step from the z it started from, with the
+        # z-domain column scaling it applied, and must agree with it to
+        # rounding.  z carries across stages, predicted along the secant of
+        # the last two stage ends from the second stage's end on, and each
+        # stage over-relaxes its column fit by the shared rule, never mixing.
+        result, (outcome, counts, crits, z) = _lockstep_solve(monkeypatch, small_problem, schedule)
         assert len(result.stage_iterations) == len(schedule.stages)
         assert result.stage_iterations[0] > regularized._PROBE_STEPS
-        r, c = small_problem.row_marginals, small_problem.col_marginals
-        z, alpha = row_equilibrate(np.exp(small_problem.weights))
-        beta = np.ones(len(c))
-        etas = [eta for eta, _ in schedule.stages]
-        crits, ends = [], []
-        for k, iterations in enumerate(result.stage_iterations):
-            eta = etas[k]
-            s = column_multipliers(z, c, eta)
-            stage_crits, omega = [], 1.0
-            for _ in range(iterations):
-                fit = s**omega
-                z, t, s = z_step(z, fit, r, c, eta)
-                alpha, beta = alpha * t, beta / fit
-                stage_crits.append(criterion(s, eta))
-                omega = regularized._relaxation(stage_crits, omega)
-            crits += stage_crits
-            ends = ends[-1:] + [(alpha, beta)]
-            if 1 <= k < len(etas) - 1:
-                z, alpha, beta = regularized._secant_prediction(z, ends, tuple(etas[k - 1:k + 2]))
-        assert np.array_equal(np.array(crits), np.array(result.trace.criteria))
-        assert np.array_equal(z, result.final_z)
-        assert np.array_equal(z ** (1.0 / schedule.eta_final), result.plan.values)
-        assert np.array_equal(alpha, result.scalings.alpha)
-        assert np.array_equal(beta, result.scalings.beta)
+        assert outcome == "converged" and counts == result.stage_iterations
+        assert result.stage_fits == result.stage_iterations
+        assert np.max(np.abs(np.array(result.trace.criteria) - crits)) <= 1e-10
+        assert np.max(np.abs(result.final_z - z) / z) <= 1e-12
+        assert np.array_equal(regularized._plan(result.final_z, schedule.eta_final), result.plan.values)
+        b = np.exp(small_problem.weights)
+        rebuilt = result.scalings.alpha[:, None] * b / result.scalings.beta
+        assert np.max(np.abs(rebuilt - result.final_z) / result.final_z) <= 32 * np.finfo(float).eps
 
     def test_minimize_sense(self, small_problem, known_plan):
         negated = OTProblem(-small_problem.weights, small_problem.row_marginals,
@@ -500,41 +486,33 @@ class TestSolve:
         etas = sorted(set(result.trace.etas), reverse=True)
         assert etas == [4e-3, 1e-3]
 
-    def test_degeneracy_matches_comparing_z_every_step(self):
-        # Reference: the same iteration through z_step, comparing the whole
-        # of z with its predecessor after every step.  At tol 1e-300 only an
-        # exactly uniform s converges, so some runs freeze one rounding short.
+    def test_degeneracy_matches_comparing_z_every_step(self, monkeypatch):
+        # Each step is redone by z_step from the z it started from, and the
+        # whole of z is compared with that start after every step.  At tol
+        # 1e-300 only an exactly uniform s converges, so some runs freeze
+        # one rounding short: a step repeats the criterion, within the
+        # rounding floor, and leaves z bit for bit where it was.  solve must
+        # raise NumericalDegeneracy at the first such step and at no other.
+        floor = regularized._ROUNDING_FLOOR
         degenerate = 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
             n, m = (int(k) for k in rng.integers(1, 4, size=2))
             prob = random_problem(rng, n, m)
-            r, c = prob.row_marginals, prob.col_marginals
             for eta in (1.0, 0.5):
-                z = row_equilibrate(np.exp(prob.weights))[0]
-                s = column_multipliers(z, c, eta)
-                crits, omega = [], 1.0
-                outcome = "max_iters"
-                for k in range(1, 301):
-                    before = z
-                    z, _, s = z_step(z, s**omega, r, c, eta)
-                    crits.append(criterion(s, eta))
-                    if crits[-1] < 1e-300:
-                        outcome = "converged"
-                        break
-                    if np.array_equal(z, before):
-                        outcome = "degenerate"
-                        break
-                    omega = regularized._relaxation(crits, omega)
                 sched = AnnealingSchedule(((eta, 1e-300),))
-                if outcome == "degenerate":
+                steps = []
+                result, (outcome, _, _, _) = _lockstep_solve(monkeypatch, prob, sched, 300, steps)
+                frozen = [k for k in range(1, len(steps)) if steps[k][1]
+                          and steps[k][0] == steps[k - 1][0] and eta * steps[k][0] <= floor]
+                if outcome == "frozen":
                     degenerate += 1
-                    with pytest.raises(NumericalDegeneracy):
+                    assert frozen == [len(steps) - 1]
+                    with pytest.raises(NumericalDegeneracy, match=f"eta={eta:g} while"):
                         solve(prob, sched, max_iters=300)
                 else:
-                    result = solve(prob, sched, max_iters=300)
-                    assert result.iterations == k
-                    assert result.converged == (outcome == "converged")
+                    assert frozen == []
+                    assert result.iterations == len(steps) and (result.converged or len(steps) == 300)
         assert degenerate > 0
 
 
@@ -589,9 +567,9 @@ def _dense_solve(problem: OTProblem, schedule: AnnealingSchedule, max_iters: int
                  plain: bool = False):
     """solve's iteration through z_step alone, comparing z itself for a freeze.
 
-    Each stage over-relaxes its column fit by the rule solve keeps on
-    problems with a side below 4, with no mixing, or, with ``plain``,
-    keeps omega at 1 throughout.  From the second stage's end
+    Each stage over-relaxes its column fit by ``_relaxation`` alone, the
+    rule solve keeps on problems with a side below 4, which never mix, or,
+    with ``plain``, keeps omega at 1 throughout.  From the second stage's end
     on, the next stage starts from solve's own secant prediction.
 
     Returns (outcome, stage iterations, criteria, final z), with outcome
@@ -645,7 +623,8 @@ def _z_domain(stage, fit: np.ndarray) -> np.ndarray:
     return fit**stage.eta if stage.on_kernel else fit
 
 
-def _lockstep_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule):
+def _lockstep_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule,
+                    max_iters: int = 100_000, steps: Optional[list] = None):
     """solve, with each of its steps redone by z_step from the z that step started from.
 
     Every step through ``_Stage.step``, kept or undone, is redone with the
@@ -653,27 +632,40 @@ def _lockstep_solve(monkeypatch, problem: OTProblem, schedule: AnnealingSchedule
     ``_dense_solve``'s form, the outcome, the criteria of the kept steps'
     redos and the last one's z.  Each redo starts where solve stands, so
     rounding differences do not compound from step to step, and each
-    step's z must agree with its redo's.
+    step's z must agree with its redo's.  A solve that raises
+    NumericalDegeneracy returns None, with outcome "frozen" and no stage
+    counts.  ``steps``, if given, gets for each kept step the criterion
+    solve saw and whether the step left z bit for bit where it was.
     """
-    crits, zs = [], []
+    crits, zs, kept = [], [], []
 
     class Lockstep(regularized._Stage):
         def step(self, fit, bound, absorb=True):
-            z, _, s_ref = z_step(self.materialized(), _z_domain(self, fit), self.r, self.c, self.eta)
+            start = self.materialized()
+            z, _, s_ref = z_step(start, _z_domain(self, fit), self.r, self.c, self.eta)
             stepped = super().step(fit, bound, absorb)
             if stepped is not None:
                 assert np.max(np.abs(self.materialized() - z) / z) <= 1e-12
                 crits.append(criterion(s_ref, self.eta))
+                kept.append((stepped, np.array_equal(self.materialized(), start)))
                 zs[:] = [z]
             return stepped
 
         def restore(self, state):
             super().restore(state)
             crits.pop()
+            kept.pop()
 
     with monkeypatch.context() as patch:
         patch.setattr(regularized, "_Stage", Lockstep)
-        result = solve(problem, schedule)
+        try:
+            result = solve(problem, schedule, max_iters=max_iters)
+        except NumericalDegeneracy:
+            result = None
+    if steps is not None:
+        steps[:] = kept
+    if result is None:
+        return None, ("frozen", None, np.array(crits), zs[0])
     outcome = "converged" if result.converged else "max_iters"
     return result, (outcome, result.stage_iterations, np.array(crits), zs[0])
 
@@ -690,7 +682,7 @@ def _count_kernel_traffic(monkeypatch):
 
     class Counting(regularized._Stage):
         def _build(self, z):
-            counts["builds"] += self.kernel_sized
+            counts["builds"] += 1
             super()._build(z)
 
         def _fit_columns(self, v, grow):
@@ -837,15 +829,13 @@ class TestShortlist:
         z[k % n, k % m] = 1.0
         z *= np.exp(eta * rng.uniform(-50.0, 50.0, size=n))[:, None]
         z *= np.exp(eta * rng.uniform(-50.0, 50.0, size=m))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(regularized, "_KERNEL_MIN_SIDE", 2)  # a kernel at every side drawn
-            probe = regularized._Stage(z, np.ones(n), np.ones(m), eta, np.ones(n), np.ones(m))
-            # Marginals whose targets r^eta / R and c^eta / C reach 99% of
-            # reach times the level limit, within the target guard.
-            reach = 0.99 * reach * probe.level_limit
-            r = np.exp(np.log(z.max(axis=1)) / eta + reach * rng.uniform(-1.0, 1.0, size=n))
-            c = np.exp(np.log(z.max(axis=0)) / eta + reach * rng.uniform(-1.0, 1.0, size=m))
-            stage = regularized._Stage(z, r, c, eta, np.ones(n), np.ones(m))
+        probe = regularized._Stage(z, np.ones(n), np.ones(m), eta, np.ones(n), np.ones(m))
+        # Marginals whose targets r^eta / R and c^eta / C reach 99% of
+        # reach times the level limit, within the target guard.
+        reach = 0.99 * reach * probe.level_limit
+        r = np.exp(np.log(z.max(axis=1)) / eta + reach * rng.uniform(-1.0, 1.0, size=n))
+        c = np.exp(np.log(z.max(axis=0)) / eta + reach * rng.uniform(-1.0, 1.0, size=m))
+        stage = regularized._Stage(z, r, c, eta, np.ones(n), np.ones(m))
         assert stage.on_kernel
         # Row and column multipliers at levels up to level times the level
         # limit, each with both extremes drawn, so that their log spreads
@@ -909,6 +899,37 @@ class TestShortlist:
         assert kernel_calls[0] > 0
         assert not result.converged
         assert _dense_solve(prob, schedule, max_iters=300)[:2] == ("max_iters", result.stage_iterations)
+
+    def test_a_tiny_stage_frozen_at_the_rounding_floor_raises(self):
+        # The dense z_step loop reaches an exactly uniform s at step 16 and
+        # converges at tol 1e-300.  The kernel's criterion reaches 2.2e-16
+        # there and repeats it, while u and v move by rounding; a step that
+        # then leaves z bit for bit where it was is a freeze, not a stage
+        # left to run out its budget.
+        rng = np.random.default_rng(31)
+        prob = random_problem(rng, *(int(k) for k in rng.integers(1, 4, size=2)))
+        assert prob.weights.shape == (2, 3)
+        with pytest.raises(NumericalDegeneracy, match="eta=0.5 while the criterion is 2.22e-16"):
+            solve(prob, AnnealingSchedule(((0.5, 1e-300),)), max_iters=300)
+
+    def test_a_criterion_repeated_above_the_rounding_floor_is_no_freeze(self):
+        # A 2x3 problem near the float range's edges, on a power-of-two
+        # ladder: at eta 1 the criterion sits at 0.9115053259636, repeating
+        # itself, for 613 steps and still converges, and at eta 2^-7 it
+        # falls too slowly to reach tol in 3000 steps.  The dense iteration
+        # ends the same way: neither stage is frozen.
+        rng = np.random.default_rng(1400)
+        n, m = (int(k) for k in rng.integers(2, 5, size=2))
+        a = rng.uniform(-400.0, 400.0, size=(n, m))
+        r = rng.uniform(0.5, 1.5, size=n) * 10.0 ** rng.uniform(-150.0, 150.0)
+        c = rng.uniform(0.5, 1.5, size=m)
+        c *= r.sum() / c.sum()
+        ks = sorted(int(k) for k in rng.choice(15, size=4, replace=False))
+        tols = 10.0 ** rng.uniform(-2.0, 2.0, size=4)
+        schedule = AnnealingSchedule(tuple((2.0**-k, float(tol)) for k, tol in zip(ks, tols)))
+        assert (n, m) == (2, 3) and schedule.stages[0][0] == 1.0
+        result = solve(OTProblem(a, r, c), schedule, max_iters=3000)
+        assert not result.converged and result.stage_iterations == (656, 3000)
 
     def test_an_absorption_that_finds_z_unmoved_is_a_freeze(self, monkeypatch):
         # Every kernel step is absorbed after its row fit, so each absorption
@@ -1286,10 +1307,10 @@ class TestOverRelaxation:
 
     def test_the_safeguard_fires_where_the_probe_misjudges_the_rate(self, monkeypatch):
         # Found by a seeded search: after the probe sets omega 1.82, this
-        # stage's criterion at step 31 is no lower than at step 21.
+        # stage's criterion at step 35 is no lower than at step 25.  Each
+        # step must agree with z_step redone from the z it started from.
         problem = random_problem(np.random.default_rng(8), 3, 3)
         schedule = AnnealingSchedule(((1e-3, 1e-2),))
-        reference = _dense_solve(problem, schedule)
         rule, calls = regularized._relaxation, []
 
         def recording(crits, omega):
@@ -1297,15 +1318,15 @@ class TestOverRelaxation:
             return calls[-1][2]
 
         monkeypatch.setattr(regularized, "_relaxation", recording)
-        result = solve(problem, schedule)
+        result, (outcome, counts, reference, _) = _lockstep_solve(monkeypatch, problem, schedule)
         fired = [k for k, before, after in calls if before > 1.0 and after == 1.0]
-        assert fired == [31]
+        assert fired == [35]
         crits = result.trace.criteria
-        assert not crits[30] < crits[30 - regularized._SAFEGUARD_WINDOW]
-        assert all(after == 1.0 for k, _, after in calls if k >= 31)
+        assert not crits[34] < crits[34 - regularized._SAFEGUARD_WINDOW]
+        assert all(after == 1.0 for k, _, after in calls if k >= 35)
         assert result.converged
-        assert reference[:2] == ("converged", result.stage_iterations)
-        assert np.array_equal(reference[2], crits)
+        assert outcome == "converged" and counts == result.stage_iterations
+        assert np.max(np.abs(np.array(crits) - reference)) <= 1e-10
 
     @given(
         st.integers(min_value=4, max_value=49),
