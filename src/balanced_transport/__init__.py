@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     DivisionDegeneracy,
     GlobalFeasibilityViolation,
-    InconsistentSupport,
     LengthMismatch,
     MaxItersExceeded,
     NonFiniteEntry,

@@ -121,47 +121,28 @@ Problem = Union[OTProblem, MOMAProblem]
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Nonnegative allocation matrix with marginal residual metadata.
-
-    ``row_residual`` and ``col_residual`` are the worst absolute
-    deviations of the plan's row and column sums from the marginals it
-    was checked against.
-    """
+    """Finite nonnegative allocation matrix."""
 
     values: np.ndarray
-    row_residual: float
-    col_residual: float
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, 2, "values"))
-
-    @classmethod
-    def against(cls, values, row_marginals, col_marginals) -> "TransportPlan":
-        """Build a plan, computing residuals against the given marginals."""
-        arr = np.array(values, dtype=float)
-        r = np.asarray(row_marginals, dtype=float)
-        c = np.asarray(col_marginals, dtype=float)
-        if arr.shape != (r.shape[0], c.shape[0]):
-            raise DimensionMismatch(
-                f"plan shape {arr.shape} does not match marginals ({r.shape[0]}, {c.shape[0]})"
-            )
+        arr = _frozen_array(self.values, 2, "values")
         if not np.all(np.isfinite(arr)):
             i, j = np.unravel_index(int(np.argmax(~np.isfinite(arr))), arr.shape)
             raise NonFiniteEntry(f"plan entry [{i + 1}, {j + 1}] = {arr[i, j]} is not finite")
         if np.any(arr < 0):
             i, j = np.unravel_index(int(np.argmax(arr < 0)), arr.shape)
             raise ValidationError(f"plan entry [{i + 1}, {j + 1}] = {arr[i, j]} is negative")
-        row_res = float(np.max(np.abs(arr.sum(axis=1) - r)))
-        col_res = float(np.max(np.abs(arr.sum(axis=0) - c)))
-        return cls(arr, row_res, col_res)
+        object.__setattr__(self, "values", arr)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
+    @classmethod
+    def against(cls, values, row_marginals, col_marginals) -> "TransportPlan":
+        """Build a plan whose shape matches the given marginals."""
+        shape = np.shape(values)
+        expected = (np.shape(row_marginals)[0], np.shape(col_marginals)[0])
+        if shape != expected:
+            raise DimensionMismatch(f"plan shape {shape} does not match marginals {expected}")
+        return cls(values)
 
     def objective(self, problem: Problem) -> float:
         """Total additive value of the plan under the problem's weights."""
@@ -285,15 +266,16 @@ def monge_check(problem: Problem) -> MongeCheckResult:
     if problem.sense == MINIMIZE:
         a = -a
     n, m = a.shape
-    # Adjacent minors decide the property; scan all quadruples only when
-    # a violation exists, to locate the lexicographically first one.
-    adjacent_ok = np.all(a[:-1, :-1] + a[1:, 1:] >= a[:-1, 1:] + a[1:, :-1])
-    if adjacent_ok:
+    # Adjacent minors decide the property.  A failing adjacent minor is
+    # itself a violating quadruple, so the scan for the first one ends.
+    if np.all(a[:-1, :-1] + a[1:, 1:] >= a[:-1, 1:] + a[1:, :-1]):
         return MongeCheckResult(True, None)
-    for i1 in range(n - 1):
-        for i2 in range(i1 + 1, n):
-            for j1 in range(m - 1):
-                for j2 in range(j1 + 1, m):
-                    if a[i1, j1] + a[i2, j2] < a[i1, j2] + a[i2, j1]:
-                        return MongeCheckResult(False, (i1 + 1, i2 + 1, j1 + 1, j2 + 1))
-    return MongeCheckResult(True, None)
+    first = next(
+        (i1, i2, j1, j2)
+        for i1 in range(n - 1)
+        for i2 in range(i1 + 1, n)
+        for j1 in range(m - 1)
+        for j2 in range(j1 + 1, m)
+        if a[i1, j1] + a[i2, j2] < a[i1, j2] + a[i2, j1]
+    )
+    return MongeCheckResult(False, tuple(k + 1 for k in first))

@@ -637,9 +637,10 @@ class _Mixer:
     and the criterion is that of the exact column multipliers s of the new
     z whatever scaling was applied, so a stage stops on the condition of
     the plain iteration.  Once the rows are fit the plan's column sums
-    total sum(c), so min s <= 1 <= max s, and f = log s in plan nats
-    (log(s) / eta on a dense build) has max |f| <= crit.  The relaxed
-    step applies s^omega (``_relaxation``), with the bound omega crit.
+    total sum(c), so min s <= 1 <= max s, and on a kernel build
+    f = log s, in plan nats, has max |f| <= crit.  The relaxed step
+    applies s^omega (``_relaxation``), with the bound omega crit.  A step
+    on a dense build is relaxed and clears the mix history.
 
     On a problem with at least ``_MIX_MIN_SIDE`` (4) rows and columns the
     first step after the probe is relaxed, and each later one mixes at
@@ -684,11 +685,11 @@ class _Mixer:
         """Take the stage's next step from its multipliers, whose criterion is ``crit``: the next criterion."""
         stage, omega, stepped = self.stage, self.omega, None
         mixing = self.mixes and len(self.crits) >= _PROBE_STEPS
+        if not stage.on_kernel:
+            mixing, self.last = False, None
         if mixing:
             now = 1 - self.now
             f = np.log(stage.s, out=self.rows[now])
-            if not stage.on_kernel:
-                f /= stage.eta
             dots = self.F.dot(f).tolist()
             ff, fp = dots[now], dots[1 - now]
             if self.last and ff - 2.0 * fp + self.last[1] > 0.0:  # dF.dF
@@ -720,7 +721,7 @@ class _Mixer:
         if bound > stage.level_limit and max(x[x.argmax()], -x[x.argmin()]) > stage.level_limit:
             return None  # past what a fresh kernel takes
         saved = stage.save()
-        nxt = stage.step(np.exp(x if stage.on_kernel else x * stage.eta), bound, self.absorb)
+        nxt = stage.step(np.exp(x), bound, self.absorb)
         if nxt is None:  # refused by the kernel while absorbing is off
             return None
         self.fits += 1

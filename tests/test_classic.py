@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from balanced_transport import (
     ConcaveFamily,
     ConcaveIterationParams,
+    DivisionDegeneracy,
     LengthMismatch,
     MaxItersExceeded,
     NonPositiveEntry,
@@ -105,8 +106,10 @@ class TestNonregStep:
         assert np.max(ratios) / np.min(ratios) > 1.05  # not the same ray
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveEntry):
+        with pytest.raises(NonPositiveEntry, match="alpha"):
             nonreg_step(np.array([1.0, -1.0]), np.ones((2, 2)))
+        with pytest.raises(NonPositiveEntry, match="matrix"):
+            nonreg_step(np.ones(2), np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 class TestIPFPVector:
@@ -141,6 +144,15 @@ class TestIPFPVector:
             ipfp_vector(np.zeros((2, 2)), np.ones(2), np.ones(2), np.ones(2), iters=1)
         with pytest.raises(ValidationError):
             ipfp_vector(np.ones((2, 2)), np.ones(2), np.ones(2), np.ones(2), iters=0)
+        with pytest.raises(NonPositiveEntry, match="u0"):
+            ipfp_vector(np.ones((2, 2)), np.array([1.0, 0.0]), np.ones(2), np.ones(2), iters=1)
+        # 1e-200 * 1e-200 underflows to zero in the column denominators.
+        with pytest.raises(DivisionDegeneracy, match="column"):
+            ipfp_vector(np.full((2, 2), 1e-200), np.full(2, 1e-200), np.ones(2), np.ones(2), iters=1)
+        # Column multipliers of 1e-300 meet the 1e-300 row: its denominator underflows.
+        with pytest.raises(DivisionDegeneracy, match="row"):
+            ipfp_vector(np.array([[1.0, 1.0], [1e-300, 1e-300]]), np.ones(2), np.ones(2),
+                        np.full(2, 1e-300), iters=1)
 
 
 class TestIPFPMatrix:
@@ -168,6 +180,8 @@ class TestIPFPMatrix:
     def test_zero_line_rejected(self):
         with pytest.raises(ZeroLine):
             ipfp_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2), np.ones(2))
+        with pytest.raises(NonPositiveEntry, match="nonnegative"):
+            ipfp_matrix(np.array([[1.0, -1.0], [1.0, 1.0]]), np.ones(2), np.ones(2))
 
     @pytest.mark.parametrize("start", ["stagnation-0", "stagnation-1", "stagnation-2", "optimum", "random"])
     def test_matches_the_loop_that_sums_the_columns_twice(self, small_problem, start):
@@ -553,6 +567,12 @@ class TestConcaveIteration:
             ConcaveFamily(label="negative", n=1, m=1, inverse_marginal=lambda T: -np.exp(-T))
         with pytest.raises(ValidationError):
             ConcaveFamily(label="nan", n=1, m=1, inverse_marginal=lambda T: np.full(T.shape, np.nan))
+        with pytest.raises(ValidationError, match="dimensions"):
+            ConcaveFamily(label="empty", n=0, m=1, inverse_marginal=lambda T: np.exp(-T))
+        with pytest.raises(LengthMismatch, match=r"shape \(4,\)"):
+            ConcaveFamily(label="flat", n=2, m=2, inverse_marginal=lambda T: np.exp(-T).ravel())
+        with pytest.raises(NonPositiveEntry):
+            isoelastic_family(np.array([[1.0, 0.0]]), 0.5)
 
     @pytest.mark.parametrize("family", [
         lambda: entropic_family(np.random.default_rng(0).standard_normal((5, 6)), 1e-3),

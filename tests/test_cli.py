@@ -179,8 +179,12 @@ class TestSolve:
     def test_missing_problem_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json"), "--eta", "1e-2"]) == 1
 
-    def test_malformed_schedule_flag(self, problem_file):
+    def test_malformed_schedule_flag(self, problem_file, capsys):
         assert main(["solve", str(problem_file), "--schedule", "stages=2;factor=2"]) == 1
+        assert main(["solve", str(problem_file), "--schedule", "stages=2,factor"]) == 1
+        assert "bad schedule component 'factor'" in capsys.readouterr().err
+        assert main(["solve", str(problem_file), "--schedule", "stages=2,factor=2,final=1e-3,speed=3"]) == 1
+        assert "unknown schedule keys ['speed']" in capsys.readouterr().err
 
     def test_an_overflowing_ladder_exits_one(self, problem_file, capsys):
         assert main(["solve", str(problem_file), "--schedule", "stages=3000,factor=1.5,final=1e-4"]) == 1

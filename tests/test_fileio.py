@@ -161,6 +161,10 @@ class TestProblemFiles:
                         ' "weights": [1, 2, 3], "r": [1, 1], "c": [1, 1]}')
         with pytest.raises(ProblemFileError):
             read_problem(path)
+        path.write_text('{"n": 0, "m": 1, "sense": "maximize", "form": "additive",'
+                        ' "weights": [], "r": [], "c": [1]}')
+        with pytest.raises(ProblemFileError, match=r"invalid shape \(0, 1\)"):
+            read_problem(path)
 
     @pytest.mark.parametrize("n", ["1.9", "true", "1.0", "\"1\""])
     def test_shape_must_be_a_json_integer(self, tmp_path, n):
@@ -181,6 +185,14 @@ class TestProblemFiles:
         path.write_text('{"n": 1, "m": 1, "sense": "upward", "form": "additive",'
                         ' "weights": [1], "r": [1], "c": [1]}')
         with pytest.raises(ProblemFileError):
+            read_problem(path)
+        path.write_text('{"n": 1, "m": 1, "sense": "maximize", "form": "logarithmic",'
+                        ' "weights": [1], "r": [1], "c": [1]}')
+        with pytest.raises(ProblemFileError, match="unknown form 'logarithmic'"):
+            read_problem(path)
+        path.write_text('{"n": 1, "m": 1, "sense": "maximize", "form": "additive",'
+                        ' "weights": [1], "r": [1]}')
+        with pytest.raises(ProblemFileError, match="missing field 'c'"):
             read_problem(path)
 
 
@@ -217,6 +229,10 @@ class TestMatrixCSV:
         with pytest.raises(ProblemFileError) as err:
             read_matrix_csv(path)
         assert str(err.value).endswith("has ragged rows (line 2)")
+        path.write_text("1,2\n3,x\n")
+        with pytest.raises(ProblemFileError, match="could not convert") as err:
+            read_matrix_csv(path)
+        assert err.value.line == 2 and str(err.value).endswith("(line 2)")
 
     @pytest.mark.parametrize("text, line", [("1,,2\n3,4\n", 1), ("1,2\n3,4,\n", 2), ("1,2\n\n3,4\n", 2)],
                              ids=["inner", "trailing", "blank-line"])

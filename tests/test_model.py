@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from balanced_transport import (
     Overflow,
     Scalings,
     TransportPlan,
+    ValidationError,
     lp_oracle,
     moma_to_ot,
     monge_check,
@@ -61,6 +64,8 @@ class TestValidation:
     def test_nonfinite_entry(self):
         with pytest.raises(NonFiniteEntry):
             require_valid(OTProblem([[np.nan]], [1.0], [1.0]))
+        with pytest.raises(NonFiniteEntry, match="row_marginals"):
+            OTProblem([[0.0]], [np.inf], [1.0])
 
     def test_checks_run_in_a_fixed_order(self):
         # Non-finite weights are reported before a non-positive marginal,
@@ -76,6 +81,12 @@ class TestValidation:
     def test_marginal_length_mismatch_raises_at_construction(self):
         with pytest.raises(LengthMismatch):
             OTProblem([[0.0, 0.0]], [1.0, 1.0], [1.0])
+        with pytest.raises(LengthMismatch, match="col_marginals has length 1, expected 2"):
+            OTProblem([[0.0, 0.0]], [1.0], [1.0])
+        with pytest.raises(LengthMismatch, match="weights must be 2-dimensional"):
+            OTProblem([0.0, 0.0], [1.0], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="sense"):
+            OTProblem([[0.0]], [1.0], [1.0], "upward")
 
     def test_problems_are_immutable(self, small_problem):
         with pytest.raises(Exception):
@@ -146,6 +157,18 @@ class TestMongeCheck:
         assert not result.is_monge
         assert result.first_violation == (1, 2, 1, 2)
 
+    def test_first_violation_is_the_lexicographically_first(self):
+        rng = np.random.default_rng(4)
+        for sense in (MAXIMIZE, MINIMIZE) * 10:
+            prob = OTProblem(rng.integers(-2, 3, size=(4, 5)).astype(float), np.full(4, 5.0), np.full(5, 4.0), sense)
+            a = prob.weights if sense == MAXIMIZE else -prob.weights
+            first = next(((i1 + 1, i2 + 1, j1 + 1, j2 + 1)
+                          for i1, i2 in itertools.combinations(range(4), 2)
+                          for j1, j2 in itertools.combinations(range(5), 2)
+                          if a[i1, j1] + a[i2, j2] < a[i1, j2] + a[i2, j1]), None)
+            result = monge_check(prob)
+            assert (result.is_monge, result.first_violation) == (first is None, first)
+
     def test_multiplicative_form_agrees(self, small_problem):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -187,19 +210,17 @@ class TestScalingsAndPotentials:
     def test_positivity_enforced(self):
         with pytest.raises(Exception):
             Scalings([1.0, -1.0], [1.0])
+        with pytest.raises(NonFiniteEntry):
+            Scalings([1.0, np.inf], [1.0])
 
 
 class TestPlansAndReports:
-    def test_residuals_recompute_exactly(self, small_problem, known_plan):
-        plan = TransportPlan.against(known_plan, small_problem.row_marginals, small_problem.col_marginals)
-        recomputed = TransportPlan.against(plan.values, small_problem.row_marginals, small_problem.col_marginals)
-        assert plan.row_residual == recomputed.row_residual
-        assert plan.col_residual == recomputed.col_residual
-
     def test_negative_entries_rejected(self, small_problem):
         bad = np.array([[0.3, -0.1, 0.0], [0.0, 0.05, 0.2], [0.2, 0.3, 0.0]])
         with pytest.raises(Exception, match=r"\[1, 2\]"):
             TransportPlan.against(bad, small_problem.row_marginals, small_problem.col_marginals)
+        with pytest.raises(ValidationError, match=r"\[1, 2\]"):
+            TransportPlan(bad)  # a plan checks itself, however it is built
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entries_rejected(self, small_problem, known_plan, bad):

@@ -182,6 +182,8 @@ class TestRowEquilibrate:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveEntry):
             row_equilibrate(np.array([[1.0, 0.0]]))
+        with pytest.raises(NonFiniteEntry):
+            row_equilibrate(np.array([[1.0, np.inf]]))
 
     def test_an_overflowing_ratio_solves_without_a_warning(self):
         # col_max / b overflows in cell [2, 1] (e^400 / e^-400); the row's
@@ -234,6 +236,8 @@ class TestPhiEtaStep:
     def test_eta_floor_enforced(self, small_problem):
         with pytest.raises(ValidationError):
             phi_eta_step(np.ones(3), ot_to_moma(small_problem), eta=1e-9)
+        with pytest.raises(NonPositiveEntry, match="alpha"):
+            phi_eta_step(np.array([1.0, 0.0, 1.0]), ot_to_moma(small_problem), eta=0.5)
 
     def test_normalized_iterates_are_cauchy_in_the_hilbert_metric(self):
         rng = np.random.default_rng(20)
@@ -371,6 +375,8 @@ class TestSchedule:
             AnnealingSchedule(((1e-2, 0.0),))
         with pytest.raises(ValidationError):
             AnnealingSchedule(((1e-3, 1e-2), (1e-3, 1e-2)))  # not decreasing
+        with pytest.raises(ValidationError, match="at least one stage"):
+            AnnealingSchedule(())
 
     def test_an_overflowing_ladder_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="stages=3000,factor=1.5,final=0.0001"):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balanced_transport import (
-    InconsistentSupport,
     LengthMismatch,
     MAXIMIZE,
     MINIMIZE,
+    DimensionMismatch,
     DualPotentials,
     MOMAProblem,
     NonPositiveEntry,
@@ -142,9 +143,13 @@ def kruskal_reference(values, mask):
     return forest, non_tree
 
 
-def loop_recover_duals(problem, plan, strict):
+def loop_recover_duals(problem, plan):
     """recover_duals as per-node loops: a walk of its own with NaN
-    sentinels, one reduction per line without support, one check per cell."""
+    sentinels, one reduction per line without support, one check per cell.
+
+    Returns lam, mu and the first non-tree support cell (1-based, in
+    descending-mass order) whose weight the potentials contradict, or None.
+    """
     a = additive_weights(problem)
     n, m = a.shape
     forest, non_tree = kruskal_reference(plan.values, support_mask(plan.values))
@@ -182,26 +187,11 @@ def loop_recover_duals(problem, plan, strict):
         if np.isnan(lam[i]):
             gaps = a[i, :] - mu
             lam[i] = np.max(gaps) if sense_max else np.min(gaps)
-    if strict:
-        scale = max(1.0, float(np.max(np.abs(a))))
-        for i, j in non_tree:
-            gap = a[i, j] - lam[i] - mu[j]
-            if abs(gap) > KKT_RTOL * scale:
-                raise InconsistentSupport(
-                    f"support entry ({i + 1}, {j + 1}) forces contradictory potentials"
-                    f" (residual {gap:.3e}); the plan is not optimal",
-                    entry=(i + 1, j + 1),
-                )
-    return lam, mu
-
-
-def strict_outcome(recover, problem, plan):
-    """(entry, message) of the InconsistentSupport that strict recovery raises, or None."""
-    try:
-        recover(problem, plan, strict=True)
-    except InconsistentSupport as exc:
-        return exc.entry, str(exc)
-    return None
+    scale = max(1.0, float(np.max(np.abs(a))))
+    for i, j in non_tree:
+        if abs(a[i, j] - lam[i] - mu[j]) > KKT_RTOL * scale:
+            return lam, mu, (i + 1, j + 1)
+    return lam, mu, None
 
 
 class TestRecoverDuals:
@@ -229,14 +219,13 @@ class TestRecoverDuals:
     def test_inconsistent_support_is_certified(self, small_problem):
         perturbed = np.array([[0.05, 0.2, 0.0], [0.0, 0.05, 0.2], [0.15, 0.35, 0.0]])
         plan = TransportPlan.against(perturbed, small_problem.row_marginals, small_problem.col_marginals)
-        with pytest.raises(InconsistentSupport) as err:
-            recover_duals(small_problem, plan, strict=True)
-        assert err.value.entry == (1, 1)
-        # non-strict recovery still returns potentials for reporting
-        duals = recover_duals(small_problem, plan, strict=False)
+        report = verify_balanced(small_problem, plan)
+        assert report.violation == (1, 1)
+        # recovery still returns potentials for reporting
+        duals = recover_duals(small_problem, plan)
         assert np.all(np.isfinite(duals.lam)) and np.all(np.isfinite(duals.mu))
-        # the strict error carries those same potentials
-        assert np.array_equal(err.value.duals.lam, duals.lam) and np.array_equal(err.value.duals.mu, duals.mu)
+        # and the report was judged on those same potentials
+        assert dataclasses.replace(report, violation=None) == verify_balanced(small_problem, plan, duals=duals)
 
     def test_support_mask_threshold(self):
         values = np.array([[1.0, 1e-11], [0.5, 0.0]])
@@ -249,7 +238,7 @@ class TestRecoverDuals:
             n, m = rng.integers(1, 9, size=2)
             values = rng.integers(0, 4, size=(n, m)) * 0.25  # many ties, some zeros
             mask = support_mask(values)
-            assert _support_tree(values, mask) == kruskal_reference(values, mask)
+            assert _support_tree(values, mask) == kruskal_reference(values, mask)[0]
 
     def test_matches_the_loop_reference_bit_for_bit(self):
         # Random plans in both senses, with rows and columns shrunk below
@@ -281,11 +270,10 @@ class TestRecoverDuals:
                 seen["no support"] += 1
             elif not (mask.any(axis=1).all() and mask.any(axis=0).all()):
                 seen["unsupported line"] += 1
-            duals = recover_duals(prob, plan, strict=False)
-            lam, mu = loop_recover_duals(prob, plan, strict=False)
+            duals = recover_duals(prob, plan)
+            lam, mu, expected = loop_recover_duals(prob, plan)
             assert np.array_equal(duals.lam, lam) and np.array_equal(duals.mu, mu)
-            expected = strict_outcome(loop_recover_duals, prob, plan)
-            assert strict_outcome(recover_duals, prob, plan) == expected
+            assert verify_balanced(prob, plan).violation == expected
             if expected is not None:
                 seen["inconsistent"] += 1
             elif kruskal_reference(values, mask)[1]:
@@ -328,11 +316,11 @@ class TestVerifyBalanced:
         report = verify_balanced(small_problem, plan)
         assert not report.is_balanced
         assert report.max_slackness_violation > 1e-8
-        assert report.violation == (1, 1)  # where strict recovery locates it
+        assert report.violation == (1, 1)  # the heaviest support cell the duals contradict
         # feasibility was preserved by construction
         assert max(report.marginal_residuals) <= 1e-12
         # with duals passed in, nothing was recovered, so nothing is located
-        duals = recover_duals(small_problem, plan, strict=False)
+        duals = recover_duals(small_problem, plan)
         assert verify_balanced(small_problem, plan, duals=duals).violation is None
 
     def test_minimization_reverses_the_inequality(self, small_problem, known_plan):
@@ -349,6 +337,12 @@ class TestVerifyBalanced:
         duals = DualPotentials(np.zeros(lengths[0]), np.zeros(lengths[1]))
         with pytest.raises(LengthMismatch, match=f"lengths {lengths[0]} and {lengths[1]}"):
             verify_balanced(small_problem, plan, duals=duals)
+        # and a plan of that shape does not fit the 3x3 problem
+        misfit = TransportPlan(np.ones(lengths))
+        with pytest.raises(DimensionMismatch, match=rf"plan shape \({lengths[0]}, {lengths[1]}\)"):
+            recover_duals(small_problem, misfit)
+        with pytest.raises(DimensionMismatch, match=rf"plan shape \({lengths[0]}, {lengths[1]}\)"):
+            verify_balanced(small_problem, misfit)
 
     def test_a_gap_past_the_exp_range_is_an_infinite_violation(self):
         # expm1(800) overflows; the violation reads inf, with no warning.
@@ -490,7 +484,7 @@ class TestLPOracle:
             lp_oracle(big)
         at_guard = OTProblem(np.zeros((100, 100)), np.ones(100), np.ones(100))
         result = lp_oracle(at_guard)  # constant weights: any feasible plan is optimal
-        assert result.plan.row_residual <= 1e-9
+        assert np.max(np.abs(result.plan.values.sum(axis=1) - at_guard.row_marginals)) <= 1e-9
 
     def test_degenerate_marginals(self):
         # equal masses force degenerate pivots, which the pricing must cope with
@@ -618,7 +612,7 @@ class TestGreedyNorthwest:
     def test_constant_weights_feasible_and_optimal(self):
         prob = OTProblem(np.full((3, 3), 1.0), np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2]))
         plan = greedy_northwest(prob)
-        assert plan.row_residual <= 1e-15
+        assert np.max(np.abs(plan.values.sum(axis=1) - prob.row_marginals)) <= 1e-15
         assert plan.objective(prob) == pytest.approx(lp_oracle(prob).objective, rel=1e-12)
 
     def test_small_example_suboptimal(self, small_problem):
